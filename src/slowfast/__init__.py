@@ -42,23 +42,19 @@ from .nonlinearity import (
     pointwise_variance,
     eval_F,
     eval_Fbar,
+    averaged_force,
 )
 from .integrators import (
     SchemeKind,
     CoupledState,
     RunConfig,
-    step_coupled_modified,
-    step_coupled_expo,
-    step_limiting,
-    step_averaged,
-    run_trajectory,
+    Transition,
+    trajectory,
     run_trajectory_batch,
-    reference_weak_value,
     solve_averaged_reference,
 )
 from .moments import (
     ModeMoments,
-    step_factors,
     continuous_mean,
     scheme_mean_recursion,
     second_moment_recursion,

@@ -34,7 +34,7 @@ from .harness import (
     uniform_sweep,
     weak_error_curve,
 )
-from .integrators import RunConfig, SchemeKind
+from .integrators import RunConfig, SchemeKind, trajectory
 from .nonlinearity import GridTransform, nonlinearity_from_config
 from .spectral import SpectrumSpec, dirichlet_spectrum, quadratic_spectrum
 
@@ -66,6 +66,8 @@ def _spectrum_from_config(cfg: dict) -> SpectrumSpec:
     if kind == "quadratic":
         return quadratic_spectrum(J, scale=float(sc.get("scale", 1.0)))
     if kind == "explicit":
+        if "lambdas" not in sc:
+            raise ConfigError("an explicit spectrum needs a 'lambdas' list")
         return SpectrumSpec(J=J, lambdas=np.asarray(sc["lambdas"], dtype=float))
     raise ConfigError(f"unknown spectrum kind {kind!r}")
 
@@ -118,7 +120,7 @@ def _run_config(cfg: dict, spec: SpectrumSpec, scheme: Optional[SchemeKind] = No
             raise ConfigError(f"unknown scheme {cfg.get('scheme')!r}") from None
     T = float(cfg.get("T", 1.0))
     N = cfg.get("N", 64)
-    if not float(N).is_integer() or int(N) < 1:
+    if not isinstance(N, (int, float, str)) or not float(N).is_integer() or int(N) < 1:
         raise ConfigError(f"N must be a positive integer, got {N!r}")
     return RunConfig(
         T=T,
@@ -164,53 +166,16 @@ def _grid_transform_if_needed(cfg: dict, spec: SpectrumSpec, nl) -> Optional[Gri
 
 
 def _cmd_simulate(cfg: dict, output_dir: str) -> dict:
-    from .integrators import (
-        CoupledState,
-        step_averaged,
-        step_coupled_expo,
-        step_coupled_modified,
-        step_limiting,
-    )
-    from .noise import StreamTag, sample_cylindrical_batch
-    from .spectral import modified_operators
-
     spec = _spectrum_from_config(cfg)
     nl = nonlinearity_from_config(cfg.get("nonlinearity", {"variant": "LINEAR_IN_Y"}))
     gt = _grid_transform_if_needed(cfg, spec, nl)
     config = _run_config(cfg, spec)
-    seed = int(cfg.get("master_seed", 0))
-    sample = int(cfg.get("sample_index", 0))
-    dt = config.dt
-    x = config.x0[None, :].copy()
-    y = config.y0[None, :].copy()
-    coupled = config.scheme in (SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO,
-                                SchemeKind.REFERENCE)
-    ops = modified_operators(spec, dt / config.eps) if config.scheme == SchemeKind.COUPLED_MODIFIED else None
-
-    def draw(tag, n):
-        return sample_cylindrical_batch(spec, seed, tag, n, sample, 1)
-
+    steps = trajectory(config, spec, nl, gt, int(cfg.get("master_seed", 0)),
+                       int(cfg.get("sample_index", 0)), 1)
     state_rows = []
-
-    def record(n):
+    for n, (x, y) in enumerate(steps):
         for j in range(spec.J):
-            state_rows.append((n, j + 1, x[0, j], y[0, j] if coupled else 0.0))
-
-    record(0)
-    for n in range(config.N):
-        if config.scheme == SchemeKind.COUPLED_MODIFIED:
-            st = step_coupled_modified(spec, dt, config.eps, ops, nl, gt, CoupledState(x, y),
-                                       draw(StreamTag.GAMMA_1, n), draw(StreamTag.GAMMA_2, n))
-            x, y = st.x, st.y
-        elif config.scheme in (SchemeKind.COUPLED_EXPO, SchemeKind.REFERENCE):
-            st = step_coupled_expo(spec, dt, config.eps, nl, gt, CoupledState(x, y),
-                                   draw(StreamTag.OU_EXACT, n))
-            x, y = st.x, st.y
-        elif config.scheme == SchemeKind.LIMITING:
-            x = step_limiting(spec, dt, nl, gt, x, draw(StreamTag.GAMMA_1, n))
-        else:
-            x = step_averaged(spec, dt, nl, gt, x)
-        record(n + 1)
+            state_rows.append((n, j + 1, x[0, j], 0.0 if y is None else y[0, j]))
     files = {
         "trajectory.csv": _csv(("step", "mode", "x", "y"), state_rows),
         "summary.json": _summary(cfg, {"final_norm_x": float(np.sqrt(np.sum(x * x)))}),

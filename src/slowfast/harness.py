@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import RunConfig, SchemeKind, run_trajectory_batch, solve_averaged_reference
+from .integrators import RunConfig, SchemeKind, Transition, run_trajectory_batch, solve_averaged_reference
 from .moments import ModeMoments, continuous_second_moment, second_moment_recursion
 from .noise import StreamTag, sample_cylindrical_batch
 from .nonlinearity import GridTransform, LinearInY, Nonlinearity
@@ -83,7 +83,9 @@ def evaluate_functional(phi: FunctionalSpec, x: np.ndarray) -> np.ndarray:
     """Apply phi to states of shape (..., J); returns shape (...)."""
     x = np.asarray(x, dtype=float)
     if phi.kind == FunctionalKind.LINEAR:
-        return x @ phi.h
+        # not x @ h: a matrix-vector product rounds a row differently
+        # depending on how many rows it is computed with
+        return np.sum(x * phi.h, axis=-1)
     s = np.sum(x * x, axis=-1)
     if phi.kind == FunctionalKind.NORM_SQUARED:
         return s
@@ -154,8 +156,10 @@ def mc_estimate(
     """Sample mean and standard error of phi over independent trajectories.
 
     Sample i always uses the stream addressed by (master_seed, i, step), so
-    the result is identical for any n_threads and any batch size; per-sample
-    values are aggregated in sample order.
+    the result is identical for any n_threads and, except for the pointwise
+    couplings (whose BLAS collocation products round a row depending on the
+    batch shape), any batch size; per-sample values are aggregated in sample
+    order.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
@@ -197,13 +201,12 @@ def oracle_weak_value(
     phi: FunctionalSpec,
     spec: SpectrumSpec,
     nl: Nonlinearity,
-    refinement: int = 1,
 ) -> float:
     """Exact E[phi(X_N)] of the scheme via the moment recursions (no sampling)."""
     _require_linear_in_y(nl, "the moment oracle")
     mom = second_moment_recursion(
-        config.scheme, spec.lambdas, nl.c, config.eps,
-        config.dt / refinement, config.N * refinement, _start_moments(config, spec),
+        config.scheme, spec.lambdas, nl.c, config.eps, config.dt, config.N,
+        _start_moments(config, spec),
     )
     return gaussian_expectation(phi, mom.mean_x, mom.var_x)
 
@@ -248,34 +251,22 @@ def weak_error_curve(
     dts = list(dt_list)
     if any(d2 >= d1 for d1, d2 in zip(dts, dts[1:])):
         raise ValueError("dt_list must be strictly decreasing")
+    truth = continuous_weak_value(config, phi, spec, nl) if isinstance(nl, LinearInY) else None
     points = []
     for dt in dts:
-        n_float = config.T / dt
-        N = int(round(n_float))
-        if abs(n_float - N) > 1e-9 * max(1.0, n_float):
-            raise ValueError(f"dt={dt} does not divide T={config.T} into an integer step count")
-        cfg = RunConfig(T=config.T, N=N, eps=config.eps, scheme=config.scheme,
-                        x0=config.x0, y0=config.y0)
+        cfg = _config_at_dt(config, dt)
         if oracle == OracleMode.MOMENT_ORACLE:
             val = oracle_weak_value(cfg, phi, spec, nl)
-            truth = continuous_weak_value(cfg, phi, spec, nl)
             points.append(WeakErrorPoint(dt=dt, error=abs(val - truth), stderr=0.0, oracle_bias=0.0))
         elif oracle == OracleMode.REFINED_REFERENCE:
+            ref_cfg = _reference_config(cfg, refinement)
             est = mc_estimate(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
-            ref_cfg = RunConfig(T=cfg.T, N=cfg.N, eps=cfg.eps, scheme=SchemeKind.COUPLED_EXPO,
-                                x0=cfg.x0, y0=cfg.y0)
-            ref = mc_estimate(
-                RunConfig(T=cfg.T, N=cfg.N * refinement, eps=cfg.eps,
-                          scheme=SchemeKind.COUPLED_EXPO, x0=cfg.x0, y0=cfg.y0),
-                phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
-            if isinstance(nl, LinearInY):
-                exact_ref = oracle_weak_value(ref_cfg, phi, spec, nl, refinement=refinement)
-                bias = abs(exact_ref - continuous_weak_value(cfg, phi, spec, nl))
+            ref = mc_estimate(ref_cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
+            if truth is not None:
+                bias = abs(oracle_weak_value(ref_cfg, phi, spec, nl) - truth)
             else:
-                ref2 = mc_estimate(
-                    RunConfig(T=cfg.T, N=cfg.N * 2 * refinement, eps=cfg.eps,
-                              scheme=SchemeKind.COUPLED_EXPO, x0=cfg.x0, y0=cfg.y0),
-                    phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
+                ref2 = mc_estimate(replace(ref_cfg, N=2 * ref_cfg.N), phi, n_samples, master_seed,
+                                   spec, nl, gt, n_threads=n_threads)
                 bias = abs(ref2.mean - ref.mean)
             err = abs(est.mean - ref.mean)
             se = math.hypot(est.stderr, ref.stderr)
@@ -283,6 +274,20 @@ def weak_error_curve(
         else:
             raise ValueError(f"unknown oracle mode {oracle!r}")
     return points
+
+
+def _config_at_dt(config: RunConfig, dt: float) -> RunConfig:
+    """config with N = T/dt; dt must divide T into an integer step count."""
+    n_float = config.T / dt
+    N = int(round(n_float))
+    if abs(n_float - N) > 1e-9 * max(1.0, n_float):
+        raise ValueError(f"dt={dt} does not divide T={config.T} into an integer step count")
+    return replace(config, N=N)
+
+
+def _reference_config(config: RunConfig, refinement: int) -> RunConfig:
+    """The exact-transition scheme on config's grid refined `refinement` times."""
+    return replace(config, scheme=SchemeKind.COUPLED_EXPO, N=config.N * refinement)
 
 
 def fit_rate(points, drop_coarsest: bool = False) -> RateFit:
@@ -331,20 +336,17 @@ def ap_diagram(
     only); otherwise both values are Monte Carlo estimates with the same
     seed.  Returns a list of (eps, gap, stderr) rows.
     """
-    lim_cfg = RunConfig(T=config.T, N=config.N, eps=1.0, scheme=SchemeKind.LIMITING,
-                        x0=config.x0, y0=config.y0)
+    lim_cfg = replace(config, eps=1.0, scheme=SchemeKind.LIMITING)
     rows = []
     if n_samples == 0:
         lim_val = oracle_weak_value(lim_cfg, phi, spec, nl)
         for eps in eps_list:
-            cfg = RunConfig(T=config.T, N=config.N, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED,
-                            x0=config.x0, y0=config.y0)
+            cfg = replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
             rows.append((float(eps), abs(oracle_weak_value(cfg, phi, spec, nl) - lim_val), 0.0))
         return rows
     lim = mc_estimate(lim_cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
     for eps in eps_list:
-        cfg = RunConfig(T=config.T, N=config.N, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED,
-                        x0=config.x0, y0=config.y0)
+        cfg = replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
         est = mc_estimate(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
         rows.append((float(eps), abs(est.mean - lim.mean), math.hypot(est.stderr, lim.stderr)))
     return rows
@@ -368,8 +370,7 @@ def averaging_curve(
     target = evaluate_functional(phi, xbar)
     rows = []
     for eps in eps_list:
-        cfg = RunConfig(T=config.T, N=config.N, eps=eps, scheme=SchemeKind.COUPLED_EXPO,
-                        x0=config.x0, y0=config.y0)
+        cfg = replace(config, eps=eps, scheme=SchemeKind.COUPLED_EXPO)
         rows.append((float(eps), abs(oracle_weak_value(cfg, phi, spec, nl) - float(target))))
     return rows
 
@@ -419,37 +420,32 @@ def invariant_measure_check(
         raise ValueError("tau values must be positive")
     res_mod = np.empty((len(taus), spec.J))
     res_std = np.empty((len(taus), spec.J))
+    empirical = [] if empirical_steps > 0 else None
+    mode1 = SpectrumSpec(1, np.array([float(lam[0])]))
     for i, tau in enumerate(taus):
-        z = tau * lam
-        a = 1.0 / (1.0 + z)
-        res_mod[i] = _variance_map_residual(a, tau * (2.0 + z) * a * a, lam)
-        res_std[i] = _variance_map_residual(a, 2.0 * tau * a * a, lam)
+        tr = Transition(SchemeKind.COUPLED_MODIFIED, lam, tau, 1.0)
+        res_mod[i] = _variance_map_residual(tr.a, tr.s2, lam)
+        res_std[i] = _variance_map_residual(tr.a, 2.0 * tau * tr.a * tr.a, lam)
+        if empirical is None:
+            continue
+        # one long chain at mode 1; the sample axis of the draws is its time axis
+        L = float(lam[0])
+        a, b1, b2 = float(tr.a[0]), float(tr.b1[0]), float(tr.b2[0])
+        g1 = sample_cylindrical_batch(mode1, master_seed, StreamTag.GAMMA_1, i, 0, empirical_steps)[:, 0]
+        g2 = sample_cylindrical_batch(mode1, master_seed, StreamTag.GAMMA_2, i, 0, empirical_steps)[:, 0]
+        noise = float(tr.scale) * (b1 * g1 + b2 * g2)
+        y = np.empty(empirical_steps)
+        cur = 1.0 / math.sqrt(L)  # start at equilibrium scale
+        for n in range(empirical_steps):
+            cur = a * cur + noise[n]
+            y[n] = cur
+        mean_sq = float(np.mean(y * y))
+        rho = a * a  # lag-1 autocorrelation of y_n^2 for a Gaussian AR(1)
+        se = math.sqrt(2.0 / L**2 * (1.0 + rho) / ((1.0 - rho) * empirical_steps))
+        empirical.append((tau, mean_sq, 1.0 / L, se))
     z1 = np.ones(spec.J)
     a1 = 0.5 * z1
     std_unit = _variance_map_residual(a1, (2.0 / lam) * a1 * a1, lam)
-    empirical = None
-    if empirical_steps > 0:
-        empirical = []
-        mode1 = SpectrumSpec(1, np.array([float(lam[0])]))
-        for i, tau in enumerate(taus):
-            L = float(lam[0])
-            z = tau * L
-            a = 1.0 / (1.0 + z)
-            b1 = a / math.sqrt(2.0)
-            b2 = math.sqrt(0.5 * a)
-            scale = math.sqrt(2.0 * tau)
-            g1 = sample_cylindrical_batch(mode1, master_seed, StreamTag.GAMMA_1, i, 0, empirical_steps)[:, 0]
-            g2 = sample_cylindrical_batch(mode1, master_seed, StreamTag.GAMMA_2, i, 0, empirical_steps)[:, 0]
-            noise = scale * (b1 * g1 + b2 * g2)
-            y = np.empty(empirical_steps)
-            cur = 1.0 / math.sqrt(L)  # start at equilibrium scale
-            for n in range(empirical_steps):
-                cur = a * cur + noise[n]
-                y[n] = cur
-            mean_sq = float(np.mean(y * y))
-            rho = a * a  # lag-1 autocorrelation of y_n^2 for a Gaussian AR(1)
-            se = math.sqrt(2.0 / L**2 * (1.0 + rho) / ((1.0 - rho) * empirical_steps))
-            empirical.append((tau, mean_sq, 1.0 / L, se))
     return InvariantCheckReport(
         tau_list=tuple(taus),
         residual_modified=res_mod,
@@ -490,24 +486,18 @@ def uniform_sweep(
     _require_linear_in_y(nl, "the uniform sweep")
     epss = [float(e) for e in eps_list]
     dts = list(dt_list)
+    cfgs = [_config_at_dt(config, dt) for dt in dts]
+    # the continuous truth depends on eps only, not on dt
+    truths = [continuous_weak_value(replace(config, eps=eps), phi, spec, nl) for eps in epss]
     errors = np.empty((len(dts), len(epss)))
     bias = np.empty_like(errors)
-    for i, dt in enumerate(dts):
-        n_float = config.T / dt
-        N = int(round(n_float))
-        if abs(n_float - N) > 1e-9 * max(1.0, n_float):
-            raise ValueError(f"dt={dt} does not divide T={config.T}")
+    for i, cfg_dt in enumerate(cfgs):
         for k, eps in enumerate(epss):
-            cfg = RunConfig(T=config.T, N=N, eps=eps, scheme=config.scheme,
-                            x0=config.x0, y0=config.y0)
+            cfg = replace(cfg_dt, eps=eps)
             val = oracle_weak_value(cfg, phi, spec, nl)
-            ref = oracle_weak_value(
-                RunConfig(T=cfg.T, N=cfg.N, eps=eps, scheme=SchemeKind.COUPLED_EXPO,
-                          x0=cfg.x0, y0=cfg.y0),
-                phi, spec, nl, refinement=refinement)
-            truth = continuous_weak_value(cfg, phi, spec, nl)
+            ref = oracle_weak_value(_reference_config(cfg, refinement), phi, spec, nl)
             errors[i, k] = abs(val - ref)
-            bias[i, k] = abs(ref - truth)
+            bias[i, k] = abs(ref - truths[k])
     max_errors = errors.max(axis=1)
     fit = fit_rate(list(zip(dts, max_errors)))
     return UniformSweepResult(

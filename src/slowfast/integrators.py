@@ -7,7 +7,7 @@ is always advanced by the semi-implicit update
     x' = (x + dt * F(x, y')) / (1 + dt * lambda)
 
 with the nonlinearity explicit in the slow variable and implicit in the fast
-one (the freshly updated y' enters F).  The schemes differ in how y' is
+one (the freshly updated y' enters F).  The schemes differ only in how y' is
 produced:
 
 * COUPLED_MODIFIED  y' = a_tau y + sqrt(2 dt/eps) (B1 g1 + B2 g2), the
@@ -18,6 +18,11 @@ produced:
 * LIMITING          y' is a fresh equilibrium draw Lambda^(-1/2) Gamma; the
   eps -> 0 limit of the coupled scheme at fixed dt.
 * AVERAGED          deterministic: F is replaced by its Gaussian average.
+
+`Transition` is the only place each scheme's algebra lives.  The sampler
+(`trajectory`, drained by `run_trajectory_batch`), the `simulate` command and
+the moment recursions of `slowfast.moments` all read it.  The module also
+solves the averaged equation itself (`solve_averaged_reference`).
 """
 
 from __future__ import annotations
@@ -27,22 +32,21 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .noise import StreamTag, sample_cylindrical_batch
-from .nonlinearity import GridTransform, LinearInY, Nonlinearity, PointwiseSquare, eval_F, eval_Fbar
-from .spectral import ModifiedOperators, SpectrumSpec, check_field, modified_operators
+from .nonlinearity import (
+    GridTransform, LinearInY, Nonlinearity, PointwiseSquare, averaged_force, eval_F, eval_Fbar,
+)
+from .spectral import SpectrumSpec, check_field
 
 __all__ = [
     "SchemeKind",
     "CoupledState",
     "RunConfig",
-    "step_coupled_modified",
-    "step_coupled_expo",
-    "step_limiting",
-    "step_averaged",
-    "run_trajectory",
+    "Transition",
+    "trajectory",
     "run_trajectory_batch",
-    "reference_weak_value",
     "solve_averaged_reference",
 ]
 
@@ -52,7 +56,11 @@ class SchemeKind(Enum):
     COUPLED_EXPO = "COUPLED_EXPO"
     LIMITING = "LIMITING"
     AVERAGED = "AVERAGED"
-    REFERENCE = "REFERENCE"
+
+    @property
+    def coupled(self) -> bool:
+        """True for the schemes that carry a fast state y from step to step."""
+        return self in (SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO)
 
 
 @dataclass
@@ -85,8 +93,7 @@ class RunConfig:
             raise ValueError("T must be positive")
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        if self.scheme in (SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO,
-                           SchemeKind.REFERENCE) and self.eps <= 0:
+        if self.scheme.coupled and self.eps <= 0:
             raise ValueError("eps must be positive for coupled schemes")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
@@ -96,85 +103,108 @@ class RunConfig:
         return self.T / self.N
 
 
-def _slow_update(spec, dt, nl, gt, x, y_new):
-    return (x + dt * eval_F(nl, gt, x, y_new)) / (1.0 + dt * spec.lambdas)
+class Transition:
+    """One step of a scheme at fixed (dt, eps), mode by mode.
 
+    The fast update is y' = a*y + xi, where xi is centered with variance s2,
+    independent of the state, and built from one standard normal array per
+    stream tag in `tags`.  The slow update is x' = (x + dt*F(x, y'))/one_plus
+    with one_plus = 1 + dt*lam.  The moment recursions read (a, s2,
+    one_plus); the sampler calls `step`.
 
-def step_coupled_modified(
-    spec: SpectrumSpec,
-    dt: float,
-    eps: float,
-    ops: ModifiedOperators,
-    nl: Nonlinearity,
-    gt: Optional[GridTransform],
-    state: CoupledState,
-    g1: np.ndarray,
-    g2: np.ndarray,
-) -> CoupledState:
-    """One step of the coupled scheme with the modified fast update.
-
-    ops must be the ModifiedOperators at tau = dt/eps; g1, g2 are independent
-    cylindrical draws.
+    COUPLED_MODIFIED  a = 1/(1 + tau*lam), xi = sqrt(2 tau) (b1 g1 + b2 g2),
+                      s2 = tau (2 + tau*lam) a^2, with tau = dt/eps
+    COUPLED_EXPO      a = exp(-dt*lam/eps), xi = sd*g, s2 = sd^2 = (1 - a^2)/lam
+    LIMITING          y' = g/sqrt(lam), a fresh equilibrium draw: a = 0, s2 = 1/lam
+    AVERAGED          no fast variable, a = s2 = 0; F is replaced by Fbar
     """
-    if dt <= 0 or eps <= 0:
-        raise ValueError("dt and eps must be positive")
-    check_field(spec, state.x)
-    scale = np.sqrt(2.0 * dt / eps)
-    y_new = ops.a_tau * state.y + scale * (ops.b1 * g1 + ops.b2 * g2)
-    x_new = _slow_update(spec, dt, nl, gt, state.x, y_new)
-    return CoupledState(x=x_new, y=y_new)
+
+    def __init__(self, scheme: SchemeKind, lam, dt: float, eps: float):
+        lam = np.asarray(lam, dtype=float)
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        if scheme.coupled and eps <= 0:
+            raise ValueError("eps must be positive for coupled schemes")
+        self.scheme = scheme
+        self.dt = dt
+        self.one_plus = 1.0 + dt * lam
+        if scheme == SchemeKind.COUPLED_MODIFIED:
+            tau = dt / eps
+            z = tau * lam
+            self.a = 1.0 / (1.0 + z)
+            self.b1 = self.a / np.sqrt(2.0)
+            self.b2 = np.sqrt(0.5 * self.a)
+            self.scale = np.sqrt(2.0 * dt / eps)
+            self.s2 = tau * (2.0 + z) * self.a * self.a
+            self.tags = (StreamTag.GAMMA_1, StreamTag.GAMMA_2)
+        elif scheme == SchemeKind.COUPLED_EXPO:
+            z = dt * lam / eps
+            with np.errstate(under="ignore"):
+                self.a = np.exp(-z)
+                self.s2 = -np.expm1(-2.0 * z) / lam
+            self.sd = np.sqrt(self.s2)
+            self.tags = (StreamTag.OU_EXACT,)
+        elif scheme == SchemeKind.LIMITING:
+            self.a = np.zeros_like(lam)
+            self.s2 = 1.0 / lam
+            self.sqrt_lam = np.sqrt(lam)
+            self.tags = (StreamTag.GAMMA_1,)
+        elif scheme == SchemeKind.AVERAGED:
+            self.a = np.zeros_like(lam)
+            self.s2 = np.zeros_like(lam)
+            self.tags = ()
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+
+    def step(self, x, y, draws, force):
+        """(x', y') from (x, y) and one draw per tag.
+
+        force(x, y') is F(x, y') (Fbar(x) for AVERAGED).  y and y' are None
+        for the schemes without a fast state.
+        """
+        if self.scheme == SchemeKind.COUPLED_MODIFIED:
+            y = self.a * y + self.scale * (self.b1 * draws[0] + self.b2 * draws[1])
+        elif self.scheme == SchemeKind.COUPLED_EXPO:
+            y = self.a * y + self.sd * draws[0]
+        elif self.scheme == SchemeKind.LIMITING:
+            y = draws[0] / self.sqrt_lam
+        x = (x + self.dt * force(x, y)) / self.one_plus
+        return x, (y if self.scheme.coupled else None)
 
 
-def step_coupled_expo(
+def trajectory(
+    config: RunConfig,
     spec: SpectrumSpec,
-    dt: float,
-    eps: float,
     nl: Nonlinearity,
     gt: Optional[GridTransform],
-    state: CoupledState,
-    g: np.ndarray,
-) -> CoupledState:
-    """One step with the exact Ornstein-Uhlenbeck transition for the fast part."""
-    if dt <= 0 or eps <= 0:
-        raise ValueError("dt and eps must be positive")
-    check_field(spec, state.x)
-    z = dt * spec.lambdas / eps
-    with np.errstate(under="ignore"):
-        decay = np.exp(-z)
-        sd = np.sqrt(-np.expm1(-2.0 * z) / spec.lambdas)
-    y_new = decay * state.y + sd * g
-    x_new = _slow_update(spec, dt, nl, gt, state.x, y_new)
-    return CoupledState(x=x_new, y=y_new)
+    master_seed: int,
+    first_sample: int,
+    count: int,
+):
+    """Yield (x, y) at steps 0..N for samples first_sample..first_sample+count-1.
 
+    x and y are (count, J) arrays; y is None for LIMITING/AVERAGED.  The
+    noise draw of sample i at step n depends only on (master_seed, i, n,
+    tag), whatever the batch partition.
+    """
+    tr = Transition(config.scheme, spec.lambdas, config.dt, config.eps)
+    if config.scheme == SchemeKind.AVERAGED:
+        fbar = averaged_force(nl, gt, spec)
 
-def step_limiting(
-    spec: SpectrumSpec,
-    dt: float,
-    nl: Nonlinearity,
-    gt: Optional[GridTransform],
-    x: np.ndarray,
-    g: np.ndarray,
-) -> np.ndarray:
-    """One step of the limiting scheme: F sees a fresh equilibrium draw."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    check_field(spec, x)
-    y_draw = g / np.sqrt(spec.lambdas)
-    return _slow_update(spec, dt, nl, gt, x, y_draw)
+        def force(x, y):
+            return fbar(x)
+    else:
+        def force(x, y):
+            return eval_F(nl, gt, x, y)
 
-
-def step_averaged(
-    spec: SpectrumSpec,
-    dt: float,
-    nl: Nonlinearity,
-    gt: Optional[GridTransform],
-    x: np.ndarray,
-) -> np.ndarray:
-    """One deterministic step of the implicit Euler scheme for the averaged equation."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    check_field(spec, x)
-    return (x + dt * eval_Fbar(nl, gt, spec, x)) / (1.0 + dt * spec.lambdas)
+    ones = np.ones((count, 1))
+    x = ones * check_field(spec, config.x0)[None, :]
+    y = ones * check_field(spec, config.y0)[None, :] if config.scheme.coupled else None
+    yield x, y
+    for n in range(config.N):
+        x, y = tr.step(x, y, [sample_cylindrical_batch(spec, master_seed, tag, n, first_sample, count)
+                              for tag in tr.tags], force)
+        yield x, y
 
 
 def run_trajectory_batch(
@@ -185,101 +215,15 @@ def run_trajectory_batch(
     master_seed: int,
     first_sample: int,
     count: int,
-    refinement: int = 1,
 ):
     """Advance samples first_sample..first_sample+count-1 to time T.
 
     Returns a CoupledState with (count, J) arrays for coupled schemes, or a
-    (count, J) array of slow states for LIMITING/AVERAGED.  The noise draw of
-    sample i at step n depends only on (master_seed, i, n, tag), so any batch
-    partition reproduces the same trajectories.  refinement multiplies the
-    step count (used by the reference solver); step indices then run over the
-    refined grid.
+    (count, J) array of slow states for LIMITING/AVERAGED.
     """
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
-    n_steps = config.N * refinement
-    dt = config.T / n_steps
-    scheme = config.scheme
-    ones = np.ones((count, 1))
-    x = ones * check_field(spec, config.x0)[None, :]
-
-    if scheme == SchemeKind.AVERAGED:
-        for _ in range(n_steps):
-            x = step_averaged(spec, dt, nl, gt, x)
-        return x
-
-    if scheme == SchemeKind.LIMITING:
-        for n in range(n_steps):
-            g = sample_cylindrical_batch(spec, master_seed, StreamTag.GAMMA_1, n, first_sample, count)
-            x = step_limiting(spec, dt, nl, gt, x, g)
-        return x
-
-    y = ones * check_field(spec, config.y0)[None, :]
-    state = CoupledState(x=x, y=y)
-    if scheme == SchemeKind.COUPLED_MODIFIED:
-        ops = modified_operators(spec, dt / config.eps)
-        for n in range(n_steps):
-            g1 = sample_cylindrical_batch(spec, master_seed, StreamTag.GAMMA_1, n, first_sample, count)
-            g2 = sample_cylindrical_batch(spec, master_seed, StreamTag.GAMMA_2, n, first_sample, count)
-            state = step_coupled_modified(spec, dt, config.eps, ops, nl, gt, state, g1, g2)
-        return state
-    if scheme in (SchemeKind.COUPLED_EXPO, SchemeKind.REFERENCE):
-        for n in range(n_steps):
-            g = sample_cylindrical_batch(spec, master_seed, StreamTag.OU_EXACT, n, first_sample, count)
-            state = step_coupled_expo(spec, dt, config.eps, nl, gt, state, g)
-        return state
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def run_trajectory(
-    config: RunConfig,
-    spec: SpectrumSpec,
-    nl: Nonlinearity,
-    gt: Optional[GridTransform] = None,
-    master_seed: int = 0,
-    sample_index: int = 0,
-):
-    """Single trajectory to time T; final CoupledState, or slow field only
-    for LIMITING/AVERAGED."""
-    out = run_trajectory_batch(config, spec, nl, gt, master_seed, sample_index, 1)
-    if isinstance(out, CoupledState):
-        return CoupledState(x=out.x[0], y=out.y[0])
-    return out[0]
-
-
-def reference_weak_value(
-    config: RunConfig,
-    phi,
-    refinement: int,
-    n_samples: int,
-    master_seed: int,
-    spec: SpectrumSpec,
-    nl: Nonlinearity,
-    gt: Optional[GridTransform] = None,
-    batch: int = 20000,
-):
-    """Monte Carlo proxy for E[phi(X(T))]: exact-transition scheme, refined grid.
-
-    Returns (mean, stderr).  phi maps an (n, J) slow-state array to n values.
-    The exact fast transition removes the fast-discretization error terms, so
-    with a large refinement this is the natural stand-in for the mild
-    solution.
-    """
-    if refinement < 16:
-        raise ValueError("refinement must be >= 16 for a reference run")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    ref_cfg = RunConfig(T=config.T, N=config.N, eps=config.eps,
-                        scheme=SchemeKind.COUPLED_EXPO, x0=config.x0, y0=config.y0)
-    vals = np.empty(n_samples)
-    for a in range(0, n_samples, batch):
-        b = min(a + batch, n_samples)
-        st = run_trajectory_batch(ref_cfg, spec, nl, gt, master_seed, a, b - a, refinement=refinement)
-        vals[a:b] = phi(st.x)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
-    return mean, stderr
+    for x, y in trajectory(config, spec, nl, gt, master_seed, first_sample, count):
+        pass
+    return x if y is None else CoupledState(x=x, y=y)
 
 
 def solve_averaged_reference(
@@ -288,16 +232,15 @@ def solve_averaged_reference(
     x0: np.ndarray,
     T: float,
     gt: Optional[GridTransform] = None,
-    n_fallback: int = 2**14,
 ) -> np.ndarray:
-    """Solution of the averaged evolution equation at time T.
+    """Solution of the averaged evolution equation dx/dt = -Lambda x + Fbar(x) at time T.
 
     Closed forms where the catalog admits them:
       * linear-in-y coupling: Fbar = 0, pure semigroup decay;
       * pointwise square: Fbar is a constant field g, variation of constants
         x_j(T) = e^(-lam T) x0_j + (1 - e^(-lam T)) g_j / lam_j.
-    Anything else falls back to the averaged implicit Euler scheme on a fine
-    grid (order one, n_fallback steps).
+    Anything else is integrated by a stiff step-control solver (LSODA) at
+    relative tolerance 1e-12, with the constants of Fbar computed once.
     """
     x0 = check_field(spec, x0)
     if T < 0:
@@ -309,8 +252,9 @@ def solve_averaged_reference(
     if isinstance(nl, PointwiseSquare):
         g = eval_Fbar(nl, gt, spec, np.zeros_like(x0))
         return x0 * decay + (1.0 - decay) * g / spec.lambdas
-    x = x0.copy()
-    dt = T / n_fallback
-    for _ in range(n_fallback):
-        x = step_averaged(spec, dt, nl, gt, x)
-    return x
+    fbar = averaged_force(nl, gt, spec)
+    sol = solve_ivp(lambda t, x: fbar(x) - spec.lambdas * x, (0.0, T), x0,
+                    method="LSODA", rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(f"averaged equation solve failed: {sol.message}")
+    return sol.y[:, -1]

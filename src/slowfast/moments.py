@@ -27,11 +27,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .integrators import SchemeKind
+from .integrators import SchemeKind, Transition
 
 __all__ = [
     "ModeMoments",
-    "step_factors",
     "continuous_mean",
     "scheme_mean_recursion",
     "second_moment_recursion",
@@ -58,40 +57,6 @@ class ModeMoments:
         bound = np.asarray(self.var_x) * np.asarray(self.var_y)
         if np.any(c2 > bound * (1 + 1e-12) + 1e-300):
             raise ValueError("cov_xy^2 may not exceed var_x*var_y")
-
-
-def step_factors(kind: SchemeKind, lam: ArrayLike, eps: float, dt: float):
-    """Per-step fast decay factor a and fast noise variance s2 for one scheme.
-
-    COUPLED_MODIFIED: a = 1/(1+tau*lam), s2 = 2*tau*(b1^2+b2^2)
-                        = tau*(2+tau*lam)/(1+tau*lam)^2,   tau = dt/eps
-    COUPLED_EXPO:     a = exp(-tau*lam), s2 = (1-exp(-2*tau*lam))/lam
-    LIMITING:         y is replaced by a fresh draw each step: a = 0, s2 = 1/lam
-    AVERAGED:         no fast variable: a = 0, s2 = 0
-    """
-    lam = np.asarray(lam, dtype=float)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if kind in (SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO) and eps <= 0:
-        raise ValueError("eps must be positive for coupled schemes")
-    if kind == SchemeKind.COUPLED_MODIFIED:
-        tau = dt / eps
-        a = 1.0 / (1.0 + tau * lam)
-        s2 = tau * (2.0 + tau * lam) * a * a
-    elif kind in (SchemeKind.COUPLED_EXPO, SchemeKind.REFERENCE):
-        tau = dt / eps
-        with np.errstate(under="ignore"):
-            a = np.exp(-tau * lam)
-            s2 = -np.expm1(-2.0 * tau * lam) / lam
-    elif kind == SchemeKind.LIMITING:
-        a = np.zeros_like(lam)
-        s2 = 1.0 / lam
-    elif kind == SchemeKind.AVERAGED:
-        a = np.zeros_like(lam)
-        s2 = np.zeros_like(lam)
-    else:
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    return a, s2
 
 
 def _phi1(u: np.ndarray) -> np.ndarray:
@@ -121,12 +86,10 @@ def continuous_mean(
         return np.exp(-lam * T) * (np.asarray(x0, float) + c * np.asarray(y0, float) * T * _phi1(u))
 
 
-def _mean_matrices(kind, lam, c, eps, dt):
-    lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    a, _ = step_factors(kind, lam, eps, dt)
-    r = 1.0 / (1.0 + dt * lam)
-    M = np.zeros((n, 2, 2))
+def _mean_matrices(tr, c):
+    a, dt = tr.a, tr.dt
+    r = 1.0 / tr.one_plus
+    M = np.zeros((a.size, 2, 2))
     M[:, 0, 0] = a
     M[:, 1, 0] = r * dt * c * a
     M[:, 1, 1] = r
@@ -158,26 +121,24 @@ def scheme_mean_recursion(
     my = np.asarray(y0, dtype=float) * np.ones_like(lam)
     if N == 0:
         return (mx, my) if return_mean_y else mx
-    a, _ = step_factors(kind, lam, eps, dt)
-    one_plus = 1.0 + dt * lam
+    tr = Transition(kind, lam, dt, eps)
+    a, one_plus = tr.a, tr.one_plus
     if N <= 4096:
         for _ in range(N):
             my = a * my
             mx = (mx + dt * c * my) / one_plus
     else:
-        mpow = np.linalg.matrix_power(_mean_matrices(kind, lam, c, eps, dt), N)
+        mpow = np.linalg.matrix_power(_mean_matrices(tr, c), N)
         out = np.einsum("nij,nj->ni", mpow, np.stack([my, mx], axis=1))
         my, mx = out[:, 0], out[:, 1]
     return (mx, my) if return_mean_y else mx
 
 
-def _second_matrices(kind, lam, c, eps, dt):
+def _second_matrices(tr, c):
     # homogeneous affine map on (var_y, cov_xy, var_x, 1)
-    lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    a, s2 = step_factors(kind, lam, eps, dt)
-    r = 1.0 / (1.0 + dt * lam)
-    M = np.zeros((n, 4, 4))
+    a, s2, dt = tr.a, tr.s2, tr.dt
+    r = 1.0 / tr.one_plus
+    M = np.zeros((a.size, 4, 4))
     M[:, 0, 0] = a * a
     M[:, 0, 3] = s2
     M[:, 1, 0] = r * dt * c * a * a
@@ -222,8 +183,8 @@ def second_moment_recursion(
     vx = np.asarray(start.var_x, float) * ones
     if N == 0:
         return ModeMoments(mean_x=mx, mean_y=my, var_x=vx, var_y=vy, cov_xy=cv)
-    a, s2 = step_factors(kind, lam, eps, dt)
-    one_plus = 1.0 + dt * lam
+    tr = Transition(kind, lam, dt, eps)
+    a, s2, one_plus = tr.a, tr.s2, tr.one_plus
     if N <= 4096:
         for _ in range(N):
             vy_new = a * a * vy + s2
@@ -231,7 +192,7 @@ def second_moment_recursion(
             vx = (vx + 2.0 * dt * c * a * cv + dt * dt * c * c * vy_new) / (one_plus * one_plus)
             vy, cv = vy_new, cv_new
     else:
-        spow = np.linalg.matrix_power(_second_matrices(kind, lam, c, eps, dt), N)
+        spow = np.linalg.matrix_power(_second_matrices(tr, c), N)
         v = np.einsum("nij,nj->ni", spow, np.stack([vy, cv, vx, ones], axis=1))
         vy, cv, vx = v[:, 0], v[:, 1], v[:, 2]
     vx = np.maximum(vx, 0.0)

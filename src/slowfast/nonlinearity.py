@@ -41,6 +41,7 @@ __all__ = [
     "pointwise_variance",
     "eval_F",
     "eval_Fbar",
+    "averaged_force",
     "nonlinearity_from_config",
 ]
 
@@ -195,6 +196,43 @@ def eval_F(nl: Nonlinearity, gt: Optional[GridTransform], x: np.ndarray, y: np.n
     raise TypeError(f"unknown nonlinearity {nl!r}")
 
 
+def averaged_force(
+    nl: Nonlinearity,
+    gt: Optional[GridTransform],
+    spec: SpectrumSpec,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> Fbar(x) = E F(x, Y), Y ~ N(0, Lambda^-1), as coefficients.
+
+    The constants of the average (the pointwise variance of Y and the
+    Gauss-Hermite nodes) are computed here, once, so a time loop builds the
+    function once and calls it every step.
+    """
+    if isinstance(nl, LinearInY):
+        return np.zeros_like
+    if isinstance(nl, Affine):
+        return lambda x: nl.c_x * x
+    if gt is None:
+        raise ValueError("pointwise nonlinearities need a GridTransform")
+    sig2 = pointwise_variance(spec, gt)
+    if isinstance(nl, PointwiseSquare):
+        coeffs = gt.to_coeffs(nl.c * sig2)
+        return lambda x: np.broadcast_to(coeffs, x.shape).copy()
+    if isinstance(nl, PointwiseGeneral):
+        t, w = np.polynomial.hermite.hermgauss(nl.quadrature_order)
+        sig = np.sqrt(sig2)
+
+        def fbar(x):
+            gx = gt.to_grid(x)
+            # E f(u, V) for V ~ N(0, sig^2): Gauss-Hermite with v = sqrt(2)*sig*t
+            acc = np.zeros_like(gx)
+            for tk, wk in zip(t, w):
+                acc += wk * nl.f(gx, _SQRT2 * sig * tk)
+            return gt.to_coeffs(acc / np.sqrt(np.pi))
+
+        return fbar
+    raise TypeError(f"unknown nonlinearity {nl!r}")
+
+
 def eval_Fbar(
     nl: Nonlinearity,
     gt: Optional[GridTransform],
@@ -202,29 +240,7 @@ def eval_Fbar(
     x: np.ndarray,
 ) -> np.ndarray:
     """Coefficients of the averaged nonlinearity Fbar(x) = E F(x, Y), Y ~ N(0, Lambda^-1)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(nl, LinearInY):
-        return np.zeros_like(x)
-    if isinstance(nl, Affine):
-        return nl.c_x * x
-    if gt is None:
-        raise ValueError("pointwise nonlinearities need a GridTransform")
-    if x.shape[-1] != gt.J:
-        raise ValueError(f"field must have {gt.J} modes, got {x.shape[-1]}")
-    sig2 = pointwise_variance(spec, gt)
-    if isinstance(nl, PointwiseSquare):
-        coeffs = gt.to_coeffs(nl.c * sig2)
-        return np.broadcast_to(coeffs, x.shape).copy()
-    if isinstance(nl, PointwiseGeneral):
-        t, w = np.polynomial.hermite.hermgauss(nl.quadrature_order)
-        gx = gt.to_grid(x)
-        sig = np.sqrt(sig2)
-        # E f(u, V) for V ~ N(0, sig^2): Gauss-Hermite with v = sqrt(2)*sig*t
-        acc = np.zeros_like(gx)
-        for tk, wk in zip(t, w):
-            acc += wk * nl.f(gx, _SQRT2 * sig * tk)
-        return gt.to_coeffs(acc / np.sqrt(np.pi))
-    raise TypeError(f"unknown nonlinearity {nl!r}")
+    return averaged_force(nl, gt, spec)(np.asarray(x, dtype=float))
 
 
 def nonlinearity_from_config(cfg: dict) -> Nonlinearity:

@@ -1,9 +1,18 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from slowfast import run_cli
+from slowfast import (
+    GridTransform,
+    RunConfig,
+    SchemeKind,
+    dirichlet_spectrum,
+    run_cli,
+    run_trajectory_batch,
+    saturating_square,
+)
 
 
 def write_config(tmp_path, name, cfg):
@@ -107,6 +116,30 @@ class TestSimulate:
         out = tmp_path / "o"
         assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
 
+    @pytest.mark.parametrize("scheme", [s.value for s in SchemeKind])
+    def test_last_step_is_run_trajectory_batch(self, tmp_path, scheme):
+        # simulate is the one-sample batch of the sampler: its last row of
+        # each mode is run_trajectory_batch's final state, bit for bit
+        cfg = write_config(tmp_path, "c.json", {
+            "spectrum": {"J": 4}, "scheme": scheme,
+            "nonlinearity": {"variant": "SATURATING_SQUARE", "params": {"c": 1.0}},
+            "T": 0.25, "N": 5, "eps": 0.1,
+            "x0": {"preset": "decay", "p": 2.0}, "y0": {"preset": "ones"},
+            "master_seed": 9, "sample_index": 3,
+        })
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+        last = np.array([[float(x), float(y)] for step, _, x, y in rows if step == "5"])
+        config = RunConfig(T=0.25, N=5, eps=0.1, scheme=SchemeKind(scheme),
+                           x0=np.arange(1, 5, dtype=float) ** -2.0, y0=np.ones(4))
+        final = run_trajectory_batch(config, dirichlet_spectrum(4), saturating_square(1.0),
+                                     GridTransform(4), 9, 3, 1)
+        if config.scheme.coupled:
+            assert np.array_equal(last[:, 0], final.x[0]) and np.array_equal(last[:, 1], final.y[0])
+        else:
+            assert np.array_equal(last[:, 0], final[0]) and np.all(last[:, 1] == 0.0)
+
 
 class TestApAndSweep:
     def test_ap_test_oracle_mode(self, tmp_path):
@@ -179,6 +212,18 @@ class TestFailureModes:
         cfg = write_config(tmp_path, "c.json", {
             "spectrum": {"J": 2}, "x0": {"preset": "sawtooth"}})
         assert run_cli(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"spectrum": {"kind": "explicit", "J": 2}},
+        {"N": None},
+    ], ids=["explicit_spectrum_without_lambdas", "null_step_count"])
+    def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, bad):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "c.json", bad)
+        assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists() or os.listdir(out) == []
 
 
 class TestFloatFormat:

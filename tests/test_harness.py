@@ -225,10 +225,10 @@ class TestApDiagram:
     def test_stiff_limit_fast_variance(self):
         # one-step fast variance at tau = dt/eps with eps = 1e-8 sits at
         # 1/lambda to within 1e-6 relative
-        from slowfast import step_factors
+        from slowfast import Transition
 
         dt = 2.0**-6
-        _, s2 = step_factors(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 1e-8, dt)
+        s2 = Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, dt, 1e-8).s2
         assert np.max(np.abs(s2 * SPEC.lambdas - 1.0)) < 1e-6
 
 

@@ -8,6 +8,7 @@ from slowfast import (
     ModeMoments,
     RunConfig,
     SchemeKind,
+    Transition,
     continuous_mean,
     continuous_second_moment,
     dirichlet_spectrum,
@@ -15,7 +16,6 @@ from slowfast import (
     run_trajectory_batch,
     scheme_mean_recursion,
     second_moment_recursion,
-    step_factors,
 )
 
 rng = np.random.default_rng(90210)
@@ -75,7 +75,7 @@ class TestSchemeMeanRecursion:
         lam = dirichlet_spectrum(8).lambdas
         c, eps, dt, N = 0.8, 0.5, 1e-4, 5000
         fast = scheme_mean_recursion(SchemeKind.COUPLED_MODIFIED, lam, c, eps, dt, N, 1.0, 1.0)
-        a, _ = step_factors(SchemeKind.COUPLED_MODIFIED, lam, eps, dt)
+        a = Transition(SchemeKind.COUPLED_MODIFIED, lam, dt, eps).a
         mx = np.ones(8)
         my = np.ones(8)
         for _ in range(N):
@@ -88,24 +88,27 @@ class TestStepFactors:
     def test_modified_fixed_point_any_tau(self):
         lam = dirichlet_spectrum(16).lambdas
         for tau in (1e-4, 1e-2, 1.0, 1e2, 1e4):
-            a, s2 = step_factors(SchemeKind.COUPLED_MODIFIED, lam, 1.0, tau)
+            tr = Transition(SchemeKind.COUPLED_MODIFIED, lam, tau, 1.0)
+            a, s2 = tr.a, tr.s2
             residual = np.abs((a * a / lam + s2) * lam - 1.0)
             assert np.max(residual) < 1e-12
 
     def test_expo_fixed_point(self):
         lam = dirichlet_spectrum(16).lambdas
-        a, s2 = step_factors(SchemeKind.COUPLED_EXPO, lam, 1.0, 0.3)
+        tr = Transition(SchemeKind.COUPLED_EXPO, lam, 0.3, 1.0)
+        a, s2 = tr.a, tr.s2
         assert np.max(np.abs((a * a / lam + s2) * lam - 1.0)) < 1e-12
 
     def test_expo_half_life_example(self):
-        a, s2 = step_factors(SchemeKind.COUPLED_EXPO, np.array([1.0]), 1.0, np.log(2.0))
+        tr = Transition(SchemeKind.COUPLED_EXPO, np.array([1.0]), np.log(2.0), 1.0)
+        a, s2 = tr.a, tr.s2
         assert a[0] == pytest.approx(0.5, rel=1e-14)
         assert s2[0] == pytest.approx(0.75, rel=1e-14)
 
     def test_stationary_limit_of_modified_noise(self):
         # as tau -> infinity the one-step noise variance approaches 1/lam
         lam = dirichlet_spectrum(8).lambdas
-        _, s2 = step_factors(SchemeKind.COUPLED_MODIFIED, lam, 1.0, 1e8)
+        s2 = Transition(SchemeKind.COUPLED_MODIFIED, lam, 1e8, 1.0).s2
         assert np.max(np.abs(s2 * lam - 1.0)) < 1e-7
 
 
@@ -130,7 +133,8 @@ class TestSecondMomentRecursion:
         c, eps, dt = 1.2, 0.7, 1e-4
         start = ModeMoments(mean_x=1.0, mean_y=0.5, var_x=0.1, var_y=0.2, cov_xy=0.05)
         fast = second_moment_recursion(SchemeKind.COUPLED_EXPO, lam, c, eps, dt, 5000, start)
-        a, s2 = step_factors(SchemeKind.COUPLED_EXPO, lam, eps, dt)
+        tr = Transition(SchemeKind.COUPLED_EXPO, lam, dt, eps)
+        a, s2 = tr.a, tr.s2
         vy = np.full(4, 0.2)
         cv = np.full(4, 0.05)
         vx = np.full(4, 0.1)
