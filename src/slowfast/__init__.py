@@ -12,7 +12,6 @@ time-scale separation eps.
 
 from .spectral import (
     SpectrumSpec,
-    SpectralField,
     dirichlet_spectrum,
     quadratic_spectrum,
     field_norm,
@@ -24,14 +23,7 @@ from .spectral import (
     eigenvalue_error_bounds,
     log_ratio_constant,
 )
-from .noise import (
-    StreamTag,
-    SeedContext,
-    sample_cylindrical,
-    sample_cylindrical_batch,
-    sample_invariant_measure,
-    sample_invariant_measure_batch,
-)
+from .noise import StreamTag, sample_cylindrical_batch
 from .nonlinearity import (
     GridTransform,
     LinearInY,
@@ -56,7 +48,6 @@ from .integrators import (
 from .moments import (
     ModeMoments,
     continuous_mean,
-    scheme_mean_recursion,
     second_moment_recursion,
     continuous_second_moment,
 )

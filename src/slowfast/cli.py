@@ -35,7 +35,15 @@ from .harness import (
     weak_error_curve,
 )
 from .integrators import RunConfig, SchemeKind, trajectory
-from .nonlinearity import GridTransform, nonlinearity_from_config
+from .nonlinearity import (
+    Affine,
+    GridTransform,
+    LinearInY,
+    Nonlinearity,
+    PointwiseGeneral,
+    PointwiseSquare,
+    saturating_square,
+)
 from .spectral import SpectrumSpec, dirichlet_spectrum, quadratic_spectrum
 
 __all__ = ["run_cli", "main", "load_config"]
@@ -57,79 +65,134 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _read(section: dict, key: str, cast, default, where: str = ""):
+    """cast(section[key]), default when the key is absent; a value cast rejects is a ConfigError."""
+    value = section.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {where + key!r}: {exc} (got {value!r})") from None
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return value
+
+
+def _numbers(value) -> list:
+    if not isinstance(value, list) or not value:
+        raise TypeError("expected a non-empty list of numbers")
+    return [float(v) for v in value]
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value or "."
+
+
+def _step_count(value) -> int:
+    n = float(value)
+    if not n.is_integer() or n < 1:
+        raise ValueError("expected a positive integer")
+    return int(n)
+
+
 def _spectrum_from_config(cfg: dict) -> SpectrumSpec:
-    sc = cfg.get("spectrum", {})
-    J = int(sc.get("J", 16))
+    sc = _read(cfg, "spectrum", _object, {})
+    J = _read(sc, "J", int, 16, "spectrum.")
     kind = sc.get("kind", "dirichlet")
     if kind == "dirichlet":
         return dirichlet_spectrum(J)
     if kind == "quadratic":
-        return quadratic_spectrum(J, scale=float(sc.get("scale", 1.0)))
+        return quadratic_spectrum(J, scale=_read(sc, "scale", float, 1.0, "spectrum."))
     if kind == "explicit":
-        if "lambdas" not in sc:
-            raise ConfigError("an explicit spectrum needs a 'lambdas' list")
-        return SpectrumSpec(J=J, lambdas=np.asarray(sc["lambdas"], dtype=float))
+        lambdas = _read(sc, "lambdas", _numbers, None, "spectrum.")
+        return SpectrumSpec(J=J, lambdas=np.asarray(lambdas))
     raise ConfigError(f"unknown spectrum kind {kind!r}")
 
 
-def _field_from_config(value, J: int) -> np.ndarray:
+def _field_from_config(section: dict, key: str, J: int, default=None,
+                       where: str = "") -> np.ndarray:
+    value = section.get(key, default)
     if value is None:
         return np.zeros(J)
     if isinstance(value, list):
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(_read(section, key, _numbers, None, where))
         if arr.shape != (J,):
             raise ConfigError(f"field list must have length {J}")
         return arr
     if isinstance(value, dict):
+        where += key + "."
         preset = value.get("preset", "zero")
         if preset == "zero":
             return np.zeros(J)
+        amplitude = _read(value, "amplitude", float, 1.0, where)
         if preset == "mode":
-            k = int(value.get("k", 1))
+            k = _read(value, "k", int, 1, where)
             if not 1 <= k <= J:
                 raise ConfigError(f"mode index {k} outside 1..{J}")
             out = np.zeros(J)
-            out[k - 1] = float(value.get("amplitude", 1.0))
+            out[k - 1] = amplitude
             return out
         if preset == "decay":
-            p = float(value.get("p", 1.0))
-            return float(value.get("amplitude", 1.0)) * np.arange(1, J + 1, dtype=float) ** (-p)
+            p = _read(value, "p", float, 1.0, where)
+            return amplitude * np.arange(1, J + 1, dtype=float) ** (-p)
         if preset == "ones":
-            return float(value.get("amplitude", 1.0)) * np.ones(J)
+            return amplitude * np.ones(J)
         raise ConfigError(f"unknown field preset {preset!r}")
     raise ConfigError(f"cannot build a field from {value!r}")
 
 
 def _phi_from_config(cfg: dict, J: int) -> FunctionalSpec:
-    pc = cfg.get("phi", {"kind": "NORM_SQUARED"})
-    kind = pc.get("kind", "NORM_SQUARED")
-    try:
-        fk = FunctionalKind(kind)
-    except ValueError:
-        raise ConfigError(f"unknown functional kind {kind!r}") from None
-    if fk == FunctionalKind.LINEAR:
-        return FunctionalSpec(kind=fk, h=_field_from_config(pc.get("h", {"preset": "mode"}), J))
-    return FunctionalSpec(kind=fk)
+    pc = _read(cfg, "phi", _object, {"kind": "NORM_SQUARED"})
+    kind = _read(pc, "kind", FunctionalKind, "NORM_SQUARED", "phi.")
+    if kind == FunctionalKind.LINEAR:
+        h = _field_from_config(pc, "h", J, {"preset": "mode"}, "phi.")
+        return FunctionalSpec(kind=kind, h=h)
+    return FunctionalSpec(kind=kind)
+
+
+def _nonlinearity_from_config(cfg: dict) -> Nonlinearity:
+    """A catalog member from the config's {variant, params} mapping."""
+    nc = _read(cfg, "nonlinearity", _object, {"variant": "LINEAR_IN_Y"})
+    params = _read(nc, "params", _object, {}, "nonlinearity.")
+
+    def coefficient(key, default=1.0):
+        return _read(params, key, float, default, "nonlinearity.params.")
+
+    variant = nc.get("variant")
+    if variant == "LINEAR_IN_Y":
+        return LinearInY(c=coefficient("c"))
+    if variant == "AFFINE":
+        return Affine(c_x=coefficient("c_x", 0.0), c_y=coefficient("c_y", 0.0))
+    if variant == "POINTWISE_SQUARE":
+        return PointwiseSquare(c=coefficient("c"))
+    if variant == "SATURATING_SQUARE":
+        return saturating_square(c=coefficient("c"))
+    raise ConfigError(f"unknown nonlinearity variant {variant!r}")
 
 
 def _run_config(cfg: dict, spec: SpectrumSpec, scheme: Optional[SchemeKind] = None) -> RunConfig:
-    if scheme is None:
-        try:
-            scheme = SchemeKind(cfg.get("scheme", "COUPLED_MODIFIED"))
-        except ValueError:
-            raise ConfigError(f"unknown scheme {cfg.get('scheme')!r}") from None
-    T = float(cfg.get("T", 1.0))
-    N = cfg.get("N", 64)
-    if not isinstance(N, (int, float, str)) or not float(N).is_integer() or int(N) < 1:
-        raise ConfigError(f"N must be a positive integer, got {N!r}")
     return RunConfig(
-        T=T,
-        N=int(N),
-        eps=float(cfg.get("eps", 1.0)),
-        scheme=scheme,
-        x0=_field_from_config(cfg.get("x0"), spec.J),
-        y0=_field_from_config(cfg.get("y0"), spec.J),
+        T=_read(cfg, "T", float, 1.0),
+        N=_read(cfg, "N", _step_count, 64),
+        eps=_read(cfg, "eps", float, 1.0),
+        scheme=scheme or _read(cfg, "scheme", SchemeKind, "COUPLED_MODIFIED"),
+        x0=_field_from_config(cfg, "x0", spec.J),
+        y0=_field_from_config(cfg, "y0", spec.J),
     )
+
+
+def _setup(cfg: dict, scheme: Optional[SchemeKind] = None):
+    """(spectrum, nonlinearity, collocation grid or None, run config) of an experiment config."""
+    spec = _spectrum_from_config(cfg)
+    nl = _nonlinearity_from_config(cfg)
+    gt = None
+    if isinstance(nl, (PointwiseSquare, PointwiseGeneral)):
+        gt = GridTransform(spec.J, M=_read(cfg, "collocation_points", int, 4 * spec.J))
+    return spec, nl, gt, _run_config(cfg, spec, scheme)
 
 
 def _write_outputs(output_dir: str, files: dict):
@@ -157,21 +220,10 @@ def _summary(cfg: dict, extra: dict) -> str:
     return json.dumps({"config": cfg, **extra}, indent=2, sort_keys=True) + "\n"
 
 
-def _grid_transform_if_needed(cfg: dict, spec: SpectrumSpec, nl) -> Optional[GridTransform]:
-    from .nonlinearity import PointwiseGeneral, PointwiseSquare
-
-    if isinstance(nl, (PointwiseSquare, PointwiseGeneral)):
-        return GridTransform(spec.J, M=int(cfg.get("collocation_points", 4 * spec.J)))
-    return None
-
-
 def _cmd_simulate(cfg: dict, output_dir: str) -> dict:
-    spec = _spectrum_from_config(cfg)
-    nl = nonlinearity_from_config(cfg.get("nonlinearity", {"variant": "LINEAR_IN_Y"}))
-    gt = _grid_transform_if_needed(cfg, spec, nl)
-    config = _run_config(cfg, spec)
-    steps = trajectory(config, spec, nl, gt, int(cfg.get("master_seed", 0)),
-                       int(cfg.get("sample_index", 0)), 1)
+    spec, nl, gt, config = _setup(cfg)
+    steps = trajectory(config, spec, nl, gt, _read(cfg, "master_seed", int, 0),
+                       _read(cfg, "sample_index", int, 0), 1)
     state_rows = []
     for n, (x, y) in enumerate(steps):
         for j in range(spec.J):
@@ -185,22 +237,18 @@ def _cmd_simulate(cfg: dict, output_dir: str) -> dict:
 
 
 def _cmd_weak_error(cfg: dict, output_dir: str) -> dict:
-    spec = _spectrum_from_config(cfg)
-    nl = nonlinearity_from_config(cfg.get("nonlinearity", {"variant": "LINEAR_IN_Y"}))
-    gt = _grid_transform_if_needed(cfg, spec, nl)
-    config = _run_config(cfg, spec)
+    spec, nl, gt, config = _setup(cfg)
     phi = _phi_from_config(cfg, spec.J)
-    oracle = OracleMode(cfg.get("oracle", "MOMENT_ORACLE"))
-    dt_list = [float(d) for d in cfg.get("dt_list", [2.0**-k for k in range(4, 10)])]
+    dt_list = _read(cfg, "dt_list", _numbers, [2.0**-k for k in range(4, 10)])
     points = weak_error_curve(
         config, dt_list, phi, spec, nl, gt,
-        oracle=oracle,
-        n_samples=int(cfg.get("n_samples", 100000)),
-        master_seed=int(cfg.get("master_seed", 0)),
-        refinement=int(cfg.get("refinement", 64)),
-        n_threads=int(cfg.get("n_threads", 1)),
+        oracle=_read(cfg, "oracle", OracleMode, "MOMENT_ORACLE"),
+        n_samples=_read(cfg, "n_samples", int, 100000),
+        master_seed=_read(cfg, "master_seed", int, 0),
+        refinement=_read(cfg, "refinement", int, 64),
+        n_threads=_read(cfg, "n_threads", int, 1),
     )
-    fit = fit_rate(points, drop_coarsest=bool(cfg.get("drop_coarsest", False)))
+    fit = fit_rate(points, drop_coarsest=_read(cfg, "drop_coarsest", bool, False))
     files = {
         "curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),
                           [(p.dt, p.error, p.stderr, p.oracle_bias) for p in points]),
@@ -216,17 +264,14 @@ def _cmd_weak_error(cfg: dict, output_dir: str) -> dict:
 
 
 def _cmd_ap_test(cfg: dict, output_dir: str) -> dict:
-    spec = _spectrum_from_config(cfg)
-    nl = nonlinearity_from_config(cfg.get("nonlinearity", {"variant": "LINEAR_IN_Y"}))
-    gt = _grid_transform_if_needed(cfg, spec, nl)
-    config = _run_config(cfg, spec, scheme=SchemeKind.COUPLED_MODIFIED)
+    spec, nl, gt, config = _setup(cfg, SchemeKind.COUPLED_MODIFIED)
     phi = _phi_from_config(cfg, spec.J)
-    eps_list = [float(e) for e in cfg.get("eps_list", [4.0**-k for k in range(0, 7)])]
+    eps_list = _read(cfg, "eps_list", _numbers, [4.0**-k for k in range(0, 7)])
     rows = ap_diagram(
         config, eps_list, phi, spec, nl, gt,
-        n_samples=int(cfg.get("n_samples", 0)),
-        master_seed=int(cfg.get("master_seed", 0)),
-        n_threads=int(cfg.get("n_threads", 1)),
+        n_samples=_read(cfg, "n_samples", int, 0),
+        master_seed=_read(cfg, "master_seed", int, 0),
+        n_threads=_read(cfg, "n_threads", int, 1),
     )
     monotone_gap = rows[0][1] / rows[-1][1] if rows[-1][1] > 0 else float("inf")
     files = {
@@ -239,11 +284,11 @@ def _cmd_ap_test(cfg: dict, output_dir: str) -> dict:
 
 def _cmd_invariant_test(cfg: dict, output_dir: str) -> dict:
     spec = _spectrum_from_config(cfg)
-    tau_list = [float(t) for t in cfg.get("tau_list", [1e-4, 1e-2, 1.0, 1e2, 1e4])]
+    tau_list = _read(cfg, "tau_list", _numbers, [1e-4, 1e-2, 1.0, 1e2, 1e4])
     report = invariant_measure_check(
         spec, tau_list,
-        empirical_steps=int(cfg.get("empirical_steps", 0)),
-        master_seed=int(cfg.get("master_seed", 0)),
+        empirical_steps=_read(cfg, "empirical_steps", int, 0),
+        master_seed=_read(cfg, "master_seed", int, 0),
     )
     rows = []
     for i, tau in enumerate(report.tau_list):
@@ -262,14 +307,12 @@ def _cmd_invariant_test(cfg: dict, output_dir: str) -> dict:
 
 
 def _cmd_uniform_sweep(cfg: dict, output_dir: str) -> dict:
-    spec = _spectrum_from_config(cfg)
-    nl = nonlinearity_from_config(cfg.get("nonlinearity", {"variant": "LINEAR_IN_Y"}))
-    config = _run_config(cfg, spec, scheme=SchemeKind.COUPLED_MODIFIED)
+    spec, nl, _, config = _setup(cfg, SchemeKind.COUPLED_MODIFIED)
     phi = _phi_from_config(cfg, spec.J)
-    eps_list = [float(e) for e in cfg.get("eps_list", [4.0**-k for k in range(0, 7)])]
-    dt_list = [float(d) for d in cfg.get("dt_list", [2.0**-k for k in range(4, 11)])]
+    eps_list = _read(cfg, "eps_list", _numbers, [4.0**-k for k in range(0, 7)])
+    dt_list = _read(cfg, "dt_list", _numbers, [2.0**-k for k in range(4, 11)])
     result = uniform_sweep(config, eps_list, dt_list, phi, spec, nl,
-                           refinement=int(cfg.get("refinement", 512)))
+                           refinement=_read(cfg, "refinement", int, 512))
     grid_rows = []
     for i, dt in enumerate(result.dt_list):
         for k, eps in enumerate(result.eps_list):
@@ -328,7 +371,7 @@ def run_cli(argv=None) -> int:
             cfg["master_seed"] = args.master_seed
         if args.threads is not None:
             cfg["n_threads"] = args.threads
-        output_dir = args.output_dir or cfg.get("output_dir") or "."
+        output_dir = args.output_dir or _read(cfg, "output_dir", _path, ".")
         info = _COMMANDS[args.command](cfg, output_dir)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ Two truth modes are available for weak-error measurement:
 * REFINED_REFERENCE Monte Carlo against the exact-transition scheme on a
   refined grid; works for any catalog nonlinearity, with the reference bias
   reported (exactly when the oracle applies, otherwise by refinement
-  doubling).
+  doubling).  With n_samples = 0 both sides are moment-oracle values.
 """
 
 from __future__ import annotations
@@ -211,6 +211,13 @@ def oracle_weak_value(
     return gaussian_expectation(phi, mom.mean_x, mom.var_x)
 
 
+def _expectation(config, phi, spec, nl, gt, n_samples, master_seed, n_threads) -> McEstimate:
+    """E[phi(X_N)]: the moment oracle (stderr 0) when n_samples == 0, else Monte Carlo."""
+    if n_samples == 0:
+        return McEstimate(mean=oracle_weak_value(config, phi, spec, nl), stderr=0.0, n_samples=0)
+    return mc_estimate(config, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
+
+
 def continuous_weak_value(
     config: RunConfig,
     phi: FunctionalSpec,
@@ -244,8 +251,9 @@ def weak_error_curve(
     dt_list must be strictly decreasing with T/dt an integer.  In
     MOMENT_ORACLE mode the truth is the continuous law and both sides are
     exact (stderr 0); the oracle_bias column is exactly 0.  In
-    REFINED_REFERENCE mode both sides are Monte Carlo; the bias column holds
-    the exact reference bias when the coupling is linear-in-y and a
+    REFINED_REFERENCE mode both sides are Monte Carlo estimates, or moment
+    oracle values when n_samples == 0; the bias column holds the exact
+    reference bias when the coupling is linear-in-y and a
     refinement-doubling estimate otherwise.
     """
     dts = list(dt_list)
@@ -260,14 +268,16 @@ def weak_error_curve(
             points.append(WeakErrorPoint(dt=dt, error=abs(val - truth), stderr=0.0, oracle_bias=0.0))
         elif oracle == OracleMode.REFINED_REFERENCE:
             ref_cfg = _reference_config(cfg, refinement)
-            est = mc_estimate(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
-            ref = mc_estimate(ref_cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
-            if truth is not None:
-                bias = abs(oracle_weak_value(ref_cfg, phi, spec, nl) - truth)
-            else:
-                ref2 = mc_estimate(replace(ref_cfg, N=2 * ref_cfg.N), phi, n_samples, master_seed,
-                                   spec, nl, gt, n_threads=n_threads)
+            est = _expectation(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
+            ref = _expectation(ref_cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
+            if truth is None:
+                ref2 = _expectation(replace(ref_cfg, N=2 * ref_cfg.N), phi, spec, nl, gt,
+                                    n_samples, master_seed, n_threads)
                 bias = abs(ref2.mean - ref.mean)
+            elif n_samples == 0:
+                bias = abs(ref.mean - truth)  # ref is already the oracle value
+            else:
+                bias = abs(oracle_weak_value(ref_cfg, phi, spec, nl) - truth)
             err = abs(est.mean - ref.mean)
             se = math.hypot(est.stderr, ref.stderr)
             points.append(WeakErrorPoint(dt=dt, error=err, stderr=se, oracle_bias=bias))
@@ -336,18 +346,12 @@ def ap_diagram(
     only); otherwise both values are Monte Carlo estimates with the same
     seed.  Returns a list of (eps, gap, stderr) rows.
     """
-    lim_cfg = replace(config, eps=1.0, scheme=SchemeKind.LIMITING)
+    lim = _expectation(replace(config, eps=1.0, scheme=SchemeKind.LIMITING), phi, spec, nl, gt,
+                       n_samples, master_seed, n_threads)
     rows = []
-    if n_samples == 0:
-        lim_val = oracle_weak_value(lim_cfg, phi, spec, nl)
-        for eps in eps_list:
-            cfg = replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
-            rows.append((float(eps), abs(oracle_weak_value(cfg, phi, spec, nl) - lim_val), 0.0))
-        return rows
-    lim = mc_estimate(lim_cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
     for eps in eps_list:
         cfg = replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
-        est = mc_estimate(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
+        est = _expectation(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
         rows.append((float(eps), abs(est.mean - lim.mean), math.hypot(est.stderr, lim.stderr)))
     return rows
 
@@ -477,27 +481,20 @@ def uniform_sweep(
 ) -> UniformSweepResult:
     """Weak error of the coupled modified scheme over an (eps, dt) grid.
 
-    Errors are measured against the exact-transition scheme on a grid refined
-    by `refinement`, everything evaluated through the moment recursions
-    (noise-free; linear-in-y coupling required).  The reference bias against
-    the continuous law is computed exactly and reported alongside.  The fit
-    is over the max-over-eps error per dt.
+    One REFINED_REFERENCE weak-error curve per eps, evaluated through the
+    moment recursions (n_samples = 0: noise-free, linear-in-y coupling
+    required), so each error is measured against the exact-transition scheme
+    on a grid refined by `refinement` and the reference bias against the
+    continuous law is exact.  The fit is over the max-over-eps error per dt.
     """
     _require_linear_in_y(nl, "the uniform sweep")
     epss = [float(e) for e in eps_list]
     dts = list(dt_list)
-    cfgs = [_config_at_dt(config, dt) for dt in dts]
-    # the continuous truth depends on eps only, not on dt
-    truths = [continuous_weak_value(replace(config, eps=eps), phi, spec, nl) for eps in epss]
-    errors = np.empty((len(dts), len(epss)))
-    bias = np.empty_like(errors)
-    for i, cfg_dt in enumerate(cfgs):
-        for k, eps in enumerate(epss):
-            cfg = replace(cfg_dt, eps=eps)
-            val = oracle_weak_value(cfg, phi, spec, nl)
-            ref = oracle_weak_value(_reference_config(cfg, refinement), phi, spec, nl)
-            errors[i, k] = abs(val - ref)
-            bias[i, k] = abs(ref - truths[k])
+    curves = [weak_error_curve(replace(config, eps=eps), dts, phi, spec, nl,
+                               oracle=OracleMode.REFINED_REFERENCE, n_samples=0,
+                               refinement=refinement) for eps in epss]
+    errors = np.array([[p.error for p in curve] for curve in curves]).T
+    bias = np.array([[p.oracle_bias for p in curve] for curve in curves]).T
     max_errors = errors.max(axis=1)
     fit = fit_rate(list(zip(dts, max_errors)))
     return UniformSweepResult(

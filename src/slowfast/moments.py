@@ -32,7 +32,6 @@ from .integrators import SchemeKind, Transition
 __all__ = [
     "ModeMoments",
     "continuous_mean",
-    "scheme_mean_recursion",
     "second_moment_recursion",
     "continuous_second_moment",
 ]
@@ -96,44 +95,6 @@ def _mean_matrices(tr, c):
     return M
 
 
-def scheme_mean_recursion(
-    kind: SchemeKind,
-    lam: ArrayLike,
-    c: float,
-    eps: float,
-    dt: float,
-    N: int,
-    x0: ArrayLike,
-    y0: ArrayLike,
-    return_mean_y: bool = False,
-):
-    """Exact E X_N (optionally also E Y_N) of the scheme with F = c*y.
-
-    The per-step map is m_y <- a m_y; m_x <- (m_x + dt c m_y') / (1 + dt lam),
-    with m_y' the updated fast mean (the nonlinearity sees the new iterate).
-    Noise terms are centered so they do not enter.  Small step counts iterate
-    the map literally; large ones use an exact matrix power of the same map.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    mx = np.asarray(x0, dtype=float) * np.ones_like(lam)
-    my = np.asarray(y0, dtype=float) * np.ones_like(lam)
-    if N == 0:
-        return (mx, my) if return_mean_y else mx
-    tr = Transition(kind, lam, dt, eps)
-    a, one_plus = tr.a, tr.one_plus
-    if N <= 4096:
-        for _ in range(N):
-            my = a * my
-            mx = (mx + dt * c * my) / one_plus
-    else:
-        mpow = np.linalg.matrix_power(_mean_matrices(tr, c), N)
-        out = np.einsum("nij,nj->ni", mpow, np.stack([my, mx], axis=1))
-        my, mx = out[:, 0], out[:, 1]
-    return (mx, my) if return_mean_y else mx
-
-
 def _second_matrices(tr, c):
     # homogeneous affine map on (var_y, cov_xy, var_x, 1)
     a, s2, dt = tr.a, tr.s2, tr.dt
@@ -164,34 +125,42 @@ def second_moment_recursion(
     """Exact Gaussian moments of the scheme after N steps, F = c*y.
 
     With y' = a y + xi (xi centered, variance s2, independent of the state),
-    x' = (x + dt c y')/(1 + dt lam), the centered second moments obey
+    x' = (x + dt c y')/(1 + dt lam), the means and centered second moments
+    obey
 
+        m_y'   = a m_y
+        m_x'   = (m_x + dt c m_y') / (1 + dt lam)
         var_y' = a^2 var_y + s2
         cov'   = (a cov + dt c var_y') / (1 + dt lam)
         var_x' = (var_x + 2 dt c a cov + dt^2 c^2 var_y') / (1 + dt lam)^2
 
-    For the LIMITING scheme the fresh draw leaves no cross correlation, which
-    is the a = 0, s2 = 1/lam case of the same map.
+    (the nonlinearity sees the updated fast iterate).  For the LIMITING
+    scheme the fresh draw leaves no cross correlation, which is the a = 0,
+    s2 = 1/lam case of the same map.  Small step counts iterate the map
+    literally; large ones use an exact matrix power of the same map.
     """
     lam = np.asarray(lam, dtype=float)
     if N < 0:
         raise ValueError("N must be nonnegative")
     ones = np.ones_like(lam)
-    mx, my = scheme_mean_recursion(kind, lam, c, eps, dt, N, start.mean_x, start.mean_y, True)
-    vy = np.asarray(start.var_y, float) * ones
-    cv = np.asarray(start.cov_xy, float) * ones
-    vx = np.asarray(start.var_x, float) * ones
+    mx, my, vx, vy, cv = (np.asarray(v, float) * ones for v in
+                          (start.mean_x, start.mean_y, start.var_x, start.var_y, start.cov_xy))
     if N == 0:
         return ModeMoments(mean_x=mx, mean_y=my, var_x=vx, var_y=vy, cov_xy=cv)
     tr = Transition(kind, lam, dt, eps)
     a, s2, one_plus = tr.a, tr.s2, tr.one_plus
     if N <= 4096:
         for _ in range(N):
+            my = a * my
+            mx = (mx + dt * c * my) / one_plus
             vy_new = a * a * vy + s2
             cv_new = (a * cv + dt * c * vy_new) / one_plus
             vx = (vx + 2.0 * dt * c * a * cv + dt * dt * c * c * vy_new) / (one_plus * one_plus)
             vy, cv = vy_new, cv_new
     else:
+        mpow = np.linalg.matrix_power(_mean_matrices(tr, c), N)
+        m = np.einsum("nij,nj->ni", mpow, np.stack([my, mx], axis=1))
+        my, mx = m[:, 0], m[:, 1]
         spow = np.linalg.matrix_power(_second_matrices(tr, c), N)
         v = np.einsum("nij,nj->ni", spow, np.stack([vy, cv, vx, ones], axis=1))
         vy, cv, vx = v[:, 0], v[:, 1], v[:, 2]

@@ -13,7 +13,6 @@ break the counter layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -22,14 +21,7 @@ from scipy.special import ndtri
 
 from .spectral import SpectrumSpec
 
-__all__ = [
-    "StreamTag",
-    "SeedContext",
-    "sample_cylindrical",
-    "sample_cylindrical_batch",
-    "sample_invariant_measure",
-    "sample_invariant_measure_batch",
-]
+__all__ = ["StreamTag", "sample_cylindrical_batch"]
 
 
 class StreamTag(IntEnum):
@@ -37,20 +29,6 @@ class StreamTag(IntEnum):
     GAMMA_2 = 2
     OU_EXACT = 3
     INITIAL = 4
-
-
-@dataclass(frozen=True)
-class SeedContext:
-    """Address of one draw: which sample, which step, which noise stream."""
-
-    master_seed: int
-    sample_index: int = 0
-    step_index: int = 0
-    stream_tag: StreamTag = StreamTag.GAMMA_1
-
-    def __post_init__(self):
-        if self.sample_index < 0 or self.step_index < 0:
-            raise ValueError("sample_index and step_index must be nonnegative")
 
 
 def _words_per_sample(J: int) -> int:
@@ -85,30 +63,3 @@ def sample_cylindrical_batch(
     # u is a multiple of 2^-53 in [0, 1); shift to the cell midpoint so the
     # inverse CDF never sees 0 or 1
     return ndtri(u[:, : spec.J] + 2.0**-54)
-
-
-def sample_cylindrical(spec: SpectrumSpec, ctx: SeedContext) -> np.ndarray:
-    """One cylindrical Gaussian draw: J i.i.d. standard normal coefficients."""
-    return sample_cylindrical_batch(
-        spec, ctx.master_seed, ctx.stream_tag, ctx.step_index, ctx.sample_index, 1
-    )[0]
-
-
-def sample_invariant_measure_batch(
-    spec: SpectrumSpec,
-    master_seed: int,
-    tag: StreamTag,
-    step_index: int,
-    first_sample: int,
-    count: int,
-) -> np.ndarray:
-    """Draws from the Gaussian invariant law of the fast process, N(0, Lambda^-1)."""
-    g = sample_cylindrical_batch(spec, master_seed, tag, step_index, first_sample, count)
-    return g / np.sqrt(spec.lambdas)
-
-
-def sample_invariant_measure(spec: SpectrumSpec, ctx: SeedContext) -> np.ndarray:
-    """One draw with independent modes of variance 1/lambda_j."""
-    return sample_invariant_measure_batch(
-        spec, ctx.master_seed, ctx.stream_tag, ctx.step_index, ctx.sample_index, 1
-    )[0]

@@ -42,7 +42,6 @@ __all__ = [
     "eval_F",
     "eval_Fbar",
     "averaged_force",
-    "nonlinearity_from_config",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -241,18 +240,3 @@ def eval_Fbar(
 ) -> np.ndarray:
     """Coefficients of the averaged nonlinearity Fbar(x) = E F(x, Y), Y ~ N(0, Lambda^-1)."""
     return averaged_force(nl, gt, spec)(np.asarray(x, dtype=float))
-
-
-def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
-    """Build a catalog member from a JSON-style {variant, params} mapping."""
-    variant = cfg.get("variant")
-    params = cfg.get("params", {})
-    if variant == "LINEAR_IN_Y":
-        return LinearInY(c=float(params.get("c", 1.0)))
-    if variant == "AFFINE":
-        return Affine(c_x=float(params.get("c_x", 0.0)), c_y=float(params.get("c_y", 0.0)))
-    if variant == "POINTWISE_SQUARE":
-        return PointwiseSquare(c=float(params.get("c", 1.0)))
-    if variant == "SATURATING_SQUARE":
-        return saturating_square(c=float(params.get("c", 1.0)))
-    raise ValueError(f"unknown nonlinearity variant {variant!r}")

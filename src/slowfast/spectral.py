@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "SpectrumSpec",
-    "SpectralField",
     "dirichlet_spectrum",
     "quadratic_spectrum",
     "field_norm",
@@ -28,11 +27,6 @@ __all__ = [
     "eigenvalue_error_bounds",
     "log_ratio_constant",
 ]
-
-# Coefficient vector of an H-valued object in the eigenbasis (shape (J,),
-# or (..., J) for batches).
-SpectralField = np.ndarray
-
 
 @dataclass(frozen=True)
 class SpectrumSpec:

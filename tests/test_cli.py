@@ -213,17 +213,40 @@ class TestFailureModes:
             "spectrum": {"J": 2}, "x0": {"preset": "sawtooth"}})
         assert run_cli(["simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("bad", [
-        {"spectrum": {"kind": "explicit", "J": 2}},
-        {"N": None},
-    ], ids=["explicit_spectrum_without_lambdas", "null_step_count"])
-    def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("command, bad, key", [
+        ("simulate", {"spectrum": {"kind": "explicit", "J": 2}}, "spectrum.lambdas"),
+        ("simulate", {"N": None}, "N"),
+        ("simulate", {"T": None}, "T"),
+        ("simulate", {"eps": None}, "eps"),
+        ("simulate", {"master_seed": None}, "master_seed"),
+        ("weak-error", {"n_samples": None}, "n_samples"),
+        ("simulate", {"spectrum": {"J": None}}, "spectrum.J"),
+        ("simulate", {"x0": {"preset": "mode", "k": None}}, "x0.k"),
+        ("simulate", {"nonlinearity": {"variant": "LINEAR_IN_Y", "params": {"c": None}}},
+         "nonlinearity.params.c"),
+        ("weak-error", {"dt_list": 0.5}, "dt_list"),
+        ("invariant-test", {"tau_list": [None]}, "tau_list"),
+        ("simulate", {"spectrum": 5}, "spectrum"),
+        ("weak-error", {"phi": "x"}, "phi"),
+        ("ap-test", {"eps_list": []}, "eps_list"),
+    ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
+            "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
+            "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
+            "empty_eps_list"])
+    def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)
-        assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert run_cli([command, "--config", cfg, "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert f"'{key}'" in err
         assert not out.exists() or os.listdir(out) == []
+
+
+    def test_non_string_output_dir(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"output_dir": 5})
+        assert run_cli(["simulate", "--config", cfg]) == 2
+        assert "'output_dir'" in capsys.readouterr().err
 
 
 class TestFloatFormat:

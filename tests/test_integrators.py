@@ -12,10 +12,10 @@ from slowfast import (
     FunctionalSpec,
     GridTransform,
     LinearInY,
+    ModeMoments,
     PointwiseSquare,
     RunConfig,
     SchemeKind,
-    SeedContext,
     StreamTag,
     Transition,
     dirichlet_spectrum,
@@ -24,10 +24,9 @@ from slowfast import (
     mc_estimate,
     modified_operators,
     run_trajectory_batch,
-    sample_cylindrical,
     sample_cylindrical_batch,
     saturating_square,
-    scheme_mean_recursion,
+    second_moment_recursion,
     solve_averaged_reference,
 )
 
@@ -170,8 +169,8 @@ class TestRunTrajectory:
         cfg = RunConfig(T=0.125, N=1, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
                         x0=np.ones(8), y0=np.ones(8))
         out = run_trajectory_batch(cfg, SPEC, LinearInY(1.0), None, 3, 2, 1)
-        g1 = sample_cylindrical(SPEC, SeedContext(3, 2, 0, StreamTag.GAMMA_1))
-        g2 = sample_cylindrical(SPEC, SeedContext(3, 2, 0, StreamTag.GAMMA_2))
+        g1 = sample_cylindrical_batch(SPEC, 3, StreamTag.GAMMA_1, 0, 2, 1)[0]
+        g2 = sample_cylindrical_batch(SPEC, 3, StreamTag.GAMMA_2, 0, 2, 1)[0]
         x, y = one_step(cfg.scheme, SPEC, cfg.dt, cfg.eps, LinearInY(1.0), np.ones(8), np.ones(8),
                         (g1, g2))
         assert np.array_equal(out.x[0], x)
@@ -200,8 +199,9 @@ class TestRunTrajectory:
         zero = np.zeros(8)
         for _ in range(N):
             x, y = one_step(SchemeKind.COUPLED_MODIFIED, SPEC, dt, eps, nl, x, y, (zero, zero))
-        oracle = scheme_mean_recursion(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, nl.c, eps,
-                                       dt, N, np.ones(8), np.full(8, 0.3))
+        start = ModeMoments(mean_x=np.ones(8), mean_y=np.full(8, 0.3))
+        oracle = second_moment_recursion(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, nl.c, eps,
+                                         dt, N, start).mean_x
         assert np.array_equal(x, oracle)
 
     def test_batch_matches_singles(self):

@@ -14,7 +14,6 @@ from slowfast import (
     dirichlet_spectrum,
     fit_rate,
     run_trajectory_batch,
-    scheme_mean_recursion,
     second_moment_recursion,
 )
 
@@ -51,37 +50,30 @@ class TestContinuousMean:
         assert base == pytest.approx(np.exp(-2.0), rel=1e-10)
 
 
+def mean_x(kind, lam, c, eps, dt, N, x0, y0):
+    """E X_N of the scheme with F = c*y: the mean part of the moment recursion."""
+    start = ModeMoments(mean_x=x0, mean_y=y0)
+    return second_moment_recursion(kind, lam, c, eps, dt, N, start).mean_x
+
+
 class TestSchemeMeanRecursion:
     def test_uncoupled_geometric(self):
         lam = np.array([3.0, 11.0])
         dt, N = 0.05, 37
-        out = scheme_mean_recursion(SchemeKind.COUPLED_MODIFIED, lam, 0.0, 0.7, dt, N, 2.0, 9.0)
+        out = mean_x(SchemeKind.COUPLED_MODIFIED, lam, 0.0, 0.7, dt, N, 2.0, 9.0)
         assert np.allclose(out, 2.0 / (1.0 + dt * lam) ** N, rtol=1e-12)
 
     def test_one_step_expo(self):
         lam, c, eps, dt = np.array([4.0]), 1.5, 0.3, 0.02
-        out = scheme_mean_recursion(SchemeKind.COUPLED_EXPO, lam, c, eps, dt, 1, 1.0, 2.0)
+        out = mean_x(SchemeKind.COUPLED_EXPO, lam, c, eps, dt, 1, 1.0, 2.0)
         expected = (1.0 + dt * c * np.exp(-dt * 4.0 / eps) * 2.0) / (1.0 + dt * 4.0)
         assert out[0] == pytest.approx(expected, rel=1e-14)
 
     def test_limiting_mean_is_pure_decay(self):
         lam = np.array([2.0, 6.0])
         dt, N = 0.1, 12
-        out = scheme_mean_recursion(SchemeKind.LIMITING, lam, 5.0, 1.0, dt, N, 3.0, 0.0)
+        out = mean_x(SchemeKind.LIMITING, lam, 5.0, 1.0, dt, N, 3.0, 0.0)
         assert np.allclose(out, 3.0 / (1.0 + dt * lam) ** N, rtol=1e-12)
-
-    def test_power_path_matches_loop(self):
-        # N above the loop threshold exercises the matrix-power fast path
-        lam = dirichlet_spectrum(8).lambdas
-        c, eps, dt, N = 0.8, 0.5, 1e-4, 5000
-        fast = scheme_mean_recursion(SchemeKind.COUPLED_MODIFIED, lam, c, eps, dt, N, 1.0, 1.0)
-        a = Transition(SchemeKind.COUPLED_MODIFIED, lam, dt, eps).a
-        mx = np.ones(8)
-        my = np.ones(8)
-        for _ in range(N):
-            my = a * my
-            mx = (mx + dt * c * my) / (1.0 + dt * lam)
-        assert np.allclose(fast, mx, rtol=1e-12)
 
 
 class TestStepFactors:
@@ -128,24 +120,29 @@ class TestSecondMomentRecursion:
             out = second_moment_recursion(SchemeKind.COUPLED_MODIFIED, lam, 0.0, 1.0, dt, 50, start)
             assert np.max(np.abs(out.var_y * lam - 1.0)) < 1e-12
 
-    def test_power_path_matches_loop(self):
+    @pytest.mark.parametrize("scheme", [SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO,
+                                        SchemeKind.LIMITING], ids=lambda s: s.value)
+    def test_power_path_matches_loop(self, scheme):
+        # N above the loop threshold takes the matrix-power path; all five
+        # moments must match the literal map iterated N times
         lam = dirichlet_spectrum(4).lambdas
-        c, eps, dt = 1.2, 0.7, 1e-4
+        c, eps, dt, N = 1.2, 0.7, 1e-4, 5000
         start = ModeMoments(mean_x=1.0, mean_y=0.5, var_x=0.1, var_y=0.2, cov_xy=0.05)
-        fast = second_moment_recursion(SchemeKind.COUPLED_EXPO, lam, c, eps, dt, 5000, start)
-        tr = Transition(SchemeKind.COUPLED_EXPO, lam, dt, eps)
+        fast = second_moment_recursion(scheme, lam, c, eps, dt, N, start)
+        tr = Transition(scheme, lam, dt, eps)
         a, s2 = tr.a, tr.s2
-        vy = np.full(4, 0.2)
-        cv = np.full(4, 0.05)
-        vx = np.full(4, 0.1)
-        for _ in range(5000):
+        mx, my = np.full(4, 1.0), np.full(4, 0.5)
+        vy, cv, vx = np.full(4, 0.2), np.full(4, 0.05), np.full(4, 0.1)
+        for _ in range(N):
+            my = a * my
+            mx = (mx + dt * c * my) / (1 + dt * lam)
             vy_new = a * a * vy + s2
             cv_new = (a * cv + dt * c * vy_new) / (1 + dt * lam)
             vx = (vx + 2 * dt * c * a * cv + dt * dt * c * c * vy_new) / (1 + dt * lam) ** 2
             vy, cv = vy_new, cv_new
-        assert np.allclose(fast.var_x, vx, rtol=1e-11)
-        assert np.allclose(fast.var_y, vy, rtol=1e-11)
-        assert np.allclose(fast.cov_xy, cv, rtol=1e-11)
+        for name, loop in (("mean_x", mx), ("mean_y", my), ("var_y", vy), ("cov_xy", cv),
+                           ("var_x", vx)):
+            assert np.allclose(getattr(fast, name), loop, rtol=1e-11, atol=0.0), name
 
     def test_matches_continuous_at_small_dt(self):
         lam = np.array([LAM])
@@ -259,7 +256,7 @@ class TestWeakErrorShapes:
         for k in range(4, 13):
             dt = 2.0**-k
             N = int(round(T / dt))
-            m = scheme_mean_recursion(SchemeKind.COUPLED_EXPO, lam, c, eps, dt, N, x0, y0)
+            m = mean_x(SchemeKind.COUPLED_EXPO, lam, c, eps, dt, N, x0, y0)
             pts.append((dt, abs(float(np.sum(m - truth)))))
         fit = fit_rate(pts)
         assert 0.8 <= fit.slope <= 1.2

@@ -1,32 +1,32 @@
 import numpy as np
 import pytest
 
-from slowfast import (
-    SeedContext,
-    StreamTag,
-    apply_fractional_power,
-    dirichlet_spectrum,
-    sample_cylindrical,
-    sample_cylindrical_batch,
-    sample_invariant_measure,
-    sample_invariant_measure_batch,
-)
+from slowfast import StreamTag, dirichlet_spectrum, sample_cylindrical_batch
 
 SPEC = dirichlet_spectrum(16)
 
 
+def draw(master_seed, sample_index=0, step_index=0, stream_tag=StreamTag.GAMMA_1):
+    """One cylindrical draw: the J standard normals of a single sample."""
+    return sample_cylindrical_batch(SPEC, master_seed, stream_tag, step_index, sample_index, 1)[0]
+
+
+def invariant_draws(master_seed, count):
+    """Draws from the fast equilibrium N(0, Lambda^-1)."""
+    g = sample_cylindrical_batch(SPEC, master_seed, StreamTag.INITIAL, 0, 0, count)
+    return g / np.sqrt(SPEC.lambdas)
+
+
 class TestDeterminism:
     def test_same_context_bit_identical(self):
-        ctx = SeedContext(master_seed=12345, sample_index=7, step_index=3, stream_tag=StreamTag.GAMMA_2)
-        a = sample_cylindrical(SPEC, ctx)
-        b = sample_cylindrical(SPEC, ctx)
+        a = draw(12345, sample_index=7, step_index=3, stream_tag=StreamTag.GAMMA_2)
+        b = draw(12345, sample_index=7, step_index=3, stream_tag=StreamTag.GAMMA_2)
         assert np.array_equal(a, b)
 
     def test_batch_matches_single_draws(self):
         rows = sample_cylindrical_batch(SPEC, 99, StreamTag.GAMMA_1, 5, first_sample=0, count=40)
         for i in (0, 1, 13, 39):
-            ctx = SeedContext(master_seed=99, sample_index=i, step_index=5, stream_tag=StreamTag.GAMMA_1)
-            assert np.array_equal(rows[i], sample_cylindrical(SPEC, ctx))
+            assert np.array_equal(rows[i], draw(99, sample_index=i, step_index=5))
 
     def test_partition_invariance(self):
         # any split of the sample range reproduces the full-batch rows exactly
@@ -47,20 +47,22 @@ class TestDeterminism:
 
     def test_streams_differ(self):
         base = dict(master_seed=1, sample_index=0, step_index=0, stream_tag=StreamTag.GAMMA_1)
-        ref = sample_cylindrical(SPEC, SeedContext(**base))
+        ref = draw(**base)
         for change in (
             dict(base, master_seed=2),
             dict(base, sample_index=1),
             dict(base, step_index=1),
             dict(base, stream_tag=StreamTag.GAMMA_2),
         ):
-            assert not np.array_equal(ref, sample_cylindrical(SPEC, SeedContext(**change)))
+            assert not np.array_equal(ref, draw(**change))
 
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
-            SeedContext(master_seed=0, sample_index=-1)
-        with pytest.raises(ValueError):
             sample_cylindrical_batch(SPEC, 0, StreamTag.GAMMA_1, 0, -1, 2)
+        with pytest.raises(ValueError):
+            sample_cylindrical_batch(SPEC, 0, StreamTag.GAMMA_1, 0, 0, -1)
+        with pytest.raises(ValueError):
+            draw(0, step_index=-1)
 
 
 class TestDistribution:
@@ -86,15 +88,9 @@ class TestDistribution:
 
 
 class TestInvariantMeasure:
-    def test_matches_fractional_power_of_cylindrical(self):
-        ctx = SeedContext(master_seed=11, sample_index=4, step_index=9, stream_tag=StreamTag.INITIAL)
-        y = sample_invariant_measure(SPEC, ctx)
-        g = sample_cylindrical(SPEC, ctx)
-        assert np.allclose(y, apply_fractional_power(SPEC, -0.5, g), rtol=1e-14)
-
     def test_mode_variances(self):
         n = 1_000_000
-        draws = sample_invariant_measure_batch(SPEC, 31, StreamTag.INITIAL, 0, 0, n)
+        draws = invariant_draws(31, n)
         v = np.var(draws, axis=0)
         assert np.max(np.abs(v * SPEC.lambdas - 1.0)) < 0.01
 
@@ -103,7 +99,7 @@ class TestInvariantMeasure:
         target = sum(1.0 / (j * np.pi) ** 2 for j in range(1, 17))
         assert target == pytest.approx(0.16052786606828076, rel=1e-13)
         n = 200_000
-        draws = sample_invariant_measure_batch(SPEC, 8, StreamTag.INITIAL, 0, 0, n)
+        draws = invariant_draws(8, n)
         energy = np.sum(draws * draws, axis=1)
         se = np.std(energy, ddof=1) / np.sqrt(n)
         assert abs(np.mean(energy) - target) < 4 * se

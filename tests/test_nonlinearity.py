@@ -13,7 +13,7 @@ from slowfast import (
     eval_F,
     eval_Fbar,
     pointwise_variance,
-    sample_invariant_measure_batch,
+    sample_cylindrical_batch,
     saturating_square,
 )
 
@@ -171,7 +171,8 @@ class TestStatisticalProperties:
         # Monte Carlo average of F(x, Y) over Y ~ N(0, Lambda^-1) must match
         # Fbar(x) within 4 standard errors per coefficient
         x = rng.standard_normal(16) * 0.5
-        y = sample_invariant_measure_batch(SPEC, 4242, StreamTag.INITIAL, 0, 0, self.N_DRAWS)
+        y = sample_cylindrical_batch(SPEC, 4242, StreamTag.INITIAL, 0, 0, self.N_DRAWS)
+        y = y / np.sqrt(SPEC.lambdas)
         vals = eval_F(nl, GT, np.broadcast_to(x, y.shape), y)
         mc = np.mean(vals, axis=0)
         se = np.std(vals, axis=0, ddof=1) / np.sqrt(self.N_DRAWS)
