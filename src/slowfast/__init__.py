@@ -14,12 +14,6 @@ from .spectral import (
     SpectrumSpec,
     dirichlet_spectrum,
     quadratic_spectrum,
-    field_norm,
-    apply_resolvent,
-    apply_semigroup,
-    apply_fractional_power,
-    ModifiedOperators,
-    modified_operators,
     eigenvalue_error_bounds,
     log_ratio_constant,
 )
@@ -38,7 +32,6 @@ from .nonlinearity import (
 )
 from .integrators import (
     SchemeKind,
-    CoupledState,
     RunConfig,
     Transition,
     trajectory,

@@ -92,16 +92,31 @@ def _path(value) -> str:
     return value or "."
 
 
+def _integer(value) -> int:
+    """A JSON integer; an integral float such as 4.0 counts, 2.5, true and "4" do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _step_count(value) -> int:
-    n = float(value)
-    if not n.is_integer() or n < 1:
+    n = _integer(value)
+    if n < 1:
         raise ValueError("expected a positive integer")
-    return int(n)
+    return n
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
 
 
 def _spectrum_from_config(cfg: dict) -> SpectrumSpec:
     sc = _read(cfg, "spectrum", _object, {})
-    J = _read(sc, "J", int, 16, "spectrum.")
+    J = _read(sc, "J", _integer, 16, "spectrum.")
     kind = sc.get("kind", "dirichlet")
     if kind == "dirichlet":
         return dirichlet_spectrum(J)
@@ -130,7 +145,7 @@ def _field_from_config(section: dict, key: str, J: int, default=None,
             return np.zeros(J)
         amplitude = _read(value, "amplitude", float, 1.0, where)
         if preset == "mode":
-            k = _read(value, "k", int, 1, where)
+            k = _read(value, "k", _integer, 1, where)
             if not 1 <= k <= J:
                 raise ConfigError(f"mode index {k} outside 1..{J}")
             out = np.zeros(J)
@@ -191,7 +206,7 @@ def _setup(cfg: dict, scheme: Optional[SchemeKind] = None):
     nl = _nonlinearity_from_config(cfg)
     gt = None
     if isinstance(nl, (PointwiseSquare, PointwiseGeneral)):
-        gt = GridTransform(spec.J, M=_read(cfg, "collocation_points", int, 4 * spec.J))
+        gt = GridTransform(spec.J, M=_read(cfg, "collocation_points", _integer, 4 * spec.J))
     return spec, nl, gt, _run_config(cfg, spec, scheme)
 
 
@@ -222,8 +237,8 @@ def _summary(cfg: dict, extra: dict) -> str:
 
 def _cmd_simulate(cfg: dict, output_dir: str) -> dict:
     spec, nl, gt, config = _setup(cfg)
-    steps = trajectory(config, spec, nl, gt, _read(cfg, "master_seed", int, 0),
-                       _read(cfg, "sample_index", int, 0), 1)
+    steps = trajectory(config, spec, nl, gt, _read(cfg, "master_seed", _integer, 0),
+                       _read(cfg, "sample_index", _integer, 0), 1)
     state_rows = []
     for n, (x, y) in enumerate(steps):
         for j in range(spec.J):
@@ -243,12 +258,12 @@ def _cmd_weak_error(cfg: dict, output_dir: str) -> dict:
     points = weak_error_curve(
         config, dt_list, phi, spec, nl, gt,
         oracle=_read(cfg, "oracle", OracleMode, "MOMENT_ORACLE"),
-        n_samples=_read(cfg, "n_samples", int, 100000),
-        master_seed=_read(cfg, "master_seed", int, 0),
-        refinement=_read(cfg, "refinement", int, 64),
-        n_threads=_read(cfg, "n_threads", int, 1),
+        n_samples=_read(cfg, "n_samples", _integer, 100000),
+        master_seed=_read(cfg, "master_seed", _integer, 0),
+        refinement=_read(cfg, "refinement", _integer, 64),
+        n_threads=_read(cfg, "n_threads", _integer, 1),
     )
-    fit = fit_rate(points, drop_coarsest=_read(cfg, "drop_coarsest", bool, False))
+    fit = fit_rate(points, drop_coarsest=_read(cfg, "drop_coarsest", _flag, False))
     files = {
         "curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),
                           [(p.dt, p.error, p.stderr, p.oracle_bias) for p in points]),
@@ -269,9 +284,9 @@ def _cmd_ap_test(cfg: dict, output_dir: str) -> dict:
     eps_list = _read(cfg, "eps_list", _numbers, [4.0**-k for k in range(0, 7)])
     rows = ap_diagram(
         config, eps_list, phi, spec, nl, gt,
-        n_samples=_read(cfg, "n_samples", int, 0),
-        master_seed=_read(cfg, "master_seed", int, 0),
-        n_threads=_read(cfg, "n_threads", int, 1),
+        n_samples=_read(cfg, "n_samples", _integer, 0),
+        master_seed=_read(cfg, "master_seed", _integer, 0),
+        n_threads=_read(cfg, "n_threads", _integer, 1),
     )
     monotone_gap = rows[0][1] / rows[-1][1] if rows[-1][1] > 0 else float("inf")
     files = {
@@ -285,11 +300,7 @@ def _cmd_ap_test(cfg: dict, output_dir: str) -> dict:
 def _cmd_invariant_test(cfg: dict, output_dir: str) -> dict:
     spec = _spectrum_from_config(cfg)
     tau_list = _read(cfg, "tau_list", _numbers, [1e-4, 1e-2, 1.0, 1e2, 1e4])
-    report = invariant_measure_check(
-        spec, tau_list,
-        empirical_steps=_read(cfg, "empirical_steps", int, 0),
-        master_seed=_read(cfg, "master_seed", int, 0),
-    )
+    report = invariant_measure_check(spec, tau_list)
     rows = []
     for i, tau in enumerate(report.tau_list):
         for j in range(spec.J):
@@ -312,7 +323,7 @@ def _cmd_uniform_sweep(cfg: dict, output_dir: str) -> dict:
     eps_list = _read(cfg, "eps_list", _numbers, [4.0**-k for k in range(0, 7)])
     dt_list = _read(cfg, "dt_list", _numbers, [2.0**-k for k in range(4, 11)])
     result = uniform_sweep(config, eps_list, dt_list, phi, spec, nl,
-                           refinement=_read(cfg, "refinement", int, 512))
+                           refinement=_read(cfg, "refinement", _integer, 512))
     grid_rows = []
     for i, dt in enumerate(result.dt_list):
         for k, eps in enumerate(result.eps_list):

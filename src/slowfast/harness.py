@@ -137,9 +137,7 @@ class WeakErrorPoint:
 
 
 def _phi_values_batch(config, spec, nl, gt, phi, master_seed, first, count):
-    out = run_trajectory_batch(config, spec, nl, gt, master_seed, first, count)
-    x = out.x if hasattr(out, "x") else out
-    return evaluate_functional(phi, x)
+    return evaluate_functional(phi, run_trajectory_batch(config, spec, nl, gt, master_seed, first, count))
 
 
 def mc_estimate(

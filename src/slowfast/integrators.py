@@ -42,7 +42,6 @@ from .spectral import SpectrumSpec, check_field
 
 __all__ = [
     "SchemeKind",
-    "CoupledState",
     "RunConfig",
     "Transition",
     "trajectory",
@@ -61,20 +60,6 @@ class SchemeKind(Enum):
     def coupled(self) -> bool:
         """True for the schemes that carry a fast state y from step to step."""
         return self in (SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO)
-
-
-@dataclass
-class CoupledState:
-    """Slow/fast coefficient pair; arrays of identical shape (..., J)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.x.shape != self.y.shape:
-            raise ValueError(f"slow/fast shapes differ: {self.x.shape} vs {self.y.shape}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +98,8 @@ class Transition:
     one_plus); the sampler calls `step`.
 
     COUPLED_MODIFIED  a = 1/(1 + tau*lam), xi = sqrt(2 tau) (b1 g1 + b2 g2),
-                      s2 = tau (2 + tau*lam) a^2, with tau = dt/eps
+                      s2 = tau (2 + tau*lam) a^2, with tau = dt/eps;
+                      b1 = a/sqrt(2), b2 = sqrt(a/2), b1^2 + b2^2 = (a^2 + a)/2
     COUPLED_EXPO      a = exp(-dt*lam/eps), xi = sd*g, s2 = sd^2 = (1 - a^2)/lam
     LIMITING          y' = g/sqrt(lam), a fresh equilibrium draw: a = 0, s2 = 1/lam
     AVERAGED          no fast variable, a = s2 = 0; F is replaced by Fbar
@@ -216,14 +202,13 @@ def run_trajectory_batch(
     first_sample: int,
     count: int,
 ):
-    """Advance samples first_sample..first_sample+count-1 to time T.
+    """Slow states x_N of samples first_sample..first_sample+count-1, a (count, J) array.
 
-    Returns a CoupledState with (count, J) arrays for coupled schemes, or a
-    (count, J) array of slow states for LIMITING/AVERAGED.
+    `trajectory` yields the fast states as well.
     """
-    for x, y in trajectory(config, spec, nl, gt, master_seed, first_sample, count):
+    for x, _ in trajectory(config, spec, nl, gt, master_seed, first_sample, count):
         pass
-    return x if y is None else CoupledState(x=x, y=y)
+    return x
 
 
 def solve_averaged_reference(

@@ -19,6 +19,7 @@ from slowfast import (
     PointwiseSquare,
     RunConfig,
     SchemeKind,
+    Transition,
     ap_diagram,
     averaging_curve,
     dirichlet_spectrum,
@@ -29,7 +30,6 @@ from slowfast import (
     invariant_measure_check,
     log_ratio_constant,
     mc_estimate,
-    modified_operators,
     quadratic_spectrum,
     run_trajectory_batch,
     second_moment_recursion,
@@ -67,12 +67,13 @@ def test_02_operator_identities_and_eigenvalue_bounds():
     worst_split = 0.0
     worst_expo = 0.0
     for tau in TAU_LADDER:
-        ops = modified_operators(spec, tau)
-        rhs = 0.5 * (ops.a_tau**2 + ops.a_tau)
-        worst_split = max(worst_split, float(np.max(np.abs(ops.b1**2 + ops.b2**2 - rhs) / rhs)))
+        # the modified transition at tau = dt/eps; tau*lambda_tau = log(1 + tau*lambda)
+        tr = Transition(SchemeKind.COUPLED_MODIFIED, spec.lambdas, tau, 1.0)
+        rhs = 0.5 * (tr.a**2 + tr.a)
+        worst_split = max(worst_split, float(np.max(np.abs(tr.b1**2 + tr.b2**2 - rhs) / rhs)))
         with np.errstate(under="ignore"):
-            expo = np.exp(-tau * ops.lambda_tau)
-        worst_expo = max(worst_expo, float(np.max(np.abs(ops.a_tau - expo) / ops.a_tau)))
+            expo = np.exp(-np.log1p(tau * spec.lambdas))
+        worst_expo = max(worst_expo, float(np.max(np.abs(tr.a - expo) / tr.a)))
 
     rng = np.random.default_rng(202407)
     n = 10_000
@@ -215,8 +216,7 @@ def test_08_oracle_cross_validation():
         y0 = rng.uniform(-1, 1) * np.arange(1, 17, dtype=float) ** (-p)
         nl = LinearInY(c=c)
         cfg = RunConfig(T=T, N=N, eps=eps, scheme=scheme, x0=x0, y0=y0)
-        out = run_trajectory_batch(cfg, spec, nl, None, 1000 + trial, 0, n_samples)
-        xs = out.x
+        xs = run_trajectory_batch(cfg, spec, nl, None, 1000 + trial, 0, n_samples)
         mom = second_moment_recursion(
             scheme, spec.lambdas, c, eps, cfg.dt, N,
             ModeMoments(mean_x=x0, mean_y=y0, var_x=np.zeros(16), var_y=np.zeros(16),

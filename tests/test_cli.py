@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from slowfast import (
     run_cli,
     run_trajectory_batch,
     saturating_square,
+    trajectory,
 )
 
 
@@ -24,6 +26,37 @@ def write_config(tmp_path, name, cfg):
 def read(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+# noise-free outputs at default configs, recorded by perfbench/record_oracle.py
+ORACLE_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_expected.json"
+
+
+def parse_output(path):
+    """CSV rows as floats; summary.json without its config echo."""
+    if path.suffix == ".csv":
+        return [[float(cell) for cell in line.split(",")]
+                for line in path.read_text().splitlines()[1:]]
+    summary = json.loads(path.read_text())
+    summary.pop("config")
+    return summary
+
+
+def assert_matches_recorded(value, expected, where):
+    """Every number within the benchmark's tolerance (rel 1e-9, abs 1e-14) of its record."""
+    if isinstance(expected, dict):
+        assert set(value) == set(expected), f"{where}: keys differ"
+        for key in expected:
+            assert_matches_recorded(value[key], expected[key], f"{where}/{key}")
+    elif isinstance(expected, list):
+        assert len(value) == len(expected), f"{where}: length differs"
+        for i, (v, x) in enumerate(zip(value, expected)):
+            assert_matches_recorded(v, x, f"{where}[{i}]")
+    elif isinstance(expected, bool):
+        assert value is expected, f"{where}: {value!r} != recorded {expected!r}"
+    else:
+        assert abs(value - expected) <= 1e-9 * abs(expected) + 1e-14, \
+            f"{where}: {value!r} != recorded {expected!r}"
 
 
 class TestInvariantTest:
@@ -106,6 +139,19 @@ class TestSimulate:
         assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out2)]) == 0
         assert read(out / "trajectory.csv") == read(out2 / "trajectory.csv")
 
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        base = {"spectrum": {"J": 4}, "T": 0.25, "N": 5, "eps": 0.5,
+                "x0": {"preset": "mode", "k": 2}, "master_seed": 9, "sample_index": 3}
+        floats = {**base, "spectrum": {"J": 4.0}, "N": 5.0,
+                  "x0": {"preset": "mode", "k": 2.0}, "master_seed": 9.0, "sample_index": 3.0}
+        outs = []
+        for name, cfg in (("int", base), ("float", floats)):
+            out = tmp_path / name
+            assert run_cli(["simulate", "--config", write_config(tmp_path, f"{name}.json", cfg),
+                            "--output-dir", str(out)]) == 0
+            outs.append(read(out / "trajectory.csv"))
+        assert outs[0] == outs[1]
+
     def test_averaged_scheme_runs(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "spectrum": {"J": 4}, "scheme": "AVERAGED",
@@ -133,12 +179,14 @@ class TestSimulate:
         last = np.array([[float(x), float(y)] for step, _, x, y in rows if step == "5"])
         config = RunConfig(T=0.25, N=5, eps=0.1, scheme=SchemeKind(scheme),
                            x0=np.arange(1, 5, dtype=float) ** -2.0, y0=np.ones(4))
-        final = run_trajectory_batch(config, dirichlet_spectrum(4), saturating_square(1.0),
-                                     GridTransform(4), 9, 3, 1)
+        args = (config, dirichlet_spectrum(4), saturating_square(1.0), GridTransform(4), 9, 3, 1)
+        *_, (x, y) = trajectory(*args)
+        assert np.array_equal(last[:, 0], run_trajectory_batch(*args)[0])
+        assert np.array_equal(last[:, 0], x[0])
         if config.scheme.coupled:
-            assert np.array_equal(last[:, 0], final.x[0]) and np.array_equal(last[:, 1], final.y[0])
+            assert np.array_equal(last[:, 1], y[0])
         else:
-            assert np.array_equal(last[:, 0], final[0]) and np.all(last[:, 1] == 0.0)
+            assert y is None and np.all(last[:, 1] == 0.0)
 
 
 class TestApAndSweep:
@@ -229,10 +277,19 @@ class TestFailureModes:
         ("simulate", {"spectrum": 5}, "spectrum"),
         ("weak-error", {"phi": "x"}, "phi"),
         ("ap-test", {"eps_list": []}, "eps_list"),
+        ("simulate", {"master_seed": 2.5}, "master_seed"),
+        ("simulate", {"spectrum": {"J": 4.5}}, "spectrum.J"),
+        ("weak-error", {"n_samples": 1000.5}, "n_samples"),
+        ("simulate", {"sample_index": True}, "sample_index"),
+        ("weak-error", {"refinement": "64"}, "refinement"),
+        ("weak-error", {"drop_coarsest": "false"}, "drop_coarsest"),
+        ("weak-error", {"drop_coarsest": 0}, "drop_coarsest"),
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
-            "empty_eps_list"])
+            "empty_eps_list", "fractional_master_seed", "fractional_J", "fractional_n_samples",
+            "boolean_sample_index", "string_refinement", "string_drop_coarsest",
+            "numeric_drop_coarsest"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)
@@ -247,6 +304,17 @@ class TestFailureModes:
         cfg = write_config(tmp_path, "c.json", {"output_dir": 5})
         assert run_cli(["simulate", "--config", cfg]) == 2
         assert "'output_dir'" in capsys.readouterr().err
+
+
+class TestRecordedOracleValues:
+    @pytest.mark.parametrize("command", ["invariant-test", "weak-error", "ap-test", "uniform-sweep"])
+    def test_default_config_matches_recorded(self, tmp_path, command):
+        expected = json.loads(ORACLE_EXPECTED.read_text())[command]
+        out = tmp_path / "o"
+        assert run_cli([command, "--output-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        for name, recorded in expected.items():
+            assert_matches_recorded(parse_output(out / name), recorded, f"{command}/{name}")
 
 
 class TestFloatFormat:

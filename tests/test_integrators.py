@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from slowfast import (
     Affine,
-    CoupledState,
     FunctionalKind,
     FunctionalSpec,
     GridTransform,
@@ -22,12 +21,12 @@ from slowfast import (
     eval_F,
     eval_Fbar,
     mc_estimate,
-    modified_operators,
     run_trajectory_batch,
     sample_cylindrical_batch,
     saturating_square,
     second_moment_recursion,
     solve_averaged_reference,
+    trajectory,
 )
 
 rng = np.random.default_rng(31415)
@@ -74,13 +73,12 @@ class TestCoupledModifiedStep:
         assert np.max(np.abs(v * SPEC.lambdas - 1.0)) < 4 * np.sqrt(2.0 / n)
 
     def test_combined_noise_variance_identity(self):
-        # the transition's factors are the modified operators at tau = dt/eps, bit for bit
+        # the two noise coefficients combine to the closed-form variance
+        # b1^2 + b2^2 = (2+z)/(2 (1+z)^2), z = tau*lam, tau = dt/eps
         tr = Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 3.7, 1.0)
-        ops = modified_operators(SPEC, 3.7)
-        assert np.array_equal(tr.a, ops.a_tau)
-        assert np.array_equal(tr.b1, ops.b1) and np.array_equal(tr.b2, ops.b2)
+        z = 3.7 * SPEC.lambdas
         lhs = tr.b1**2 + tr.b2**2
-        assert np.max(np.abs(lhs - ops.b_combined**2) / lhs) < 1e-12
+        assert np.max(np.abs(lhs - (2.0 + z) / (2.0 * (1.0 + z) ** 2)) / lhs) < 1e-12
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -168,13 +166,14 @@ class TestRunTrajectory:
     def test_single_step_equals_direct_call(self):
         cfg = RunConfig(T=0.125, N=1, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
                         x0=np.ones(8), y0=np.ones(8))
-        out = run_trajectory_batch(cfg, SPEC, LinearInY(1.0), None, 3, 2, 1)
+        *_, (out_x, out_y) = trajectory(cfg, SPEC, LinearInY(1.0), None, 3, 2, 1)
         g1 = sample_cylindrical_batch(SPEC, 3, StreamTag.GAMMA_1, 0, 2, 1)[0]
         g2 = sample_cylindrical_batch(SPEC, 3, StreamTag.GAMMA_2, 0, 2, 1)[0]
         x, y = one_step(cfg.scheme, SPEC, cfg.dt, cfg.eps, LinearInY(1.0), np.ones(8), np.ones(8),
                         (g1, g2))
-        assert np.array_equal(out.x[0], x)
-        assert np.array_equal(out.y[0], y)
+        assert np.array_equal(out_x[0], x)
+        assert np.array_equal(out_y[0], y)
+        assert np.array_equal(run_trajectory_batch(cfg, SPEC, LinearInY(1.0), None, 3, 2, 1), out_x)
 
     def test_averaged_is_seed_independent(self):
         cfg = RunConfig(T=0.5, N=16, eps=1.0, scheme=SchemeKind.AVERAGED,
@@ -188,7 +187,7 @@ class TestRunTrajectory:
                         x0=np.ones(8), y0=np.ones(8))
         out = run_trajectory_batch(cfg, SPEC, ZERO_F, None, 5, 0, 1)
         closed = 1.0 / (1.0 + cfg.dt * SPEC.lambdas) ** cfg.N
-        assert np.allclose(out.x[0], closed, rtol=1e-12)
+        assert np.allclose(out[0], closed, rtol=1e-12)
 
     def test_mean_recursion_bit_for_bit(self):
         # zero noise draws turn the coupled scheme into its own mean
@@ -210,7 +209,7 @@ class TestRunTrajectory:
         batch = run_trajectory_batch(cfg, SPEC, LinearInY(1.0), None, 17, 0, 6)
         for i in range(6):
             single = run_trajectory_batch(cfg, SPEC, LinearInY(1.0), None, 17, i, 1)
-            assert np.array_equal(batch.x[i], single.x[0])
+            assert np.array_equal(batch[i], single[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -219,8 +218,6 @@ class TestRunTrajectory:
             RunConfig(T=-1.0, N=4, eps=1.0, scheme=SchemeKind.AVERAGED, x0=np.ones(8), y0=np.ones(8))
         with pytest.raises(ValueError):
             RunConfig(T=1.0, N=4, eps=0.0, scheme=SchemeKind.COUPLED_EXPO, x0=np.ones(8), y0=np.ones(8))
-        with pytest.raises(ValueError):
-            CoupledState(x=np.ones(3), y=np.ones(4))
 
 
 # Couplings evaluated without collocation.  The collocation transforms are
@@ -241,12 +238,16 @@ class TestReproducibilityContract:
         split = min(split, count - 1)
         spec = dirichlet_spectrum(J)
         cfg = RunConfig(T=0.25, N=3, eps=0.1, scheme=scheme, x0=np.ones(J), y0=np.ones(J))
-        whole = run_trajectory_batch(cfg, spec, nl, None, seed, 0, count)
-        head = run_trajectory_batch(cfg, spec, nl, None, seed, 0, split)
-        tail = run_trajectory_batch(cfg, spec, nl, None, seed, split, count - split)
-        if scheme.coupled:
-            whole, head, tail = (np.hstack([s.x, s.y]) for s in (whole, head, tail))
+
+        def final(first, n):
+            # the last (x, y) of the trajectory, with y for the coupled schemes
+            *_, (x, y) = trajectory(cfg, spec, nl, None, seed, first, n)
+            return x if y is None else np.hstack([x, y])
+
+        whole, head, tail = final(0, count), final(0, split), final(split, count - split)
         assert np.array_equal(whole, np.concatenate([head, tail]))
+        assert np.array_equal(run_trajectory_batch(cfg, spec, nl, None, seed, 0, count),
+                              whole[:, :J])
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(scheme=st.sampled_from(list(SchemeKind)), nl=st.sampled_from(COUPLINGS),

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from slowfast import (
-    CoupledState,
     LinearInY,
     ModeMoments,
     RunConfig,
@@ -220,8 +219,7 @@ class TestAgainstMonteCarlo:
         x0 = 1.0 / spec.lambdas
         y0 = np.ones(8) * 0.5
         cfg = RunConfig(T=0.25, N=8, eps=0.5, scheme=scheme, x0=x0, y0=y0)
-        out = run_trajectory_batch(cfg, spec, nl, None, 654, 0, self.N_SAMPLES)
-        xs = out.x if isinstance(out, CoupledState) else out
+        xs = run_trajectory_batch(cfg, spec, nl, None, 654, 0, self.N_SAMPLES)
         mom = second_moment_recursion(
             scheme, spec.lambdas, nl.c, cfg.eps, cfg.dt, cfg.N,
             ModeMoments(mean_x=x0, mean_y=y0, var_x=np.zeros(8), var_y=np.zeros(8),

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from slowfast import (
+    LinearInY,
+    RunConfig,
+    SchemeKind,
     SpectrumSpec,
-    apply_fractional_power,
-    apply_resolvent,
-    apply_semigroup,
+    Transition,
     dirichlet_spectrum,
     eigenvalue_error_bounds,
-    field_norm,
     log_ratio_constant,
-    modified_operators,
     quadratic_spectrum,
+    run_trajectory_batch,
+    solve_averaged_reference,
 )
 
 rng = np.random.default_rng(20240517)
@@ -51,25 +52,36 @@ class TestSpectrumSpec:
         with pytest.raises(ValueError):
             SpectrumSpec(3, np.array([1.0, 2.0]))  # wrong length
 
-    def test_norm_is_weighted_sum(self):
-        spec = random_spectrum()
-        x = rng.standard_normal(spec.J)
-        for alpha in (-1.0, -0.3, 0.0, 0.5, 1.0):
-            direct = np.sqrt(sum(spec.lambdas[j] ** (2 * alpha) * x[j] ** 2 for j in range(spec.J)))
-            assert field_norm(spec, x, alpha) == pytest.approx(direct, rel=1e-13)
-        with pytest.raises(ValueError):
-            field_norm(spec, x, 1.5)
+
+# The resolvent and the semigroup have no helpers of their own: every
+# Transition's slow update divides by 1 + dt*lam, and the averaged solver
+# multiplies by exp(-T*lam).  These tests read them there.
+
+
+def one_step_without_force(lam, dt, x):
+    """x' of one AVERAGED step with Fbar = 0: the resolvent (I + dt*Lambda)^(-1) x."""
+    return Transition(SchemeKind.AVERAGED, lam, dt, 1.0).step(x, None, (), lambda x, y: 0.0)[0]
+
+
+def semigroup(spec, t, x):
+    """e^(-t*Lambda) x: the averaged equation's solution when Fbar = 0."""
+    return solve_averaged_reference(spec, LinearInY(1.0), x, t)
+
+
+def modified(lam, tau):
+    """The modified-scheme transition at tau = dt/eps (eps = 1)."""
+    return Transition(SchemeKind.COUPLED_MODIFIED, lam, tau, 1.0)
 
 
 class TestResolvent:
     def test_scalar_examples(self):
-        assert apply_resolvent(SpectrumSpec(1, np.array([1.0])), 1.0, np.array([1.0]))[0] == 0.5
-        assert apply_resolvent(SpectrumSpec(1, np.array([3.0])), 1.0, np.array([2.0]))[0] == 0.5
+        assert one_step_without_force(np.array([1.0]), 1.0, np.array([1.0]))[0] == 0.5
+        assert one_step_without_force(np.array([3.0]), 1.0, np.array([2.0]))[0] == 0.5
 
     def test_identity_limit(self):
         spec = random_spectrum()
         x = rng.standard_normal(spec.J)
-        out = apply_resolvent(spec, 1e-14, x)
+        out = one_step_without_force(spec.lambdas, 1e-14, x)
         assert np.allclose(out, x, rtol=1e-10)
 
     def test_contraction(self):
@@ -77,42 +89,44 @@ class TestResolvent:
         for _ in range(20):
             x = rng.standard_normal(spec.J)
             dt = 10 ** rng.uniform(-4, 2)
-            assert field_norm(spec, apply_resolvent(spec, dt, x)) <= field_norm(spec, x)
+            assert np.linalg.norm(one_step_without_force(spec.lambdas, dt, x)) <= np.linalg.norm(x)
 
     def test_rejects_nonpositive_dt(self):
         spec = random_spectrum()
         x = np.ones(spec.J)
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError):
-                apply_resolvent(spec, dt, x)
+                one_step_without_force(spec.lambdas, dt, x)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            apply_resolvent(dirichlet_spectrum(4), 0.1, np.ones(5))
+        # the sampler checks the initial field against the spectrum before its first step
+        cfg = RunConfig(T=0.1, N=1, eps=1.0, scheme=SchemeKind.AVERAGED, x0=np.ones(5), y0=np.zeros(5))
+        with pytest.raises(ValueError, match="5 modes"):
+            run_trajectory_batch(cfg, dirichlet_spectrum(4), LinearInY(1.0), None, 0, 0, 1)
 
 
 class TestSemigroup:
     def test_time_zero_identity(self):
         spec = random_spectrum()
         x = rng.standard_normal(spec.J)
-        assert np.array_equal(apply_semigroup(spec, 0.0, x), x)
+        assert np.array_equal(semigroup(spec, 0.0, x), x)
 
     def test_half_life(self):
         spec = SpectrumSpec(1, np.array([1.0]))
-        assert apply_semigroup(spec, np.log(2.0), np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-15)
+        assert semigroup(spec, np.log(2.0), np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_semigroup_law(self):
         spec = random_spectrum()
         x = rng.standard_normal(spec.J)
         for _ in range(10):
             t1, t2 = 10 ** rng.uniform(-3, 0, 2)
-            a = apply_semigroup(spec, t1, apply_semigroup(spec, t2, x))
-            b = apply_semigroup(spec, t1 + t2, x)
+            a = semigroup(spec, t1, semigroup(spec, t2, x))
+            b = semigroup(spec, t1 + t2, x)
             assert np.allclose(a, b, rtol=1e-12, atol=1e-300)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            apply_semigroup(random_spectrum(), -0.1, np.ones(8))
+            semigroup(random_spectrum(), -0.1, np.ones(8))
 
     def test_smoothing_bound(self):
         # |Lambda^a e^(-t Lambda) x| <= (a/e)^a t^(-a) |x|; per-mode maximum of
@@ -122,97 +136,63 @@ class TestSemigroup:
             c_alpha = (alpha / np.e) ** alpha
             for t in (1e-4, 1e-2, 0.5):
                 x = rng.standard_normal(32)
-                smoothed = apply_fractional_power(spec, alpha, apply_semigroup(spec, t, x))
-                lhs = field_norm(spec, smoothed)
-                assert lhs <= c_alpha * t ** (-alpha) * field_norm(spec, x) * (1 + 1e-12)
-
-
-class TestFractionalPower:
-    def test_zero_is_identity(self):
-        spec = random_spectrum()
-        x = rng.standard_normal(spec.J)
-        assert np.array_equal(apply_fractional_power(spec, 0.0, x), x)
-
-    def test_inverse_sqrt(self):
-        spec = SpectrumSpec(1, np.array([4.0]))
-        assert apply_fractional_power(spec, -0.5, np.array([1.0]))[0] == pytest.approx(0.5, rel=1e-15)
-
-    def test_round_trip(self):
-        spec = random_spectrum()
-        x = rng.standard_normal(spec.J)
-        back = apply_fractional_power(spec, -1.0, apply_fractional_power(spec, 1.0, x))
-        assert np.allclose(back, x, rtol=1e-12)
-
-    def test_rejects_wide_exponent(self):
-        spec = random_spectrum()
-        for alpha in (1.5, -1.01):
-            with pytest.raises(ValueError):
-                apply_fractional_power(spec, alpha, np.ones(spec.J))
+                lhs = np.linalg.norm(spec.lambdas**alpha * semigroup(spec, t, x))
+                assert lhs <= c_alpha * t ** (-alpha) * np.linalg.norm(x) * (1 + 1e-12)
 
 
 class TestModifiedOperators:
+    """a_tau, b1 and b2 as the modified transition holds them; lambda_tau and q_tau through their gaps."""
+
     def test_lambda_tau_unit_example(self):
-        spec = SpectrumSpec(1, np.array([np.e - 1.0]))
-        ops = modified_operators(spec, 1.0)
-        assert ops.lambda_tau[0] == pytest.approx(1.0, rel=1e-14)
-        # q = log(1+tau*lam)/(tau*lam) = 1/(e-1), computed directly
-        assert ops.q_tau[0] == pytest.approx(1.0 / (np.e - 1.0), rel=1e-14)
+        # lambda_tau = log(1 + tau*lam)/tau = 1 and q_tau = 1/(e-1) at lam = e-1, tau = 1
+        rep = eigenvalue_error_bounds(SpectrumSpec(1, np.array([np.e - 1.0])), 1.0, 0.5)
+        assert rep.lambda_gap[0] == pytest.approx(np.e - 2.0, rel=1e-14)
+        assert rep.q_gap[0] == pytest.approx(1.0 - 1.0 / (np.e - 1.0), rel=1e-14)
 
     def test_combined_noise_at_unit_taulambda(self):
-        # (2+z)/(2 (1+z)^2) at z = 1 evaluates to 3/8
-        spec = SpectrumSpec(1, np.array([2.0]))
-        ops = modified_operators(spec, 0.5)
-        assert ops.b_combined[0] ** 2 == pytest.approx(0.375, rel=1e-14)
+        # b1^2 + b2^2 = (2+z)/(2 (1+z)^2) at z = 1 evaluates to 3/8
+        tr = modified(np.array([2.0]), 0.5)
+        assert tr.b1[0] ** 2 + tr.b2[0] ** 2 == pytest.approx(0.375, rel=1e-14)
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_noise_splitting_identity(self, tau):
-        spec = dirichlet_spectrum(64)
-        ops = modified_operators(spec, tau)
-        lhs = ops.b1**2 + ops.b2**2
-        rhs = 0.5 * (ops.a_tau**2 + ops.a_tau)
+        tr = modified(dirichlet_spectrum(64).lambdas, tau)
+        lhs = tr.b1**2 + tr.b2**2
+        rhs = 0.5 * (tr.a**2 + tr.a)
         assert np.max(np.abs(lhs - rhs) / rhs) < 1e-12
-        assert np.max(np.abs(ops.b_combined**2 - rhs) / rhs) < 1e-12
+        # the one-step variance the moment recursions read is 2*tau*(b1^2 + b2^2)
+        assert np.max(np.abs(tr.s2 - 2.0 * tau * rhs) / tr.s2) < 1e-12
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_exponential_interpretation(self, tau):
-        spec = dirichlet_spectrum(64)
-        ops = modified_operators(spec, tau)
+        # a_tau = exp(-tau*lambda_tau) with tau*lambda_tau = log(1 + tau*lam)
+        lam = dirichlet_spectrum(64).lambdas
+        tr = modified(lam, tau)
         with np.errstate(under="ignore"):
-            expo = np.exp(-tau * ops.lambda_tau)
-        assert np.max(np.abs(ops.a_tau - expo) / ops.a_tau) < 1e-12
+            expo = np.exp(-np.log1p(tau * lam))
+        assert np.max(np.abs(tr.a - expo) / tr.a) < 1e-12
 
     def test_eigenvalue_ranges(self):
+        # 0 < lambda_tau < lambda and 0 < q_tau < 1
         spec = random_spectrum()
         for tau in TAUS:
-            ops = modified_operators(spec, tau)
-            assert np.all(ops.lambda_tau > 0) and np.all(ops.lambda_tau < spec.lambdas)
-            assert np.all(ops.q_tau > 0) and np.all(ops.q_tau < 1)
+            rep = eigenvalue_error_bounds(spec, tau, 0.5)
+            assert np.all(rep.lambda_gap > 0) and np.all(rep.lambda_gap < spec.lambdas)
+            assert np.all(rep.q_gap > 0) and np.all(rep.q_gap < 1)
 
     def test_monotonicity_in_tau(self):
+        # lambda_tau and q_tau decrease in tau, so their gaps increase
         spec = random_spectrum()
-        taus = np.logspace(-4, 4, 30)
-        lt = np.array([modified_operators(spec, t).lambda_tau for t in taus])
-        qt = np.array([modified_operators(spec, t).q_tau for t in taus])
-        assert np.all(np.diff(lt, axis=0) < 0)
-        assert np.all(np.diff(qt, axis=0) < 0)
+        reps = [eigenvalue_error_bounds(spec, t, 0.5) for t in np.logspace(-4, 4, 30)]
+        assert np.all(np.diff([r.lambda_gap for r in reps], axis=0) > 0)
+        assert np.all(np.diff([r.q_gap for r in reps], axis=0) > 0)
 
     def test_rejects_nonpositive_tau(self):
         for tau in (0.0, -2.0):
             with pytest.raises(ValueError):
-                modified_operators(dirichlet_spectrum(2), tau)
-
-    def test_diagonal_operators_commute(self):
-        # per-mode factors commute exactly; sequential application agrees to
-        # a couple of ulps (float multiplication chains are not associative)
-        spec = random_spectrum()
-        x = rng.standard_normal(spec.J)
-        dt, t = 0.37, 0.11
-        res_factor = 1.0 / (1.0 + dt * spec.lambdas)
-        semi_factor = np.exp(-t * spec.lambdas)
-        assert np.array_equal(res_factor * semi_factor, semi_factor * res_factor)
-        a = apply_semigroup(spec, t, apply_resolvent(spec, dt, x))
-        b = apply_resolvent(spec, dt, apply_semigroup(spec, t, x))
-        assert np.allclose(a, b, rtol=5e-16, atol=0)
+                eigenvalue_error_bounds(dirichlet_spectrum(2), tau, 0.5)
+            with pytest.raises(ValueError):
+                modified(dirichlet_spectrum(2).lambdas, tau)
 
 
 class TestEigenvalueBounds:
@@ -264,3 +244,12 @@ class TestEigenvalueBounds:
             eigenvalue_error_bounds(spec, -1.0, 0.5)
         with pytest.raises(ValueError):
             eigenvalue_error_bounds(spec, 1.0, 1.5)
+
+    @pytest.mark.parametrize("tau", [1e-17, 1e17])
+    def test_holds_at_extreme_tau(self, tau):
+        # at tau*lam ~ 1e-16 log(1+z)/z rounds to 1 although the series gap
+        # is positive; at tau*lam ~ 1e18 the gap eta rounds to 1 although
+        # q_tau = log(1+z)/z is still positive
+        rep = eigenvalue_error_bounds(dirichlet_spectrum(4), tau, 0.5)
+        assert rep.holds
+        assert np.all(rep.lambda_gap > 0) and np.all(rep.q_gap <= 1.0)
