@@ -108,6 +108,13 @@ def _step_count(value) -> int:
     return n
 
 
+def _seed(value) -> int:
+    seed = _integer(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError("expected an integer in [0, 2**64)")
+    return seed
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError("expected true or false")
@@ -237,7 +244,7 @@ def _summary(cfg: dict, extra: dict) -> str:
 
 def _cmd_simulate(cfg: dict, output_dir: str) -> dict:
     spec, nl, gt, config = _setup(cfg)
-    steps = trajectory(config, spec, nl, gt, _read(cfg, "master_seed", _integer, 0),
+    steps = trajectory(config, spec, nl, gt, _read(cfg, "master_seed", _seed, 0),
                        _read(cfg, "sample_index", _integer, 0), 1)
     state_rows = []
     for n, (x, y) in enumerate(steps):
@@ -259,7 +266,7 @@ def _cmd_weak_error(cfg: dict, output_dir: str) -> dict:
         config, dt_list, phi, spec, nl, gt,
         oracle=_read(cfg, "oracle", OracleMode, "MOMENT_ORACLE"),
         n_samples=_read(cfg, "n_samples", _integer, 100000),
-        master_seed=_read(cfg, "master_seed", _integer, 0),
+        master_seed=_read(cfg, "master_seed", _seed, 0),
         refinement=_read(cfg, "refinement", _integer, 64),
         n_threads=_read(cfg, "n_threads", _integer, 1),
     )
@@ -285,7 +292,7 @@ def _cmd_ap_test(cfg: dict, output_dir: str) -> dict:
     rows = ap_diagram(
         config, eps_list, phi, spec, nl, gt,
         n_samples=_read(cfg, "n_samples", _integer, 0),
-        master_seed=_read(cfg, "master_seed", _integer, 0),
+        master_seed=_read(cfg, "master_seed", _seed, 0),
         n_threads=_read(cfg, "n_threads", _integer, 1),
     )
     monotone_gap = rows[0][1] / rows[-1][1] if rows[-1][1] > 0 else float("inf")

@@ -22,7 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import RunConfig, SchemeKind, Transition, run_trajectory_batch, solve_averaged_reference
+from .integrators import (
+    RunConfig, SchemeKind, Transition, run_trajectory_batch, solve_averaged_reference, trajectory,
+)
 from .moments import ModeMoments, continuous_second_moment, second_moment_recursion
 from .noise import StreamTag, sample_cylindrical_batch
 from .nonlinearity import GridTransform, LinearInY, Nonlinearity
@@ -149,15 +151,22 @@ def mc_estimate(
     nl: Nonlinearity,
     gt: Optional[GridTransform] = None,
     n_threads: int = 1,
-    batch: int = 20000,
+    batch: int = 2048,
 ) -> McEstimate:
     """Sample mean and standard error of phi over independent trajectories.
 
-    Sample i always uses the stream addressed by (master_seed, i, step), so
-    the result is identical for any n_threads and, except for the pointwise
-    couplings (whose BLAS collocation products round a row depending on the
-    batch shape), any batch size; per-sample values are aggregated in sample
-    order.
+    The samples are run in spans of `batch` samples (default 2048, small
+    enough that a span's working arrays stay in cache and that the spans
+    spread evenly over the workers), on n_threads worker threads.  Sample i
+    always uses the stream addressed by (master_seed, i, step), so the
+    result is identical for any n_threads and any batch size; for the
+    pointwise couplings, any batch size above one collocation block
+    (`GridTransform.rows_per_block`).  Per-sample values are aggregated in
+    sample order.
+
+    A non-finite phi value raises ValueError naming the first such sample's
+    address (master_seed, sample) and the first step at which its replayed
+    trajectory is not finite.
     """
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
@@ -174,9 +183,26 @@ def mc_estimate(
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             for a, b, v in pool.map(work, spans):
                 vals[a:b] = v
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        sample = int(bad[0])
+        step = _first_nonfinite_step(config, spec, nl, gt, master_seed, sample)
+        where = (f"its trajectory is first non-finite at step {step} of {config.N}"
+                 if step is not None else "its trajectory is finite, phi of its final state is not")
+        raise ValueError(f"{bad.size} of {n_samples} samples gave a non-finite phi; the first is "
+                         f"(master_seed, sample) = ({master_seed}, {sample}): {where}")
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples)
+
+
+def _first_nonfinite_step(config, spec, nl, gt, master_seed, sample) -> Optional[int]:
+    """First step at which one sample's replayed (x, y) is not finite; None if none is."""
+    with np.errstate(all="ignore"):
+        for n, (x, y) in enumerate(trajectory(config, spec, nl, gt, master_seed, sample, 1)):
+            if not np.isfinite(x).all() or (y is not None and not np.isfinite(y).all()):
+                return n
+    return None
 
 
 def _require_linear_in_y(nl: Nonlinearity, what: str):

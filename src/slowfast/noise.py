@@ -38,7 +38,10 @@ def _words_per_sample(J: int) -> int:
 
 
 def _stream(master_seed: int, tag: StreamTag, step: int, first_block: int) -> Generator:
-    key = SeedSequence([int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(tag), int(step)])
+    seed = int(master_seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {seed}")
+    key = SeedSequence([seed, int(tag), int(step)])
     return Generator(Philox(key=key.generate_state(2, np.uint64), counter=[first_block, 0, 0, 0]))
 
 
@@ -59,7 +62,10 @@ def sample_cylindrical_batch(
         raise ValueError("sample range must be nonnegative")
     wps = _words_per_sample(spec.J)
     gen = _stream(master_seed, tag, step_index, first_sample * (wps // 4))
-    u = gen.random((count, wps))
+    # the words of the first J modes; the whole block when J is a multiple of 4
+    u = gen.random((count, wps))[:, : spec.J]
     # u is a multiple of 2^-53 in [0, 1); shift to the cell midpoint so the
-    # inverse CDF never sees 0 or 1
-    return ndtri(u[:, : spec.J] + 2.0**-54)
+    # inverse CDF never sees 0 or 1, and transform in place
+    u += 2.0**-54
+    ndtri(u, out=u)
+    return np.ascontiguousarray(u)

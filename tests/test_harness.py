@@ -8,8 +8,10 @@ from slowfast import (
     Affine,
     FunctionalKind,
     FunctionalSpec,
+    GridTransform,
     LinearInY,
     OracleMode,
+    PointwiseGeneral,
     RunConfig,
     SchemeKind,
     ap_diagram,
@@ -23,6 +25,7 @@ from slowfast import (
     mc_estimate,
     oracle_weak_value,
     quadratic_spectrum,
+    trajectory,
     uniform_sweep,
     weak_error_curve,
 )
@@ -115,6 +118,31 @@ class TestMcEstimate:
         b = mc_estimate(cfg, PHI_NORM, 3000, 7, SPEC, NL, n_threads=4, batch=500)
         c = mc_estimate(cfg, PHI_NORM, 3000, 7, SPEC, NL, n_threads=2, batch=701)
         assert a == b == c
+
+    def test_non_finite_sample_raises_with_its_address(self):
+        # a coupling that blows up: about half of the samples overflow
+        J = 4
+        spec, gt = dirichlet_spectrum(J), GridTransform(J)
+        nl = PointwiseGeneral(f=lambda u, v: 20.0 * u * u * v * v)
+        cfg = RunConfig(T=1.0, N=16, eps=1.0, scheme=SchemeKind.LIMITING, x0=np.full(J, 3.0),
+                        y0=np.zeros(J))
+        phi = FunctionalSpec(kind=FunctionalKind.LINEAR, h=np.eye(J)[0])
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as info:
+                mc_estimate(cfg, phi, 64, 3, spec, nl, gt, batch=16)
+            states = [x for x, _ in trajectory(cfg, spec, nl, gt, 3, 0, 1)]
+        finite = [bool(np.isfinite(x).all()) for x in states]
+        step = finite.index(False)
+        assert "(master_seed, sample) = (3, 0)" in str(info.value)
+        assert f"first non-finite at step {step} of 16" in str(info.value)
+        assert 0 < step and all(finite[:step])
+
+    def test_overflowing_phi_of_finite_state_raises(self):
+        cfg = RunConfig(T=0.1, N=1, eps=1.0, scheme=SchemeKind.LIMITING, x0=np.full(16, 1e170),
+                        y0=np.zeros(16))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"\(7, 0\): its trajectory is finite"):
+                mc_estimate(cfg, PHI_NORM, 4, 7, SPEC, LinearInY(c=0.0))
 
     def test_stderr_scaling(self):
         cfg = coupled_config(N=4)

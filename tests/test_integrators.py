@@ -220,11 +220,14 @@ class TestRunTrajectory:
             RunConfig(T=1.0, N=4, eps=0.0, scheme=SchemeKind.COUPLED_EXPO, x0=np.ones(8), y0=np.ones(8))
 
 
-# Couplings evaluated without collocation.  The collocation transforms are
-# BLAS matrix products, and OpenBLAS rounds a row differently depending on the
-# shape of the batch it sits in, so pointwise couplings do not keep the
-# contract across batch sizes yet (recorded in CHANGES.md).
+# Couplings evaluated without collocation, which keep the contract for any
+# partition.
 COUPLINGS = [LinearInY(c=1.3), Affine(c_x=0.4, c_y=-0.8)]
+# Couplings evaluated on the collocation grid.  OpenBLAS rounds a row of a
+# small product differently depending on how many rows it has, so they keep
+# the contract when every part has more than one block of rows
+# (GridTransform.rows_per_block); the strategies below draw only such parts.
+POINTWISE = [PointwiseSquare(c=0.7), saturating_square(1.5)]
 
 
 class TestReproducibilityContract:
@@ -259,6 +262,41 @@ class TestReproducibilityContract:
         h = np.random.default_rng(seed).standard_normal(J)
         phi = FunctionalSpec(kind=kind, h=h if kind == FunctionalKind.LINEAR else None)
         args = (cfg, phi, n, seed, spec, nl, None)
+        first = mc_estimate(*args, n_threads=1, batch=n)
+        assert mc_estimate(*args, n_threads=2, batch=batch) == first
+        assert mc_estimate(*args, n_threads=1, batch=batch) == first
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(scheme=st.sampled_from(list(SchemeKind)), nl=st.sampled_from(POINTWISE),
+           J=st.integers(1, 64), extra=st.integers(0, 40), cut=st.integers(0, 40),
+           seed=st.integers(0, 2**32))
+    def test_pointwise_split_above_one_block_is_bit_identical(self, scheme, nl, J, extra, cut,
+                                                              seed):
+        spec = dirichlet_spectrum(J)
+        gt = GridTransform(J)
+        rows = gt.rows_per_block
+        count = 2 * rows + 2 + extra
+        split = rows + 1 + min(cut, extra)  # both parts have more than `rows` rows
+        cfg = RunConfig(T=0.25, N=2, eps=0.1, scheme=scheme, x0=np.ones(J), y0=np.ones(J))
+
+        def final(first, n):
+            *_, (x, y) = trajectory(cfg, spec, nl, gt, seed, first, n)
+            return x if y is None else np.hstack([x, y])
+
+        whole = final(0, count)
+        assert np.array_equal(whole, np.concatenate([final(0, split), final(split, count - split)]))
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(scheme=st.sampled_from(list(SchemeKind)), nl=st.sampled_from(POINTWISE),
+           J=st.integers(1, 64), extra=st.integers(0, 100), seed=st.integers(0, 2**32))
+    def test_pointwise_mc_estimate_thread_and_batch_invariant(self, scheme, nl, J, extra, seed):
+        spec = dirichlet_spectrum(J)
+        gt = GridTransform(J)
+        batch = gt.rows_per_block + 1 + extra
+        n = 2 * batch + gt.rows_per_block + 1  # the last span has more than one block too
+        cfg = RunConfig(T=0.25, N=2, eps=0.1, scheme=scheme, x0=np.ones(J), y0=np.ones(J))
+        phi = FunctionalSpec(kind=FunctionalKind.BOUNDED_EXP)
+        args = (cfg, phi, n, seed, spec, nl, gt)
         first = mc_estimate(*args, n_threads=1, batch=n)
         assert mc_estimate(*args, n_threads=2, batch=batch) == first
         assert mc_estimate(*args, n_threads=1, batch=batch) == first

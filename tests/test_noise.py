@@ -64,6 +64,21 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             draw(0, step_index=-1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        # no aliasing: -1 would otherwise key the stream of 2^64 - 1
+        with pytest.raises(ValueError, match="master_seed"):
+            draw(seed)
+
+    def test_accepts_seed_range_ends(self):
+        assert np.all(np.isfinite(draw(0))) and np.all(np.isfinite(draw(2**64 - 1)))
+        assert not np.array_equal(draw(0), draw(2**64 - 1))
+
+    def test_output_is_contiguous(self):
+        for J in (1, 5, 16):
+            out = sample_cylindrical_batch(dirichlet_spectrum(J), 4, StreamTag.GAMMA_1, 0, 0, 9)
+            assert out.shape == (9, J) and out.flags.c_contiguous
+
 
 class TestDistribution:
     def test_mode_mean_and_variance(self):

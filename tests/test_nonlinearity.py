@@ -43,6 +43,53 @@ class TestGridTransform:
         assert g.shape == (7, GT.M)
         assert GT.to_coeffs(g).shape == (7, 16)
 
+    def test_rows_per_block_depends_on_grid_size(self):
+        # the largest power of two, at most 512, with rows*J*M <= 2^18
+        assert [GridTransform(J).rows_per_block for J in (1, 8, 16, 32, 64, 128, 512)] == \
+            [512, 512, 256, 64, 16, 4, 1]
+        assert GridTransform(16, M=128).rows_per_block == 128
+
+    @pytest.mark.parametrize("J", [1, 5, 16, 64])
+    def test_pointwise_call_of_at_most_one_block_is_plain_product(self, J):
+        gt = GridTransform(J)
+        c = rng.standard_normal((gt.rows_per_block, J))
+        for n in (1, 2, 7, gt.rows_per_block):
+            plain = np.cos(c[:n] @ gt._synth) @ gt._analyze
+            assert np.array_equal(gt.pointwise(np.cos, c[:n]), plain)
+
+    @pytest.mark.parametrize("J", [3, 16, 64])
+    def test_pointwise_maps_blocks_of_one_shape(self, J):
+        gt = GridTransform(J)
+        rows = gt.rows_per_block
+        x, y = rng.standard_normal((2, 2 * rows + 3, J))
+
+        def f(u, v):
+            return u * v + v
+
+        def plain(a, b):
+            return gt.to_coeffs(f(gt.to_grid(a), gt.to_grid(b)))
+
+        out = gt.pointwise(f, x, y)
+        # full blocks, then the last `rows` rows, overlapping the block before
+        assert np.array_equal(out[: 2 * rows], np.vstack([plain(x[:rows], y[:rows]),
+                                                          plain(x[rows:2 * rows], y[rows:2 * rows])]))
+        assert np.array_equal(out[-rows:], plain(x[-rows:], y[-rows:]))
+        assert np.allclose(out, plain(x, y), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("J", [2, 16, 64])
+    def test_pointwise_rows_do_not_depend_on_the_call_beyond_one_block(self, J):
+        gt = GridTransform(J)
+        rows = gt.rows_per_block
+        c = rng.standard_normal((3 * rows + 5, J))
+
+        def square(g):
+            return 0.7 * g * g
+
+        whole = gt.pointwise(square, c)
+        for split in (rows + 1, 2 * rows - 1, 2 * rows + 2):
+            parts = np.vstack([gt.pointwise(square, c[:split]), gt.pointwise(square, c[split:])])
+            assert np.array_equal(parts, whole)
+
     def test_rejects_undersampled_grid(self):
         with pytest.raises(ValueError):
             GridTransform(16, M=32)
