@@ -27,7 +27,6 @@ from .nonlinearity import (
     saturating_square,
     pointwise_variance,
     eval_F,
-    eval_Fbar,
     averaged_force,
 )
 from .integrators import (

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -83,13 +84,23 @@ def _object(value) -> dict:
 def _numbers(value) -> list:
     if not isinstance(value, list) or not value:
         raise TypeError("expected a non-empty list of numbers")
-    return [float(v) for v in value]
+    return [_real(v) for v in value]
 
 
 def _path(value) -> str:
     if not isinstance(value, str):
         raise TypeError("expected a string")
     return value or "."
+
+
+def _real(value) -> float:
+    """A finite JSON number; true, "0.5", NaN and Infinity are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
 def _integer(value) -> int:
@@ -128,7 +139,7 @@ def _spectrum_from_config(cfg: dict) -> SpectrumSpec:
     if kind == "dirichlet":
         return dirichlet_spectrum(J)
     if kind == "quadratic":
-        return quadratic_spectrum(J, scale=_read(sc, "scale", float, 1.0, "spectrum."))
+        return quadratic_spectrum(J, scale=_read(sc, "scale", _real, 1.0, "spectrum."))
     if kind == "explicit":
         lambdas = _read(sc, "lambdas", _numbers, None, "spectrum.")
         return SpectrumSpec(J=J, lambdas=np.asarray(lambdas))
@@ -150,7 +161,7 @@ def _field_from_config(section: dict, key: str, J: int, default=None,
         preset = value.get("preset", "zero")
         if preset == "zero":
             return np.zeros(J)
-        amplitude = _read(value, "amplitude", float, 1.0, where)
+        amplitude = _read(value, "amplitude", _real, 1.0, where)
         if preset == "mode":
             k = _read(value, "k", _integer, 1, where)
             if not 1 <= k <= J:
@@ -159,7 +170,7 @@ def _field_from_config(section: dict, key: str, J: int, default=None,
             out[k - 1] = amplitude
             return out
         if preset == "decay":
-            p = _read(value, "p", float, 1.0, where)
+            p = _read(value, "p", _real, 1.0, where)
             return amplitude * np.arange(1, J + 1, dtype=float) ** (-p)
         if preset == "ones":
             return amplitude * np.ones(J)
@@ -182,9 +193,9 @@ def _nonlinearity_from_config(cfg: dict) -> Nonlinearity:
     params = _read(nc, "params", _object, {}, "nonlinearity.")
 
     def coefficient(key, default=1.0):
-        return _read(params, key, float, default, "nonlinearity.params.")
+        return _read(params, key, _real, default, "nonlinearity.params.")
 
-    variant = nc.get("variant")
+    variant = nc.get("variant", "LINEAR_IN_Y")
     if variant == "LINEAR_IN_Y":
         return LinearInY(c=coefficient("c"))
     if variant == "AFFINE":
@@ -198,9 +209,9 @@ def _nonlinearity_from_config(cfg: dict) -> Nonlinearity:
 
 def _run_config(cfg: dict, spec: SpectrumSpec, scheme: Optional[SchemeKind] = None) -> RunConfig:
     return RunConfig(
-        T=_read(cfg, "T", float, 1.0),
+        T=_read(cfg, "T", _real, 1.0),
         N=_read(cfg, "N", _step_count, 64),
-        eps=_read(cfg, "eps", float, 1.0),
+        eps=_read(cfg, "eps", _real, 1.0),
         scheme=scheme or _read(cfg, "scheme", SchemeKind, "COUPLED_MODIFIED"),
         x0=_field_from_config(cfg, "x0", spec.J),
         y0=_field_from_config(cfg, "y0", spec.J),

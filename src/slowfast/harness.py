@@ -26,7 +26,6 @@ from .integrators import (
     RunConfig, SchemeKind, Transition, run_trajectory_batch, solve_averaged_reference, trajectory,
 )
 from .moments import ModeMoments, continuous_second_moment, second_moment_recursion
-from .noise import StreamTag, sample_cylindrical_batch
 from .nonlinearity import GridTransform, LinearInY, Nonlinearity
 from .spectral import SpectrumSpec, check_field
 
@@ -138,10 +137,6 @@ class WeakErrorPoint:
     oracle_bias: float
 
 
-def _phi_values_batch(config, spec, nl, gt, phi, master_seed, first, count):
-    return evaluate_functional(phi, run_trajectory_batch(config, spec, nl, gt, master_seed, first, count))
-
-
 def mc_estimate(
     config: RunConfig,
     phi: FunctionalSpec,
@@ -172,17 +167,18 @@ def mc_estimate(
         raise ValueError("need n_samples >= 2")
     vals = np.empty(n_samples)
     spans = [(a, min(a + batch, n_samples)) for a in range(0, n_samples, batch)]
-    if n_threads <= 1 or len(spans) == 1:
-        for a, b in spans:
-            vals[a:b] = _phi_values_batch(config, spec, nl, gt, phi, master_seed, a, b - a)
-    else:
-        def work(span):
-            a, b = span
-            return a, b, _phi_values_batch(config, spec, nl, gt, phi, master_seed, a, b - a)
 
+    def work(span):
+        a, b = span
+        x = run_trajectory_batch(config, spec, nl, gt, master_seed, a, b - a)
+        vals[a:b] = evaluate_functional(phi, x)
+
+    if n_threads <= 1 or len(spans) == 1:
+        for span in spans:
+            work(span)
+    else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for a, b, v in pool.map(work, spans):
-                vals[a:b] = v
+            list(pool.map(work, spans))
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         sample = int(bad[0])
@@ -247,13 +243,11 @@ def continuous_weak_value(
     phi: FunctionalSpec,
     spec: SpectrumSpec,
     nl: Nonlinearity,
-    method: str = "expm",
 ) -> float:
     """Exact E[phi(X(T))] of the continuous dynamics (linear-in-y coupling)."""
     _require_linear_in_y(nl, "the continuous oracle")
-    mom = continuous_second_moment(
-        spec.lambdas, nl.c, config.eps, config.T, _start_moments(config, spec), method=method
-    )
+    mom = continuous_second_moment(spec.lambdas, nl.c, config.eps, config.T,
+                                   _start_moments(config, spec))
     return gaussian_expectation(phi, mom.mean_x, mom.var_x)
 
 
@@ -419,7 +413,6 @@ class InvariantCheckReport:
     residual_modified: np.ndarray
     residual_standard: np.ndarray
     standard_at_unit: np.ndarray
-    empirical: Optional[list] = None
 
 
 def _variance_map_residual(a: np.ndarray, s2: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -427,20 +420,15 @@ def _variance_map_residual(a: np.ndarray, s2: np.ndarray, lam: np.ndarray) -> np
     return np.abs((a * a * v + s2) * lam - 1.0)
 
 
-def invariant_measure_check(
-    spec: SpectrumSpec,
-    tau_list: Sequence[float],
-    empirical_steps: int = 0,
-    master_seed: int = 0,
-) -> InvariantCheckReport:
+def invariant_measure_check(spec: SpectrumSpec, tau_list: Sequence[float]) -> InvariantCheckReport:
     """Check that the equilibrium variance 1/lam is a fixed point per mode.
 
     The modified update has noise variance s2 = tau*(2+tau*lam)/(1+tau*lam)^2
     per step and satisfies the fixed point identically; the standard
     semi-implicit update (s2 = 2*tau/(1+tau*lam)^2) does not, which the
-    standard_* fields document.  With empirical_steps > 0 a single long chain
-    per tau is run at mode 1 and its time-averaged squared value is recorded
-    with an autocorrelation-corrected standard error.
+    standard_* fields document.  The sampler runs the same modified update
+    (`Transition`), so its fast variance n steps from y0 = 0 is
+    (1 - a^(2n))/lam.
     """
     lam = spec.lambdas
     taus = [float(t) for t in tau_list]
@@ -448,38 +436,17 @@ def invariant_measure_check(
         raise ValueError("tau values must be positive")
     res_mod = np.empty((len(taus), spec.J))
     res_std = np.empty((len(taus), spec.J))
-    empirical = [] if empirical_steps > 0 else None
-    mode1 = SpectrumSpec(1, np.array([float(lam[0])]))
     for i, tau in enumerate(taus):
         tr = Transition(SchemeKind.COUPLED_MODIFIED, lam, tau, 1.0)
         res_mod[i] = _variance_map_residual(tr.a, tr.s2, lam)
         res_std[i] = _variance_map_residual(tr.a, 2.0 * tau * tr.a * tr.a, lam)
-        if empirical is None:
-            continue
-        # one long chain at mode 1; the sample axis of the draws is its time axis
-        L = float(lam[0])
-        a, b1, b2 = float(tr.a[0]), float(tr.b1[0]), float(tr.b2[0])
-        g1 = sample_cylindrical_batch(mode1, master_seed, StreamTag.GAMMA_1, i, 0, empirical_steps)[:, 0]
-        g2 = sample_cylindrical_batch(mode1, master_seed, StreamTag.GAMMA_2, i, 0, empirical_steps)[:, 0]
-        noise = float(tr.scale) * (b1 * g1 + b2 * g2)
-        y = np.empty(empirical_steps)
-        cur = 1.0 / math.sqrt(L)  # start at equilibrium scale
-        for n in range(empirical_steps):
-            cur = a * cur + noise[n]
-            y[n] = cur
-        mean_sq = float(np.mean(y * y))
-        rho = a * a  # lag-1 autocorrelation of y_n^2 for a Gaussian AR(1)
-        se = math.sqrt(2.0 / L**2 * (1.0 + rho) / ((1.0 - rho) * empirical_steps))
-        empirical.append((tau, mean_sq, 1.0 / L, se))
-    z1 = np.ones(spec.J)
-    a1 = 0.5 * z1
+    a1 = np.full(spec.J, 0.5)  # a at tau*lam = 1
     std_unit = _variance_map_residual(a1, (2.0 / lam) * a1 * a1, lam)
     return InvariantCheckReport(
         tau_list=tuple(taus),
         residual_modified=res_mod,
         residual_standard=res_std,
         standard_at_unit=std_unit,
-        empirical=empirical,
     )
 
 

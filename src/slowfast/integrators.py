@@ -36,7 +36,7 @@ from scipy.integrate import solve_ivp
 
 from .noise import StreamTag, sample_cylindrical_batch
 from .nonlinearity import (
-    GridTransform, LinearInY, Nonlinearity, PointwiseSquare, averaged_force, eval_F, eval_Fbar,
+    GridTransform, LinearInY, Nonlinearity, PointwiseSquare, averaged_force, eval_F,
 )
 from .spectral import SpectrumSpec, check_field
 
@@ -234,10 +234,9 @@ def solve_averaged_reference(
         decay = np.exp(-T * spec.lambdas)
     if isinstance(nl, LinearInY):
         return x0 * decay
-    if isinstance(nl, PointwiseSquare):
-        g = eval_Fbar(nl, gt, spec, np.zeros_like(x0))
-        return x0 * decay + (1.0 - decay) * g / spec.lambdas
     fbar = averaged_force(nl, gt, spec)
+    if isinstance(nl, PointwiseSquare):
+        return x0 * decay + (1.0 - decay) * fbar(np.zeros_like(x0)) / spec.lambdas
     sol = solve_ivp(lambda t, x: fbar(x) - spec.lambdas * x, (0.0, T), x0,
                     method="LSODA", rtol=1e-12, atol=1e-14)
     if not sol.success:

@@ -14,8 +14,7 @@ covariance ODE
     d cov   / dt = -(lam + lam/eps) cov + c var_y
     d var_y / dt = -(2 lam / eps) var_y + 2 / eps
 
-solved either by matrix exponential (exact, default) or by an implicit
-step-control integrator (the brute-force oracle used in tests).
+solved exactly by matrix exponential.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .integrators import SchemeKind, Transition
@@ -175,15 +173,11 @@ def continuous_second_moment(
     eps: float,
     T: float,
     start: ModeMoments,
-    method: str = "expm",
 ) -> ModeMoments:
     """Second moments of the exact dynamics at time T, per mode.
 
-    method="expm" evaluates the matrix exponential of the (upper triangular)
-    covariance generator exactly.  method="ode" integrates the same system
-    with an implicit step-control solver at tolerance 1e-10; it is the
-    brute-force oracle the expm path is validated against, and is the one to
-    reach for when in doubt.
+    The covariance generator is upper triangular; its matrix exponential is
+    evaluated exactly, one mode at a time.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if eps <= 0 or T < 0:
@@ -199,38 +193,12 @@ def continuous_second_moment(
     cv = np.empty_like(lam)
     vy = np.empty_like(lam)
     for i, L in enumerate(lam):
-        if method == "expm":
-            gen = np.array(
-                [
-                    [-2.0 * L, 2.0 * c, 0.0, 0.0],
-                    [0.0, -(L + L / eps), c, 0.0],
-                    [0.0, 0.0, -2.0 * L / eps, 2.0 / eps],
-                    [0.0, 0.0, 0.0, 0.0],
-                ]
-            )
-            out = expm(gen * T) @ np.array([vx0[i], cv0[i], vy0[i], 1.0])
-            vx[i], cv[i], vy[i] = out[:3]
-        elif method == "ode":
-            def rhs(t, v, L=L):
-                return [
-                    -2.0 * L * v[0] + 2.0 * c * v[1],
-                    -(L + L / eps) * v[1] + c * v[2],
-                    -2.0 * L * v[2] / eps + 2.0 / eps,
-                ]
-
-            sol = solve_ivp(
-                rhs,
-                (0.0, T),
-                [vx0[i], cv0[i], vy0[i]],
-                method="Radau",
-                rtol=1e-10,
-                atol=1e-13,
-            )
-            if not sol.success:
-                raise RuntimeError(f"covariance ODE solve failed: {sol.message}")
-            vx[i], cv[i], vy[i] = sol.y[:, -1]
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        gen = np.array([[-2.0 * L, 2.0 * c, 0.0, 0.0],
+                        [0.0, -(L + L / eps), c, 0.0],
+                        [0.0, 0.0, -2.0 * L / eps, 2.0 / eps],
+                        [0.0, 0.0, 0.0, 0.0]])
+        out = expm(gen * T) @ np.array([vx0[i], cv0[i], vy0[i], 1.0])
+        vx[i], cv[i], vy[i] = out[:3]
     vx = np.maximum(vx, 0.0)
     vy = np.maximum(vy, 0.0)
     return ModeMoments(mean_x=mx, mean_y=my, var_x=vx, var_y=vy, cov_xy=cv)

@@ -11,14 +11,15 @@ Four variants are provided:
   pointwise; Fbar averages v over N(0, sigma^2(xi)) by Gauss-Hermite
   quadrature.
 
-PointwiseSquare has unbounded second-derivative growth at large amplitude, so
-it sits outside the strict bounded-derivative class; it is kept because its
-average is in closed form, which makes it the natural test oracle.  Use
-``saturating_square`` for a bounded stand-in with the same small-amplitude
-behavior.
+PointwiseSquare is not globally Lipschitz and its growth is unbounded at
+large amplitude, so it sits outside the strict bounded-derivative class; it
+is kept because its average is in closed form, which makes it the natural
+test oracle.  Use ``saturating_square`` for a bounded stand-in with the same
+small-amplitude behavior.
 
-All evaluation helpers accept coefficient arrays of shape (J,) or (n, J) and
-return the same shape.
+``eval_F`` evaluates F; ``averaged_force`` builds x -> Fbar(x) once, with the
+constants of the average precomputed.  Both take coefficient arrays of shape
+(J,) or (n, J) and return the same shape.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "saturating_square",
     "pointwise_variance",
     "eval_F",
-    "eval_Fbar",
     "averaged_force",
 ]
 
@@ -126,26 +126,16 @@ class GridTransform:
 class LinearInY:
     c: float
 
-    def lipschitz_constant(self) -> float:
-        return abs(self.c)
-
 
 @dataclass(frozen=True)
 class Affine:
     c_x: float
     c_y: float
 
-    def lipschitz_constant(self) -> float:
-        return float(np.hypot(self.c_x, self.c_y))
-
 
 @dataclass(frozen=True)
 class PointwiseSquare:
     c: float
-
-    def lipschitz_constant(self) -> None:
-        # not globally Lipschitz; see module docstring
-        return None
 
 
 @dataclass(frozen=True)
@@ -159,14 +149,10 @@ class PointwiseGeneral:
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     quadrature_order: int = 12
-    lipschitz: Optional[float] = None
 
     def __post_init__(self):
         if self.quadrature_order < 1:
             raise ValueError("quadrature_order must be >= 1")
-
-    def lipschitz_constant(self) -> Optional[float]:
-        return self.lipschitz
 
 
 Nonlinearity = Union[LinearInY, Affine, PointwiseSquare, PointwiseGeneral]
@@ -179,7 +165,7 @@ def saturating_square(c: float) -> PointwiseGeneral:
         v2 = v * v
         return c * v2 / (1.0 + v2)
 
-    return PointwiseGeneral(f=f, quadrature_order=12, lipschitz=abs(c))
+    return PointwiseGeneral(f=f, quadrature_order=12)
 
 
 def pointwise_variance(spec: SpectrumSpec, gt: GridTransform) -> np.ndarray:
@@ -258,12 +244,3 @@ def averaged_force(
         return lambda x: gt.pointwise(average, x)
     raise TypeError(f"unknown nonlinearity {nl!r}")
 
-
-def eval_Fbar(
-    nl: Nonlinearity,
-    gt: Optional[GridTransform],
-    spec: SpectrumSpec,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Coefficients of the averaged nonlinearity Fbar(x) = E F(x, Y), Y ~ N(0, Lambda^-1)."""
-    return averaged_force(nl, gt, spec)(np.asarray(x, dtype=float))

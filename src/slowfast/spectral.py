@@ -8,7 +8,7 @@ shape ``(..., J)``.  The per-step operators of each scheme live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class EigenvalueBoundReport:
     q_gap: np.ndarray         # 1 - q_tau_j
     lambda_bound: np.ndarray  # c_alpha * tau^alpha * lambda_j^(1+alpha)
     q_bound: np.ndarray       # c_alpha * tau^alpha * lambda_j^alpha
-    holds: bool = field(default=True)
 
 
 def eigenvalue_error_bounds(spec: SpectrumSpec, tau: float, alpha: float) -> EigenvalueBoundReport:
@@ -162,20 +161,11 @@ def eigenvalue_error_bounds(spec: SpectrumSpec, tau: float, alpha: float) -> Eig
     q_bound = c_alpha * tau**alpha * lam**alpha
     # lambda_tau = lam*(1 - eta) < lam and q_tau = 1 - eta < 1 both read eta > 0;
     # q_tau > 0 is checked on log(1+z)/z itself, because eta rounds to 1 at huge z
-    ok = bool(
+    assert (
         np.all(eta > 0.0)
         and np.all(np.log1p(z) / z > 0.0)
         and np.all(lam_gap <= lam_bound * slack)
         and np.all(q_gap <= q_bound * slack)
-    )
-    assert ok, f"eigenvalue gap bounds violated at tau={tau}, alpha={alpha}"
-    return EigenvalueBoundReport(
-        tau=tau,
-        alpha=alpha,
-        c_alpha=c_alpha,
-        lambda_gap=lam_gap,
-        q_gap=q_gap,
-        lambda_bound=lam_bound,
-        q_bound=q_bound,
-        holds=ok,
-    )
+    ), f"eigenvalue gap bounds violated at tau={tau}, alpha={alpha}"
+    return EigenvalueBoundReport(tau=tau, alpha=alpha, c_alpha=c_alpha, lambda_gap=lam_gap,
+                                 q_gap=q_gap, lambda_bound=lam_bound, q_bound=q_bound)

@@ -286,12 +286,20 @@ class TestFailureModes:
         ("weak-error", {"drop_coarsest": 0}, "drop_coarsest"),
         ("simulate", {"master_seed": -1}, "master_seed"),
         ("simulate", {"master_seed": 2**64}, "master_seed"),
+        ("simulate", {"T": float("nan")}, "T"),
+        ("simulate", {"nonlinearity": {"params": {"c": float("nan")}}}, "nonlinearity.params.c"),
+        ("simulate", {"eps": float("inf")}, "eps"),
+        ("simulate", {"T": True}, "T"),
+        ("simulate", {"eps": "0.5"}, "eps"),
+        ("invariant-test", {"tau_list": [True]}, "tau_list"),
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
             "empty_eps_list", "fractional_master_seed", "fractional_J", "fractional_n_samples",
             "boolean_sample_index", "string_refinement", "string_drop_coarsest",
-            "numeric_drop_coarsest", "negative_master_seed", "master_seed_past_64_bits"])
+            "numeric_drop_coarsest", "negative_master_seed", "master_seed_past_64_bits",
+            "nan_T", "nan_coefficient", "infinite_eps", "boolean_T", "string_eps",
+            "boolean_in_tau_list"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)

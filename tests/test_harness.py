@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from covariance_ode import ode_moments
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from slowfast import (
@@ -10,10 +13,12 @@ from slowfast import (
     FunctionalSpec,
     GridTransform,
     LinearInY,
+    ModeMoments,
     OracleMode,
     PointwiseGeneral,
     RunConfig,
     SchemeKind,
+    SpectrumSpec,
     ap_diagram,
     averaging_curve,
     continuous_weak_value,
@@ -275,26 +280,23 @@ class TestAveragingCurve:
 
 
 class TestInvariantCheck:
-    def test_modified_map_fixed_point(self):
-        spec = dirichlet_spectrum(64)
-        rep = invariant_measure_check(spec, [1e-4, 1e-2, 1.0, 1e2, 1e4])
-        assert rep.residual_modified.max() < 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-8.0, 8.0), st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8))
+    def test_fixed_point_residuals(self, log_tau, log_lams):
+        # the modified map fixes 1/lam to rounding; the standard map
+        # v -> a^2 v + 2 tau a^2 has fixed point 2/(lam(2+tau*lam)), so its
+        # relative residual of 1/lam is z^2/(1+z)^2 with z = tau*lam, computed
+        # as |a^2 (1 + 2 z) - 1|, which cancels to about 1e-16 at small z
+        tau = 10.0**log_tau
+        lams = np.sort(10.0 ** np.array(log_lams))
+        rep = invariant_measure_check(SpectrumSpec(len(lams), lams), [tau])
+        z = tau * lams
+        assert rep.residual_modified.max() < 1e-14
+        assert np.allclose(rep.residual_standard[0], z**2 / (1 + z) ** 2, rtol=1e-10, atol=1e-15)
 
     def test_standard_map_fails_at_unit_taulambda(self):
         rep = invariant_measure_check(SPEC, [1.0])
         assert np.all(np.abs(rep.standard_at_unit - 0.25) < 1e-13)
-
-    def test_standard_residual_formula(self):
-        # v -> a^2 v + 2 tau a^2 has fixed point 2/(lam(2+tau*lam)), so the
-        # relative residual of 1/lam under one step is (tau*lam)^2/(1+tau*lam)^2
-        rep = invariant_measure_check(SPEC, [0.013])
-        z = 0.013 * SPEC.lambdas
-        assert np.allclose(rep.residual_standard[0], z**2 / (1 + z) ** 2, rtol=1e-10)
-
-    def test_empirical_long_run_variance(self):
-        rep = invariant_measure_check(SPEC, [0.5, 5.0], empirical_steps=100_000, master_seed=4)
-        for tau, mean_sq, target, se in rep.empirical:
-            assert abs(mean_sq - target) < 4 * se
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
@@ -324,7 +326,10 @@ class TestUniformSweep:
 
 class TestContinuousWeakValue:
     def test_methods_agree(self):
+        # the matrix-exponential value against the Radau oracle's moments
         cfg = coupled_config(N=32, eps=0.5)
-        a = continuous_weak_value(cfg, PHI_NORM, SPEC, NL, method="expm")
-        b = continuous_weak_value(cfg, PHI_NORM, SPEC, NL, method="ode")
+        a = continuous_weak_value(cfg, PHI_NORM, SPEC, NL)
+        mom = ode_moments(SPEC.lambdas, NL.c, cfg.eps, cfg.T,
+                          ModeMoments(mean_x=cfg.x0, mean_y=cfg.y0))
+        b = gaussian_expectation(PHI_NORM, mom.mean_x, mom.var_x)
         assert a == pytest.approx(b, abs=1e-8)

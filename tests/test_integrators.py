@@ -17,9 +17,9 @@ from slowfast import (
     SchemeKind,
     StreamTag,
     Transition,
+    averaged_force,
     dirichlet_spectrum,
     eval_F,
-    eval_Fbar,
     mc_estimate,
     run_trajectory_batch,
     sample_cylindrical_batch,
@@ -71,6 +71,19 @@ class TestCoupledModifiedStep:
         v = np.var(y, axis=0)
         # chi-square concentration: relative 4-sigma band is 4*sqrt(2/n)
         assert np.max(np.abs(v * SPEC.lambdas - 1.0)) < 4 * np.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("tau", [0.5, 5.0])
+    def test_multi_step_variance_from_rest(self, tau):
+        # n sampler steps from y0 = 0: var y_n = (1 - a^(2n))/lambda, a = 1/(1 + tau*lambda)
+        count, n = 50_000, 4
+        cfg = RunConfig(T=n * tau, N=n, eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED,
+                        x0=np.zeros(8), y0=np.zeros(8))
+        for _, y in trajectory(cfg, SPEC, ZERO_F, None, 4, 0, count):
+            pass
+        a = 1.0 / (1.0 + tau * SPEC.lambdas)
+        exact = (1.0 - a ** (2 * n)) / SPEC.lambdas
+        # the mean is exactly 0, so mean(y^2) is a chi-square variance estimate
+        assert np.max(np.abs(np.mean(y * y, axis=0) / exact - 1.0)) < 4 * np.sqrt(2.0 / count)
 
     def test_combined_noise_variance_identity(self):
         # the two noise coefficients combine to the closed-form variance
@@ -146,7 +159,7 @@ class TestLimitingAndAveragedSteps:
     def test_averaged_constant_forcing_closed_form(self):
         gt = GridTransform(8)
         nl = PointwiseSquare(c=1.0)
-        g = eval_Fbar(nl, gt, SPEC, np.zeros(8))
+        g = averaged_force(nl, gt, SPEC)(np.zeros(8))
         dt, N = 0.05, 100
         x = rng.standard_normal(8)
         cur = final_state(SchemeKind.AVERAGED, nl, x, dt, N, gt)
@@ -157,7 +170,7 @@ class TestLimitingAndAveragedSteps:
     def test_averaged_converges_to_equilibrium(self):
         gt = GridTransform(8)
         nl = PointwiseSquare(c=2.0)
-        g = eval_Fbar(nl, gt, SPEC, np.zeros(8))
+        g = averaged_force(nl, gt, SPEC)(np.zeros(8))
         cur = final_state(SchemeKind.AVERAGED, nl, np.zeros(8), 0.1, 5000, gt)
         assert np.allclose(cur, g / SPEC.lambdas, rtol=1e-10)
 
@@ -345,14 +358,14 @@ class TestAveragedReference:
     def test_constant_forcing_equilibrium(self):
         gt = GridTransform(8)
         nl = PointwiseSquare(c=1.5)
-        g = eval_Fbar(nl, gt, SPEC, np.zeros(8))
+        g = averaged_force(nl, gt, SPEC)(np.zeros(8))
         out = solve_averaged_reference(SPEC, nl, np.zeros(8), 100.0, gt)
         assert np.allclose(out, g / SPEC.lambdas, rtol=1e-12)
 
     def test_variation_of_constants(self):
         gt = GridTransform(8)
         nl = PointwiseSquare(c=1.0)
-        g = eval_Fbar(nl, gt, SPEC, np.zeros(8))
+        g = averaged_force(nl, gt, SPEC)(np.zeros(8))
         x0 = rng.standard_normal(8)
         T = 0.3
         out = solve_averaged_reference(SPEC, nl, x0, T, gt)
@@ -364,7 +377,7 @@ class TestAveragedReference:
         # field g and the ODE solve must reproduce the closed form
         gt = GridTransform(8)
         nl = saturating_square(1.0)
-        g = eval_Fbar(nl, gt, SPEC, np.zeros(8))
+        g = averaged_force(nl, gt, SPEC)(np.zeros(8))
         x0 = 1.0 / SPEC.lambdas
         T = 0.5
         out = solve_averaged_reference(SPEC, nl, x0, T, gt)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from covariance_ode import ode_moments
 from scipy.integrate import quad
 
 from slowfast import (
@@ -182,11 +183,11 @@ class TestContinuousSecondMoment:
         lam = np.array([LAM])
         golden = {"var_x": 0.000333396989998927, "cov_xy": 0.003414176675187465,
                   "var_y": 0.10131594298788839}
-        ode = continuous_second_moment(lam, 1.0, 0.5, 0.25, ModeMoments(), method="ode")
+        ode = ode_moments(lam, 1.0, 0.5, 0.25, ModeMoments())
         assert ode.var_x[0] == pytest.approx(golden["var_x"], rel=5e-9)
         assert ode.cov_xy[0] == pytest.approx(golden["cov_xy"], rel=5e-9)
         assert ode.var_y[0] == pytest.approx(golden["var_y"], rel=5e-9)
-        ex = continuous_second_moment(lam, 1.0, 0.5, 0.25, ModeMoments(), method="expm")
+        ex = continuous_second_moment(lam, 1.0, 0.5, 0.25, ModeMoments())
         assert ex.var_x[0] == pytest.approx(golden["var_x"], rel=1e-10)
 
     def test_expm_agrees_with_ode_oracle(self):
@@ -196,14 +197,10 @@ class TestContinuousSecondMoment:
             eps = float(rng.choice([1.0, 0.5, 2.0**-4]))
             T = rng.uniform(0.05, 1.0)
             start = ModeMoments(var_x=rng.uniform(0, 1), var_y=rng.uniform(0, 1))
-            a = continuous_second_moment(lam, c, eps, T, start, method="expm")
-            b = continuous_second_moment(lam, c, eps, T, start, method="ode")
+            a = continuous_second_moment(lam, c, eps, T, start)
+            b = ode_moments(lam, c, eps, T, start)
             for f in ("var_x", "cov_xy", "var_y"):
                 assert abs(getattr(a, f)[0] - getattr(b, f)[0]) < 1e-9
-
-    def test_rejects_bad_method(self):
-        with pytest.raises(ValueError):
-            continuous_second_moment(np.array([1.0]), 0.0, 1.0, 1.0, ModeMoments(), method="rk4")
 
 
 class TestAgainstMonteCarlo:
