@@ -333,6 +333,8 @@ def fit_rate(points, drop_coarsest: bool = False) -> RateFit:
         raise ValueError("need at least 3 points to fit a rate")
     dts = np.array([p[0] for p in pts])
     errs = np.array([p[1] for p in pts])
+    if not np.all(np.isfinite(errs)):
+        raise ValueError(f"errors must be finite for a log-log fit, got {errs.tolist()}")
     if np.any(errs <= 0.0):
         raise ValueError("errors must be positive for a log-log fit (below noise floor?)")
     x = np.log(dts)

@@ -116,7 +116,11 @@ class Transition:
         self.one_plus = 1.0 + dt * lam
         if scheme == SchemeKind.COUPLED_MODIFIED:
             tau = dt / eps
-            z = tau * lam
+            with np.errstate(over="ignore"):
+                z = tau * lam
+            if not np.all(np.isfinite(z)):
+                raise ValueError(f"argument 'eps' = {eps!r} is too small: tau*lam = dt*lam/eps "
+                                 "is not finite")
             self.a = 1.0 / (1.0 + z)
             self.b1 = self.a / np.sqrt(2.0)
             self.b2 = np.sqrt(0.5 * self.a)

@@ -1,9 +1,10 @@
 """Exact first and second moments for the linear-in-y coupling.
 
 When F(x, y) = c*y the modes decouple and every scheme in the catalog has
-Gaussian iterates whose per-mode moments obey constant-coefficient affine
-recursions.  This module propagates those recursions exactly, which turns
-weak-error measurement into a noise-free computation: repeated runs give bit
+Gaussian iterates whose per-mode moments obey one constant-coefficient
+affine map on (m_y, m_x, var_y, cov_xy, var_x).  This module applies that
+map N times as one matrix power per mode, which turns weak-error
+measurement into a noise-free computation: repeated runs give bit
 identical errors.
 
 The continuous-time counterparts serve as the truth side: the mean comes
@@ -14,7 +15,7 @@ covariance ODE
     d cov   / dt = -(lam + lam/eps) cov + c var_y
     d var_y / dt = -(2 lam / eps) var_y + 2 / eps
 
-solved exactly by matrix exponential.
+solved exactly by one matrix exponential of the stacked per-mode generators.
 """
 
 from __future__ import annotations
@@ -61,9 +62,7 @@ def _phi1(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < 1e-6
     safe = np.where(small, 1.0, u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = np.expm1(safe) / safe
-    return np.where(small, 1.0 + u / 2.0 + u * u / 6.0, exact)
+    return np.where(small, 1.0 + u / 2.0 + u * u / 6.0, np.expm1(safe) / safe)
 
 
 def continuous_mean(
@@ -72,42 +71,39 @@ def continuous_mean(
     """E X(T) per mode for the exact dynamics with F = c*y.
 
     Equals e^(-lam T) x0 + c y0 (e^(-lam T/eps) - e^(-lam T)) / (lam (1 - 1/eps))
-    for eps != 1; the eps = 1 limit c y0 T e^(-lam T) is obtained from the same
-    stable form, so no separate branch is visible to the caller.
+    for eps != 1.  The forcing term is evaluated as
+    c y0 T e^(-min(lam, lam/eps) T) phi1(-|lam - lam/eps| T): the slower rate
+    carries the exponential and phi1 sees a nonpositive argument, so it
+    neither overflows for eps > 1 nor loses the eps = 1 limit c y0 T e^(-lam T).
     """
     lam = np.asarray(lam, dtype=float)
     if eps <= 0 or T < 0:
         raise ValueError("need eps > 0 and T >= 0")
-    u = lam * T * (1.0 - 1.0 / eps)
-    with np.errstate(under="ignore"):
-        return np.exp(-lam * T) * (np.asarray(x0, float) + c * np.asarray(y0, float) * T * _phi1(u))
+    with np.errstate(over="ignore", under="ignore"):
+        fast = lam / eps
+        forcing = T * np.exp(-np.minimum(lam, fast) * T) * _phi1(-np.abs(lam - fast) * T)
+        return np.exp(-lam * T) * np.asarray(x0, float) + c * np.asarray(y0, float) * forcing
 
 
-def _mean_matrices(tr, c):
-    a, dt = tr.a, tr.dt
-    r = 1.0 / tr.one_plus
-    M = np.zeros((a.size, 2, 2))
-    M[:, 0, 0] = a
-    M[:, 1, 0] = r * dt * c * a
-    M[:, 1, 1] = r
-    return M
-
-
-def _second_matrices(tr, c):
-    # homogeneous affine map on (var_y, cov_xy, var_x, 1)
+def _step_matrix(tr: Transition, c: float) -> np.ndarray:
+    """(J, 6, 6) affine step of the scheme on (m_y, m_x, var_y, cov_xy, var_x, 1)."""
     a, s2, dt = tr.a, tr.s2, tr.dt
     r = 1.0 / tr.one_plus
-    M = np.zeros((a.size, 4, 4))
-    M[:, 0, 0] = a * a
-    M[:, 0, 3] = s2
-    M[:, 1, 0] = r * dt * c * a * a
-    M[:, 1, 1] = r * a
-    M[:, 1, 3] = r * dt * c * s2
-    M[:, 2, 0] = r * r * dt * dt * c * c * a * a
-    M[:, 2, 1] = 2.0 * r * r * dt * c * a
-    M[:, 2, 2] = r * r
-    M[:, 2, 3] = r * r * dt * dt * c * c * s2
-    M[:, 3, 3] = 1.0
+    g = r * dt * c  # weight of the updated fast iterate in x'
+    M = np.zeros((a.size, 6, 6))
+    M[:, 0, 0] = a
+    M[:, 1, 0] = g * a
+    M[:, 1, 1] = r
+    M[:, 2, 2] = a * a
+    M[:, 2, 5] = s2
+    M[:, 3, 2] = g * a * a
+    M[:, 3, 3] = r * a
+    M[:, 3, 5] = g * s2
+    M[:, 4, 2] = g * g * a * a
+    M[:, 4, 3] = 2.0 * r * g * a
+    M[:, 4, 4] = r * r
+    M[:, 4, 5] = g * g * s2
+    M[:, 5, 5] = 1.0
     return M
 
 
@@ -134,37 +130,22 @@ def second_moment_recursion(
 
     (the nonlinearity sees the updated fast iterate).  For the LIMITING
     scheme the fresh draw leaves no cross correlation, which is the a = 0,
-    s2 = 1/lam case of the same map.  Small step counts iterate the map
-    literally; large ones use an exact matrix power of the same map.
+    s2 = 1/lam case of the same map.  The map is affine, so N steps are the
+    N-th matrix power of `_step_matrix`, taken by repeated squaring.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if N < 0:
         raise ValueError("N must be nonnegative")
     ones = np.ones_like(lam)
-    mx, my, vx, vy, cv = (np.asarray(v, float) * ones for v in
-                          (start.mean_x, start.mean_y, start.var_x, start.var_y, start.cov_xy))
-    if N == 0:
-        return ModeMoments(mean_x=mx, mean_y=my, var_x=vx, var_y=vy, cov_xy=cv)
-    tr = Transition(kind, lam, dt, eps)
-    a, s2, one_plus = tr.a, tr.s2, tr.one_plus
-    if N <= 4096:
-        for _ in range(N):
-            my = a * my
-            mx = (mx + dt * c * my) / one_plus
-            vy_new = a * a * vy + s2
-            cv_new = (a * cv + dt * c * vy_new) / one_plus
-            vx = (vx + 2.0 * dt * c * a * cv + dt * dt * c * c * vy_new) / (one_plus * one_plus)
-            vy, cv = vy_new, cv_new
-    else:
-        mpow = np.linalg.matrix_power(_mean_matrices(tr, c), N)
-        m = np.einsum("nij,nj->ni", mpow, np.stack([my, mx], axis=1))
-        my, mx = m[:, 0], m[:, 1]
-        spow = np.linalg.matrix_power(_second_matrices(tr, c), N)
-        v = np.einsum("nij,nj->ni", spow, np.stack([vy, cv, vx, ones], axis=1))
-        vy, cv, vx = v[:, 0], v[:, 1], v[:, 2]
-    vx = np.maximum(vx, 0.0)
-    vy = np.maximum(vy, 0.0)
-    return ModeMoments(mean_x=mx, mean_y=my, var_x=vx, var_y=vy, cov_xy=cv)
+    state = np.stack([np.asarray(v, float) * ones for v in
+                      (start.mean_y, start.mean_x, start.var_y, start.cov_xy, start.var_x, 1.0)],
+                     axis=1)
+    if N > 0:
+        power = np.linalg.matrix_power(_step_matrix(Transition(kind, lam, dt, eps), c), N)
+        state = np.einsum("nij,nj->ni", power, state)
+    my, mx, vy, cv, vx = state[:, :5].T
+    return ModeMoments(mean_x=mx, mean_y=my, var_x=np.maximum(vx, 0.0),
+                       var_y=np.maximum(vy, 0.0), cov_xy=cv)
 
 
 def continuous_second_moment(
@@ -177,28 +158,29 @@ def continuous_second_moment(
     """Second moments of the exact dynamics at time T, per mode.
 
     The covariance generator is upper triangular; its matrix exponential is
-    evaluated exactly, one mode at a time.
+    evaluated exactly, in one call on the (J, 4, 4) stack of per-mode
+    generators acting on (var_x, cov_xy, var_y, 1).
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if eps <= 0 or T < 0:
         raise ValueError("need eps > 0 and T >= 0")
+    with np.errstate(over="ignore"):
+        fast = lam / eps
+    if not np.all(np.isfinite(fast)):
+        raise ValueError(f"argument 'eps' = {eps!r} is too small: lam/eps is not finite")
     ones = np.ones_like(lam)
     mx = continuous_mean(lam, c, eps, T, start.mean_x, start.mean_y)
     with np.errstate(under="ignore"):
         my = np.exp(-lam * T / eps) * (np.asarray(start.mean_y, float) * ones)
-    vx0 = np.asarray(start.var_x, float) * ones
-    cv0 = np.asarray(start.cov_xy, float) * ones
-    vy0 = np.asarray(start.var_y, float) * ones
-    vx = np.empty_like(lam)
-    cv = np.empty_like(lam)
-    vy = np.empty_like(lam)
-    for i, L in enumerate(lam):
-        gen = np.array([[-2.0 * L, 2.0 * c, 0.0, 0.0],
-                        [0.0, -(L + L / eps), c, 0.0],
-                        [0.0, 0.0, -2.0 * L / eps, 2.0 / eps],
-                        [0.0, 0.0, 0.0, 0.0]])
-        out = expm(gen * T) @ np.array([vx0[i], cv0[i], vy0[i], 1.0])
-        vx[i], cv[i], vy[i] = out[:3]
-    vx = np.maximum(vx, 0.0)
-    vy = np.maximum(vy, 0.0)
-    return ModeMoments(mean_x=mx, mean_y=my, var_x=vx, var_y=vy, cov_xy=cv)
+    gen = np.zeros((lam.size, 4, 4))
+    gen[:, 0, 0] = -2.0 * lam
+    gen[:, 0, 1] = 2.0 * c
+    gen[:, 1, 1] = -(lam + fast)
+    gen[:, 1, 2] = c
+    gen[:, 2, 2] = -2.0 * lam / eps
+    gen[:, 2, 3] = 2.0 / eps
+    start_vec = np.stack([np.asarray(v, float) * ones for v in
+                          (start.var_x, start.cov_xy, start.var_y, 1.0)], axis=1)
+    vx, cv, vy = np.einsum("nij,nj->ni", expm(gen * T), start_vec)[:, :3].T
+    return ModeMoments(mean_x=mx, mean_y=my, var_x=np.maximum(vx, 0.0),
+                       var_y=np.maximum(vy, 0.0), cov_xy=cv)

@@ -101,6 +101,17 @@ class TestWeakError:
         summary = json.loads((out / "summary.json").read_text())
         assert "slope" in summary and summary["oracle_functional"] is True
 
+    def test_slow_fast_variable_gives_finite_curve(self, tmp_path):
+        # eps > 1: the continuous mean's exponential rates swap order
+        cfg = write_config(tmp_path, "c.json", {
+            "spectrum": {"J": 32}, "eps": 2.0, "x0": {"preset": "ones"}, "y0": {"preset": "ones"},
+        })
+        out = tmp_path / "o"
+        assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 0
+        errors = [row[1] for row in parse_output(out / "curve.csv")]
+        assert np.all(np.isfinite(errors))
+        assert np.isfinite(json.loads((out / "summary.json").read_text())["slope"])
+
     def test_byte_identical_reruns_and_threads(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "spectrum": {"kind": "dirichlet", "J": 8},
@@ -292,6 +303,8 @@ class TestFailureModes:
         ("simulate", {"T": True}, "T"),
         ("simulate", {"eps": "0.5"}, "eps"),
         ("invariant-test", {"tau_list": [True]}, "tau_list"),
+        ("simulate", {"eps": 1e-320, "N": 4}, "eps"),
+        ("weak-error", {"eps": 1e-320, "N": 4}, "eps"),
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
@@ -299,7 +312,7 @@ class TestFailureModes:
             "boolean_sample_index", "string_refinement", "string_drop_coarsest",
             "numeric_drop_coarsest", "negative_master_seed", "master_seed_past_64_bits",
             "nan_T", "nan_coefficient", "infinite_eps", "boolean_T", "string_eps",
-            "boolean_in_tau_list"])
+            "boolean_in_tau_list", "subnormal_eps_simulate", "subnormal_eps_weak_error"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)

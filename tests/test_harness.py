@@ -235,6 +235,11 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(0.5, 1.0), (0.25, 0.5)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_errors(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_rate([(0.1, bad), (0.05, 1.0), (0.025, 0.5)])
+
 
 class TestApDiagram:
     def test_gap_decreases_along_eps_ladder(self):

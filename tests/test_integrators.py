@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from moment_loop import loop_moments
 
 from slowfast import (
     Affine,
@@ -204,7 +205,8 @@ class TestRunTrajectory:
 
     def test_mean_recursion_bit_for_bit(self):
         # zero noise draws turn the coupled scheme into its own mean
-        # recursion; the oracle loop must match to the last bit
+        # recursion: the sampler matches the literal moment loop to the last
+        # bit, and the matrix-power oracle matches it to rounding
         nl = LinearInY(c=1.7)
         dt, eps, N = 0.0625, 0.4, 12
         x, y = np.ones(8), np.full(8, 0.3)
@@ -212,9 +214,11 @@ class TestRunTrajectory:
         for _ in range(N):
             x, y = one_step(SchemeKind.COUPLED_MODIFIED, SPEC, dt, eps, nl, x, y, (zero, zero))
         start = ModeMoments(mean_x=np.ones(8), mean_y=np.full(8, 0.3))
+        loop = loop_moments(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, nl.c, eps, dt, N, start).mean_x
+        assert np.array_equal(x, loop)
         oracle = second_moment_recursion(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, nl.c, eps,
                                          dt, N, start).mean_x
-        assert np.array_equal(x, oracle)
+        assert np.allclose(oracle, loop, rtol=1e-14, atol=0.0)
 
     def test_batch_matches_singles(self):
         cfg = RunConfig(T=0.25, N=4, eps=0.3, scheme=SchemeKind.COUPLED_EXPO,

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from covariance_ode import ode_moments
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from moment_loop import loop_moments
 from scipy.integrate import quad
 
 from slowfast import (
@@ -43,6 +46,15 @@ class TestContinuousMean:
             expected = np.exp(-lam * T) * x0 + c * y0 * integral
             got = continuous_mean(np.array([lam]), c, eps, T, x0, y0)[0]
             assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("eps, lam, y0", [(2.0, 1500.0, 1.0), (100.0, 1000.0, 1e6)])
+    def test_slower_fast_variable_against_ode(self, eps, lam, y0):
+        # eps > 1 with lam*T*(1 - 1/eps) past the overflow point of exp (about 709)
+        lam, c, T = np.array([lam]), 1.3, 1.0
+        got = continuous_mean(lam, c, eps, T, 0.5, y0)[0]
+        ode = ode_moments(lam, c, eps, T, ModeMoments(mean_x=0.5, mean_y=y0)).mean_x[0]
+        assert np.isfinite(got)
+        assert got == pytest.approx(ode, rel=1e-8, abs=1e-13)
 
     def test_fast_transient_vanishes(self):
         lam = np.array([2.0])
@@ -120,29 +132,27 @@ class TestSecondMomentRecursion:
             out = second_moment_recursion(SchemeKind.COUPLED_MODIFIED, lam, 0.0, 1.0, dt, 50, start)
             assert np.max(np.abs(out.var_y * lam - 1.0)) < 1e-12
 
-    @pytest.mark.parametrize("scheme", [SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO,
-                                        SchemeKind.LIMITING], ids=lambda s: s.value)
-    def test_power_path_matches_loop(self, scheme):
-        # N above the loop threshold takes the matrix-power path; all five
-        # moments must match the literal map iterated N times
-        lam = dirichlet_spectrum(4).lambdas
-        c, eps, dt, N = 1.2, 0.7, 1e-4, 5000
-        start = ModeMoments(mean_x=1.0, mean_y=0.5, var_x=0.1, var_y=0.2, cov_xy=0.05)
-        fast = second_moment_recursion(scheme, lam, c, eps, dt, N, start)
-        tr = Transition(scheme, lam, dt, eps)
-        a, s2 = tr.a, tr.s2
-        mx, my = np.full(4, 1.0), np.full(4, 0.5)
-        vy, cv, vx = np.full(4, 0.2), np.full(4, 0.05), np.full(4, 0.1)
-        for _ in range(N):
-            my = a * my
-            mx = (mx + dt * c * my) / (1 + dt * lam)
-            vy_new = a * a * vy + s2
-            cv_new = (a * cv + dt * c * vy_new) / (1 + dt * lam)
-            vx = (vx + 2 * dt * c * a * cv + dt * dt * c * c * vy_new) / (1 + dt * lam) ** 2
-            vy, cv = vy_new, cv_new
-        for name, loop in (("mean_x", mx), ("mean_y", my), ("var_y", vy), ("cov_xy", cv),
-                           ("var_x", vx)):
-            assert np.allclose(getattr(fast, name), loop, rtol=1e-11, atol=0.0), name
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(scheme=st.sampled_from(list(SchemeKind)), J=st.integers(1, 16),
+           log_lam_scale=st.floats(-1.0, 2.0), c=st.floats(-3.0, 3.0),
+           log_eps=st.floats(-6.0, 1.0), log_dt=st.floats(-5.0, 0.0), N=st.integers(1, 2000),
+           seed=st.integers(0, 2**32))
+    def test_power_path_matches_loop(self, scheme, J, log_lam_scale, c, log_eps, log_dt, N, seed):
+        # the matrix power must reproduce the literal map iterated N times in
+        # all five moments; mean_x may cancel to near zero (absolute floor),
+        # and the others may underflow to subnormals (floor 1e-300)
+        lam = dirichlet_spectrum(J).lambdas * 10.0**log_lam_scale
+        eps, dt = 10.0**log_eps, 10.0**log_dt
+        draw = np.random.default_rng(seed)
+        var_x, var_y = draw.uniform(0, 1, J), draw.uniform(0, 1, J)
+        start = ModeMoments(mean_x=draw.uniform(-1, 1, J), mean_y=draw.uniform(-1, 1, J),
+                            var_x=var_x, var_y=var_y,
+                            cov_xy=draw.uniform(-1, 1, J) * np.sqrt(var_x * var_y))
+        power = second_moment_recursion(scheme, lam, c, eps, dt, N, start)
+        loop = loop_moments(scheme, lam, c, eps, dt, N, start)
+        for name in ("mean_x", "mean_y", "var_y", "cov_xy", "var_x"):
+            atol = 1e-15 if name == "mean_x" else 1e-300
+            assert np.allclose(getattr(power, name), getattr(loop, name), rtol=1e-11, atol=atol), name
 
     def test_matches_continuous_at_small_dt(self):
         lam = np.array([LAM])
