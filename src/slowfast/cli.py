@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from typing import Optional
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .nonlinearity import (
     Affine,
     GridTransform,
     LinearInY,
-    Nonlinearity,
     PointwiseGeneral,
     PointwiseSquare,
     saturating_square,
@@ -64,21 +62,6 @@ def load_config(path: str) -> dict:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def _read(section: dict, key: str, cast, default, where: str = ""):
-    """cast(section[key]), default when the key is absent; a value cast rejects is a ConfigError."""
-    value = section.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {where + key!r}: {exc} (got {value!r})") from None
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("expected a JSON object")
-    return value
 
 
 def _numbers(value) -> list:
@@ -112,10 +95,20 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _step_count(value) -> int:
-    n = _integer(value)
-    if n < 1:
-        raise ValueError("expected a positive integer")
+def _at_least(low: int):
+    def cast(value) -> int:
+        n = _integer(value)
+        if n < low:
+            raise ValueError(f"expected an integer >= {low}")
+        return n
+    return cast
+
+
+def _sample_count(value) -> int:
+    """0 (every expectation from the moment oracle) or a Monte Carlo size of at least 2."""
+    n = _at_least(0)(value)
+    if n == 1:
+        raise ValueError("expected 0 (the moment oracle) or at least 2 samples")
     return n
 
 
@@ -132,100 +125,155 @@ def _flag(value) -> bool:
     return value
 
 
-def _spectrum_from_config(cfg: dict) -> SpectrumSpec:
-    sc = _read(cfg, "spectrum", _object, {})
-    J = _read(sc, "J", _integer, 16, "spectrum.")
-    kind = sc.get("kind", "dirichlet")
-    if kind == "dirichlet":
-        return dirichlet_spectrum(J)
+def _one_of(*names: str):
+    def cast(value) -> str:
+        if not isinstance(value, str) or value not in names:
+            raise ValueError("expected one of " + ", ".join(names))
+        return value
+    return cast
+
+
+_RUNS = ("simulate", "weak-error", "ap-test", "uniform-sweep")
+_ALL = _RUNS + ("invariant-test",)
+_PHI = ("weak-error", "ap-test", "uniform-sweep")
+
+
+def _field_keys(name: str, preset: str, commands: tuple) -> list:
+    """A field of J numbers: the list `name`, or the preset keys under it."""
+    return [(name, _numbers, None, commands),
+            (name + ".preset", _one_of("zero", "ones", "mode", "decay"), preset, commands),
+            (name + ".amplitude", _real, 1.0, commands),
+            (name + ".k", _integer, 1, commands),
+            (name + ".p", _real, 1.0, commands)]
+
+
+# Every config key as (dotted key, cast, default, the subcommands that read
+# it); defaults are already cast, and a key with a default per subcommand has
+# a row per default.  A subcommand casts each of its keys that the config
+# gives, used by this run or not (spectrum.scale of a dirichlet spectrum); a
+# key only other subcommands read is ignored; any other key exits 2.
+SCHEMA = (
+    ("spectrum.kind", _one_of("dirichlet", "quadratic", "explicit"), "dirichlet", _ALL),
+    ("spectrum.J", _at_least(1), 16, _ALL),
+    ("spectrum.scale", _real, 1.0, _ALL),
+    ("spectrum.lambdas", _numbers, None, _ALL),
+    ("nonlinearity.variant", _one_of("LINEAR_IN_Y", "AFFINE", "POINTWISE_SQUARE",
+                                     "SATURATING_SQUARE"), "LINEAR_IN_Y", _RUNS),
+    ("nonlinearity.params.c", _real, 1.0, _RUNS),
+    ("nonlinearity.params.c_x", _real, 0.0, _RUNS),
+    ("nonlinearity.params.c_y", _real, 0.0, _RUNS),
+    ("collocation_points", _integer, None, ("simulate", "weak-error", "ap-test")),
+    ("scheme", SchemeKind, SchemeKind.COUPLED_MODIFIED, ("simulate", "weak-error")),
+    ("T", _real, 1.0, _RUNS),
+    ("N", _at_least(1), 64, ("simulate", "ap-test")),
+    ("eps", _real, 1.0, ("simulate", "weak-error")),
+    *_field_keys("x0", "zero", _RUNS),
+    *_field_keys("y0", "zero", _RUNS),
+    ("phi.kind", FunctionalKind, FunctionalKind.NORM_SQUARED, _PHI),
+    *_field_keys("phi.h", "mode", _PHI),
+    ("oracle", OracleMode, OracleMode.MOMENT_ORACLE, ("weak-error",)),
+    ("dt_list", _numbers, tuple(2.0**-k for k in range(4, 10)), ("weak-error",)),
+    ("dt_list", _numbers, tuple(2.0**-k for k in range(4, 11)), ("uniform-sweep",)),
+    ("eps_list", _numbers, tuple(4.0**-k for k in range(0, 7)), ("ap-test", "uniform-sweep")),
+    ("tau_list", _numbers, (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
+    ("n_samples", _sample_count, 100000, ("weak-error",)),
+    ("n_samples", _sample_count, 0, ("ap-test",)),
+    ("refinement", _at_least(1), 64, ("weak-error",)),
+    ("refinement", _at_least(1), 512, ("uniform-sweep",)),
+    ("drop_coarsest", _flag, False, ("weak-error",)),
+    ("master_seed", _seed, 0, ("simulate", "weak-error", "ap-test")),
+    ("n_threads", _integer, 1, ("weak-error", "ap-test")),
+    ("sample_index", _at_least(0), 0, ("simulate",)),
+    ("output_dir", _path, ".", _ALL),
+)
+
+# key paths as tuples, so that a literal "spectrum.J" key names no row
+_PATHS = {tuple(row[0].split(".")) for row in SCHEMA}
+_SECTIONS = {path[:i] for path in _PATHS for i in range(1, len(path))}
+
+
+def _leaves(section: dict, where: tuple = ()):
+    """(dotted key, value) of every leaf of the config; a key no row names is a ConfigError."""
+    for name, value in section.items():
+        path = where + (name,)
+        dotted = ".".join(path)
+        if isinstance(value, dict) and path in _SECTIONS:
+            yield from _leaves(value, path)
+        elif path in _PATHS:
+            yield dotted, value
+        elif path in _SECTIONS:
+            raise ConfigError(f"config key {dotted!r}: expected a JSON object (got {value!r})")
+        else:
+            raise ConfigError(f"unknown config key {dotted!r}")
+
+
+def _config_values(cfg: dict, command: str) -> dict:
+    """The value of every key `command` reads, by dotted name: given ones cast, the rest default."""
+    given = dict(_leaves(cfg))
+    values = {}
+    for name, cast, default, commands in SCHEMA:
+        if command in commands:
+            try:
+                values[name] = cast(given[name]) if name in given else default
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config key {name!r}: {exc} (got {given[name]!r})") from None
+    return values
+
+
+def _spectrum(v: dict) -> SpectrumSpec:
+    J, kind = v["spectrum.J"], v["spectrum.kind"]
     if kind == "quadratic":
-        return quadratic_spectrum(J, scale=_read(sc, "scale", _real, 1.0, "spectrum."))
+        return quadratic_spectrum(J, scale=v["spectrum.scale"])
     if kind == "explicit":
-        lambdas = _read(sc, "lambdas", _numbers, None, "spectrum.")
-        return SpectrumSpec(J=J, lambdas=np.asarray(lambdas))
-    raise ConfigError(f"unknown spectrum kind {kind!r}")
+        if v["spectrum.lambdas"] is None:
+            raise ConfigError("config key 'spectrum.lambdas': the explicit spectrum needs it")
+        return SpectrumSpec(J=J, lambdas=np.asarray(v["spectrum.lambdas"]))
+    return dirichlet_spectrum(J)
 
 
-def _field_from_config(section: dict, key: str, J: int, default=None,
-                       where: str = "") -> np.ndarray:
-    value = section.get(key, default)
-    if value is None:
-        return np.zeros(J)
-    if isinstance(value, list):
-        arr = np.asarray(_read(section, key, _numbers, None, where))
-        if arr.shape != (J,):
-            raise ConfigError(f"field list must have length {J}")
-        return arr
-    if isinstance(value, dict):
-        where += key + "."
-        preset = value.get("preset", "zero")
-        if preset == "zero":
-            return np.zeros(J)
-        amplitude = _read(value, "amplitude", _real, 1.0, where)
-        if preset == "mode":
-            k = _read(value, "k", _integer, 1, where)
-            if not 1 <= k <= J:
-                raise ConfigError(f"mode index {k} outside 1..{J}")
-            out = np.zeros(J)
-            out[k - 1] = amplitude
-            return out
-        if preset == "decay":
-            p = _read(value, "p", _real, 1.0, where)
-            return amplitude * np.arange(1, J + 1, dtype=float) ** (-p)
-        if preset == "ones":
-            return amplitude * np.ones(J)
-        raise ConfigError(f"unknown field preset {preset!r}")
-    raise ConfigError(f"cannot build a field from {value!r}")
+def _field(v: dict, name: str, J: int) -> np.ndarray:
+    """The field `name` from its list, else from its preset keys."""
+    if v[name] is not None:
+        if len(v[name]) != J:
+            raise ConfigError(f"config key {name!r}: expected {J} numbers, got {len(v[name])}")
+        return np.asarray(v[name])
+    preset, amplitude = v[name + ".preset"], v[name + ".amplitude"]
+    if preset == "mode":
+        k = v[name + ".k"]
+        if not 1 <= k <= J:
+            raise ConfigError(f"config key {name + '.k'!r}: mode {k} outside 1..{J}")
+        out = np.zeros(J)
+        out[k - 1] = amplitude
+        return out
+    if preset == "decay":
+        return amplitude * np.arange(1, J + 1, dtype=float) ** (-v[name + ".p"])
+    if preset == "ones":
+        return amplitude * np.ones(J)
+    return np.zeros(J)
 
 
-def _phi_from_config(cfg: dict, J: int) -> FunctionalSpec:
-    pc = _read(cfg, "phi", _object, {"kind": "NORM_SQUARED"})
-    kind = _read(pc, "kind", FunctionalKind, "NORM_SQUARED", "phi.")
-    if kind == FunctionalKind.LINEAR:
-        h = _field_from_config(pc, "h", J, {"preset": "mode"}, "phi.")
-        return FunctionalSpec(kind=kind, h=h)
-    return FunctionalSpec(kind=kind)
+def _setup(v: dict):
+    """(spectrum, nonlinearity, collocation grid or None, run config, phi or None).
 
-
-def _nonlinearity_from_config(cfg: dict) -> Nonlinearity:
-    """A catalog member from the config's {variant, params} mapping."""
-    nc = _read(cfg, "nonlinearity", _object, {"variant": "LINEAR_IN_Y"})
-    params = _read(nc, "params", _object, {}, "nonlinearity.")
-
-    def coefficient(key, default=1.0):
-        return _read(params, key, _real, default, "nonlinearity.params.")
-
-    variant = nc.get("variant", "LINEAR_IN_Y")
-    if variant == "LINEAR_IN_Y":
-        return LinearInY(c=coefficient("c"))
+    A run field the subcommand does not read keeps a stand-in that its harness
+    call replaces: N = T/dt per dt, eps from eps_list; ap-test and
+    uniform-sweep measure the coupled modified scheme.
+    """
+    spec = _spectrum(v)
+    variant = v["nonlinearity.variant"]
     if variant == "AFFINE":
-        return Affine(c_x=coefficient("c_x", 0.0), c_y=coefficient("c_y", 0.0))
-    if variant == "POINTWISE_SQUARE":
-        return PointwiseSquare(c=coefficient("c"))
-    if variant == "SATURATING_SQUARE":
-        return saturating_square(c=coefficient("c"))
-    raise ConfigError(f"unknown nonlinearity variant {variant!r}")
-
-
-def _run_config(cfg: dict, spec: SpectrumSpec, scheme: Optional[SchemeKind] = None) -> RunConfig:
-    return RunConfig(
-        T=_read(cfg, "T", _real, 1.0),
-        N=_read(cfg, "N", _step_count, 64),
-        eps=_read(cfg, "eps", _real, 1.0),
-        scheme=scheme or _read(cfg, "scheme", SchemeKind, "COUPLED_MODIFIED"),
-        x0=_field_from_config(cfg, "x0", spec.J),
-        y0=_field_from_config(cfg, "y0", spec.J),
-    )
-
-
-def _setup(cfg: dict, scheme: Optional[SchemeKind] = None):
-    """(spectrum, nonlinearity, collocation grid or None, run config) of an experiment config."""
-    spec = _spectrum_from_config(cfg)
-    nl = _nonlinearity_from_config(cfg)
-    gt = None
-    if isinstance(nl, (PointwiseSquare, PointwiseGeneral)):
-        gt = GridTransform(spec.J, M=_read(cfg, "collocation_points", _integer, 4 * spec.J))
-    return spec, nl, gt, _run_config(cfg, spec, scheme)
+        nl = Affine(c_x=v["nonlinearity.params.c_x"], c_y=v["nonlinearity.params.c_y"])
+    else:
+        nl = {"LINEAR_IN_Y": LinearInY, "POINTWISE_SQUARE": PointwiseSquare,
+              "SATURATING_SQUARE": saturating_square}[variant](c=v["nonlinearity.params.c"])
+    pointwise = isinstance(nl, (PointwiseSquare, PointwiseGeneral))
+    gt = GridTransform(spec.J, M=v.get("collocation_points")) if pointwise else None
+    run = {"N": 1, "eps": 1.0, "scheme": SchemeKind.COUPLED_MODIFIED}
+    run.update((name, v[name]) for name in ("N", "eps", "scheme") if name in v)
+    config = RunConfig(T=v["T"], x0=_field(v, "x0", spec.J), y0=_field(v, "y0", spec.J), **run)
+    kind = v.get("phi.kind")
+    h = _field(v, "phi.h", spec.J) if kind == FunctionalKind.LINEAR else None
+    return spec, nl, gt, config, FunctionalSpec(kind=kind, h=h) if kind else None
 
 
 def _write_outputs(output_dir: str, files: dict):
@@ -249,76 +297,58 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary(cfg: dict, extra: dict) -> str:
-    return json.dumps({"config": cfg, **extra}, indent=2, sort_keys=True) + "\n"
+# Each command takes its config values and returns (files, info): its CSV
+# texts plus the fields of summary.json, and the fields of the stdout line.
 
-
-def _cmd_simulate(cfg: dict, output_dir: str) -> dict:
-    spec, nl, gt, config = _setup(cfg)
-    steps = trajectory(config, spec, nl, gt, _read(cfg, "master_seed", _seed, 0),
-                       _read(cfg, "sample_index", _integer, 0), 1)
+def _cmd_simulate(v: dict):
+    spec, nl, gt, config, _ = _setup(v)
+    steps = trajectory(config, spec, nl, gt, v["master_seed"], v["sample_index"], 1)
     state_rows = []
     for n, (x, y) in enumerate(steps):
         for j in range(spec.J):
             state_rows.append((n, j + 1, x[0, j], 0.0 if y is None else y[0, j]))
     files = {
         "trajectory.csv": _csv(("step", "mode", "x", "y"), state_rows),
-        "summary.json": _summary(cfg, {"final_norm_x": float(np.sqrt(np.sum(x * x)))}),
+        "summary.json": {"final_norm_x": float(np.sqrt(np.sum(x * x)))},
     }
-    _write_outputs(output_dir, files)
-    return {"steps": config.N}
+    return files, {"steps": config.N}
 
 
-def _cmd_weak_error(cfg: dict, output_dir: str) -> dict:
-    spec, nl, gt, config = _setup(cfg)
-    phi = _phi_from_config(cfg, spec.J)
-    dt_list = _read(cfg, "dt_list", _numbers, [2.0**-k for k in range(4, 10)])
-    points = weak_error_curve(
-        config, dt_list, phi, spec, nl, gt,
-        oracle=_read(cfg, "oracle", OracleMode, "MOMENT_ORACLE"),
-        n_samples=_read(cfg, "n_samples", _integer, 100000),
-        master_seed=_read(cfg, "master_seed", _seed, 0),
-        refinement=_read(cfg, "refinement", _integer, 64),
-        n_threads=_read(cfg, "n_threads", _integer, 1),
-    )
-    fit = fit_rate(points, drop_coarsest=_read(cfg, "drop_coarsest", _flag, False))
+def _cmd_weak_error(v: dict):
+    spec, nl, gt, config, phi = _setup(v)
+    points = weak_error_curve(config, v["dt_list"], phi, spec, nl, gt, oracle=v["oracle"],
+                              n_samples=v["n_samples"], master_seed=v["master_seed"],
+                              refinement=v["refinement"], n_threads=v["n_threads"])
+    fit = fit_rate(points, drop_coarsest=v["drop_coarsest"])
     files = {
         "curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),
                           [(p.dt, p.error, p.stderr, p.oracle_bias) for p in points]),
-        "summary.json": _summary(cfg, {
+        "summary.json": {
             "slope": fit.slope,
             "intercept": fit.intercept,
             "r2": fit.r_squared,
             "oracle_functional": phi.oracle_only,
-        }),
+        },
     }
-    _write_outputs(output_dir, files)
-    return {"slope": fit.slope, "r2": fit.r_squared}
+    return files, {"slope": fit.slope, "r2": fit.r_squared}
 
 
-def _cmd_ap_test(cfg: dict, output_dir: str) -> dict:
-    spec, nl, gt, config = _setup(cfg, SchemeKind.COUPLED_MODIFIED)
-    phi = _phi_from_config(cfg, spec.J)
-    eps_list = _read(cfg, "eps_list", _numbers, [4.0**-k for k in range(0, 7)])
-    rows = ap_diagram(
-        config, eps_list, phi, spec, nl, gt,
-        n_samples=_read(cfg, "n_samples", _integer, 0),
-        master_seed=_read(cfg, "master_seed", _seed, 0),
-        n_threads=_read(cfg, "n_threads", _integer, 1),
-    )
-    monotone_gap = rows[0][1] / rows[-1][1] if rows[-1][1] > 0 else float("inf")
+def _cmd_ap_test(v: dict):
+    spec, nl, gt, config, phi = _setup(v)
+    rows = ap_diagram(config, v["eps_list"], phi, spec, nl, gt, n_samples=v["n_samples"],
+                      master_seed=v["master_seed"], n_threads=v["n_threads"])
+    # null when the last gap is 0: JSON has no Infinity
+    ratio = rows[0][1] / rows[-1][1] if rows[-1][1] > 0 else None
     files = {
         "ap_gaps.csv": _csv(("eps", "gap", "stderr"), rows),
-        "summary.json": _summary(cfg, {"first_to_last_gap_ratio": monotone_gap}),
+        "summary.json": {"first_to_last_gap_ratio": ratio},
     }
-    _write_outputs(output_dir, files)
-    return {"gap_ratio": monotone_gap}
+    return files, {"gap_ratio": ratio}
 
 
-def _cmd_invariant_test(cfg: dict, output_dir: str) -> dict:
-    spec = _spectrum_from_config(cfg)
-    tau_list = _read(cfg, "tau_list", _numbers, [1e-4, 1e-2, 1.0, 1e2, 1e4])
-    report = invariant_measure_check(spec, tau_list)
+def _cmd_invariant_test(v: dict):
+    spec = _spectrum(v)
+    report = invariant_measure_check(spec, v["tau_list"])
     rows = []
     for i, tau in enumerate(report.tau_list):
         for j in range(spec.J):
@@ -326,22 +356,18 @@ def _cmd_invariant_test(cfg: dict, output_dir: str) -> dict:
     worst = float(report.residual_modified.max())
     files = {
         "residuals.csv": _csv(("tau", "mode", "residual_modified", "residual_standard"), rows),
-        "summary.json": _summary(cfg, {
+        "summary.json": {
             "worst_modified_residual": worst,
             "standard_residual_at_unit_taulambda": float(report.standard_at_unit.min()),
-        }),
+        },
     }
-    _write_outputs(output_dir, files)
-    return {"worst_modified_residual": worst}
+    return files, {"worst_modified_residual": worst}
 
 
-def _cmd_uniform_sweep(cfg: dict, output_dir: str) -> dict:
-    spec, nl, _, config = _setup(cfg, SchemeKind.COUPLED_MODIFIED)
-    phi = _phi_from_config(cfg, spec.J)
-    eps_list = _read(cfg, "eps_list", _numbers, [4.0**-k for k in range(0, 7)])
-    dt_list = _read(cfg, "dt_list", _numbers, [2.0**-k for k in range(4, 11)])
-    result = uniform_sweep(config, eps_list, dt_list, phi, spec, nl,
-                           refinement=_read(cfg, "refinement", _integer, 512))
+def _cmd_uniform_sweep(v: dict):
+    spec, nl, _, config, phi = _setup(v)
+    result = uniform_sweep(config, v["eps_list"], v["dt_list"], phi, spec, nl,
+                           refinement=v["refinement"])
     grid_rows = []
     for i, dt in enumerate(result.dt_list):
         for k, eps in enumerate(result.eps_list):
@@ -350,17 +376,16 @@ def _cmd_uniform_sweep(cfg: dict, output_dir: str) -> dict:
         "sweep.csv": _csv(("dt", "eps", "error", "oracle_bias"), grid_rows),
         "max_curve.csv": _csv(("dt", "max_error"),
                               list(zip(result.dt_list, result.max_errors))),
-        "summary.json": _summary(cfg, {
+        "summary.json": {
             "slope": result.fit.slope,
             "intercept": result.fit.intercept,
             "r2": result.fit.r_squared,
             "refinement": result.refinement,
             "max_reference_bias": float(result.reference_bias.max()),
             "oracle_functional": phi.oracle_only,
-        }),
+        },
     }
-    _write_outputs(output_dir, files)
-    return {"slope": result.fit.slope}
+    return files, {"slope": result.fit.slope}
 
 
 _COMMANDS = {
@@ -400,12 +425,22 @@ def run_cli(argv=None) -> int:
             cfg["master_seed"] = args.master_seed
         if args.threads is not None:
             cfg["n_threads"] = args.threads
-        output_dir = args.output_dir or _read(cfg, "output_dir", _path, ".")
-        info = _COMMANDS[args.command](cfg, output_dir)
-    except (ConfigError, ValueError) as exc:
+        v = _config_values(cfg, args.command)
+        files, info = _COMMANDS[args.command](v)
+        # strict JSON: a non-finite value exits 2 instead of writing NaN or Infinity
+        files["summary.json"] = json.dumps({"config": cfg, **files["summary.json"]}, indent=2,
+                                           sort_keys=True, allow_nan=False) + "\n"
+        line = json.dumps({"command": args.command, **info}, allow_nan=False)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps({"command": args.command, **info}))
+    output_dir = args.output_dir or v["output_dir"]
+    try:
+        _write_outputs(output_dir, files)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {output_dir!r}: {exc}", file=sys.stderr)
+        return 2
+    print(line)
     return 0
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,9 @@ from slowfast import (
     saturating_square,
     trajectory,
 )
+from slowfast.cli import SCHEMA
+
+COMMANDS = ("simulate", "weak-error", "ap-test", "invariant-test", "uniform-sweep")
 
 
 def write_config(tmp_path, name, cfg):
@@ -305,6 +309,17 @@ class TestFailureModes:
         ("invariant-test", {"tau_list": [True]}, "tau_list"),
         ("simulate", {"eps": 1e-320, "N": 4}, "eps"),
         ("weak-error", {"eps": 1e-320, "N": 4}, "eps"),
+        ("weak-error", {"refinement": 0}, "refinement"),
+        ("uniform-sweep", {"refinement": -2}, "refinement"),
+        ("simulate", {"sample_index": -1}, "sample_index"),
+        ("weak-error", {"n_samples": 1}, "n_samples"),
+        ("ap-test", {"n_samples": -3}, "n_samples"),
+        ("simulate", {"x0": {"preset": "mode", "k": 5}, "spectrum": {"J": 4}}, "x0.k"),
+        ("simulate", {"y0": [1.0, 2.0], "spectrum": {"J": 4}}, "y0"),
+        ("simulate", {"x0": None}, "x0"),
+        ("simulate", {"spectrum": {"kind": "cubic"}}, "spectrum.kind"),
+        ("simulate", {"nonlinearity": {"variant": "CUBIC"}}, "nonlinearity.variant"),
+        ("simulate", {"nonlinearity": {"params": 1.0}}, "nonlinearity.params"),
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
@@ -312,7 +327,10 @@ class TestFailureModes:
             "boolean_sample_index", "string_refinement", "string_drop_coarsest",
             "numeric_drop_coarsest", "negative_master_seed", "master_seed_past_64_bits",
             "nan_T", "nan_coefficient", "infinite_eps", "boolean_T", "string_eps",
-            "boolean_in_tau_list", "subnormal_eps_simulate", "subnormal_eps_weak_error"])
+            "boolean_in_tau_list", "subnormal_eps_simulate", "subnormal_eps_weak_error",
+            "zero_refinement", "negative_refinement", "negative_sample_index", "one_sample",
+            "negative_n_samples", "mode_index_past_J", "short_field_list", "null_field",
+            "unknown_spectrum_kind", "unknown_variant", "scalar_params"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)
@@ -327,6 +345,158 @@ class TestFailureModes:
         cfg = write_config(tmp_path, "c.json", {"output_dir": 5})
         assert run_cli(["simulate", "--config", cfg]) == 2
         assert "'output_dir'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        out = blocker / below if below else blocker
+        assert run_cli(["invariant-test", "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to {str(out)!r}")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "a regular file\n"
+
+    def test_non_finite_summary_exits_2(self, tmp_path):
+        # eps is weak-error's key, so invariant-test ignores it, but its
+        # summary echoes the config, and JSON has no NaN
+        cfg = write_config(tmp_path, "c.json", {"eps": float("nan"), "spectrum": {"J": 2}})
+        out = tmp_path / "o"
+        assert run_cli(["invariant-test", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_zero_coupling_gap_ratio_is_null(self, tmp_path, capsys):
+        # with c = 0 the coupled and limiting legs agree, so every gap is 0
+        cfg = write_config(tmp_path, "c.json", {
+            "spectrum": {"J": 4}, "nonlinearity": {"params": {"c": 0.0}},
+            "x0": {"preset": "ones"}})
+        out = tmp_path / "o"
+        assert run_cli(["ap-test", "--config", cfg, "--output-dir", str(out)]) == 0
+        gaps = [row[1] for row in parse_output(out / "ap_gaps.csv")]
+        assert gaps == [0.0] * len(gaps)
+        assert strict_json((out / "summary.json").read_text())["first_to_last_gap_ratio"] is None
+        assert strict_json(capsys.readouterr().out)["gap_ratio"] is None
+
+
+def nested(dotted, value):
+    """The config {"a": {"b": value}} of the key "a.b"."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
+
+
+# the subcommands that read each key
+READERS = {row[0]: {c for other in SCHEMA if other[0] == row[0] for c in other[3]} for row in SCHEMA}
+# keys that are also sections: an object there is read as its sub-keys
+SECTION_KEYS = {a for a in READERS for b in READERS if b.startswith(a + ".")}
+BAD_VALUES = {"null": None, "true": True, "string": "x", "object": {}, "list": [1.0, 2.0],
+              "nan": float("nan"), "fraction": 2.5, "past_float": 10**400}
+
+
+def shared_config(x0, y0, h):
+    """A config that holds every key any subcommand reads, with the given fields."""
+    return {
+        "spectrum": {"kind": "explicit", "J": 3, "scale": 2.0, "lambdas": [1.0, 4.0, 9.0]},
+        "nonlinearity": {"variant": "LINEAR_IN_Y", "params": {"c": 0.5, "c_x": 0.1, "c_y": 0.2}},
+        "collocation_points": 12, "scheme": "COUPLED_MODIFIED", "T": 0.5, "N": 8, "eps": 0.5,
+        "x0": x0, "y0": y0, "phi": {"kind": "LINEAR", "h": h}, "oracle": "MOMENT_ORACLE",
+        "dt_list": [0.125, 0.0625, 0.03125], "eps_list": [1.0, 0.1], "tau_list": [1.0],
+        "n_samples": 0, "refinement": 4, "drop_coarsest": False, "master_seed": 3,
+        "n_threads": 1, "sample_index": 2, "output_dir": "unused",
+    }
+
+
+# a field is a list or a preset, so one config of each form holds every key
+PRESET = {"preset": "mode", "amplitude": 0.5, "k": 2, "p": 1.0}
+SHARED_CONFIGS = {
+    "x0_preset": shared_config(PRESET, [1.0, 0.5, 0.25], [1.0, 1.0, 0.0]),
+    "x0_list": shared_config([1.0, 0.5, 0.25], PRESET, PRESET),
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name, cast, command", [
+        pytest.param(name, cast, command, id=f"{name}-{command}")
+        for name, cast, _, commands in SCHEMA for command in commands
+    ])
+    def test_value_the_cast_rejects_exits_2(self, tmp_path, capsys, name, cast, command):
+        rejected = []
+        for label, value in BAD_VALUES.items():
+            if isinstance(value, dict) and name in SECTION_KEYS:
+                continue
+            try:
+                cast(value)
+                continue
+            except (TypeError, ValueError, OverflowError):
+                rejected.append(label)
+            out = tmp_path / label
+            cfg = write_config(tmp_path, f"{label}.json", nested(name, value))
+            assert run_cli([command, "--config", cfg, "--output-dir", str(out)]) == 2, label
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config key '{name}': "), (label, err)
+            assert "Traceback" not in err
+            assert not out.exists(), label
+        assert "null" in rejected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("cfg, key", [
+        ({"n_sample": 2000}, "n_sample"),
+        ({"spectrum": {"scal": 2.0}}, "spectrum.scal"),
+        ({"spectrum.J": 3}, "spectrum.J"),
+        ({"nonlinearity": {"params": {"cc": 1.0}}}, "nonlinearity.params.cc"),
+        ({"phi": {"kind": "LINEAR", "hh": [1.0]}}, "phi.hh"),
+        ({"x0": {"preset": "mode", "kk": 2}}, "x0.kk"),
+        ({"phi": {"h": {"amplitude": 2.0, "pp": 1.0}}}, "phi.h.pp"),
+    ], ids=["top_level", "spectrum", "dotted_literal", "params", "phi", "field_preset",
+            "phi_field_preset"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, command, cfg, key):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run_cli([command, "--config", path, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown config key '{key}'"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", sorted(SHARED_CONFIGS))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_shared_config_runs_every_subcommand(self, tmp_path, command, form):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, "c.json", SHARED_CONFIGS[form])
+        assert run_cli([command, "--config", path, "--output-dir", str(out)]) == 0
+        assert (out / "summary.json").exists()
+
+    def test_shared_configs_hold_every_key(self):
+        def leaves(cfg, where=""):
+            for key, value in cfg.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, where + key + ".")
+                else:
+                    yield where + key
+        held = {key for cfg in SHARED_CONFIGS.values() for key in leaves(cfg)}
+        assert held == set(READERS)
+
+    def test_readme_table_matches_schema(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| key | default | used by |") + 2
+        documented = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            keys, _, used_by = re.split(r"(?<!\\)\|", line.strip()[1:-1])
+            commands = set(COMMANDS) if used_by.strip() == "all" else \
+                set(re.findall(r"`([^`]+)`", used_by))
+            for key in re.findall(r"`([^`]+)`", keys):
+                assert key not in documented, f"{key} has two README rows"
+                documented[key] = commands
+        assert documented == READERS
 
 
 class TestRecordedOracleValues:
