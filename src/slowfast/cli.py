@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -182,7 +183,7 @@ SCHEMA = (
     ("refinement", _at_least(1), 512, ("uniform-sweep",)),
     ("drop_coarsest", _flag, False, ("weak-error",)),
     ("master_seed", _seed, 0, ("simulate", "weak-error", "ap-test")),
-    ("n_threads", _integer, 1, ("weak-error", "ap-test")),
+    ("n_threads", _at_least(1), 1, ("weak-error", "ap-test")),
     ("sample_index", _at_least(0), 0, ("simulate",)),
     ("output_dir", _path, ".", _ALL),
 )
@@ -192,14 +193,23 @@ _PATHS = {tuple(row[0].split(".")) for row in SCHEMA}
 _SECTIONS = {path[:i] for path in _PATHS for i in range(1, len(path))}
 
 
+def _non_finite(value) -> bool:
+    """True if a NaN or an infinity sits anywhere in the JSON value."""
+    if isinstance(value, (list, dict)):
+        return any(map(_non_finite, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def _leaves(section: dict, where: tuple = ()):
-    """(dotted key, value) of every leaf of the config; a key no row names is a ConfigError."""
+    """(dotted key, value) of every leaf; an unknown key or a non-finite number is a ConfigError."""
     for name, value in section.items():
         path = where + (name,)
         dotted = ".".join(path)
         if isinstance(value, dict) and path in _SECTIONS:
             yield from _leaves(value, path)
         elif path in _PATHS:
+            if _non_finite(value):
+                raise ConfigError(f"config key {dotted!r}: expected finite numbers (got {value!r})")
             yield dotted, value
         elif path in _SECTIONS:
             raise ConfigError(f"config key {dotted!r}: expected a JSON object (got {value!r})")
@@ -220,14 +230,25 @@ def _config_values(cfg: dict, command: str) -> dict:
     return values
 
 
+@contextmanager
+def _naming(key: str):
+    """Re-raise a constructor's ValueError as a ConfigError naming the config key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
 def _spectrum(v: dict) -> SpectrumSpec:
     J, kind = v["spectrum.J"], v["spectrum.kind"]
     if kind == "quadratic":
-        return quadratic_spectrum(J, scale=v["spectrum.scale"])
+        with _naming("spectrum.scale"):
+            return quadratic_spectrum(J, scale=v["spectrum.scale"])
     if kind == "explicit":
         if v["spectrum.lambdas"] is None:
             raise ConfigError("config key 'spectrum.lambdas': the explicit spectrum needs it")
-        return SpectrumSpec(J=J, lambdas=np.asarray(v["spectrum.lambdas"]))
+        with _naming("spectrum.lambdas"):
+            return SpectrumSpec(J=J, lambdas=np.asarray(v["spectrum.lambdas"]))
     return dirichlet_spectrum(J)
 
 
@@ -267,7 +288,8 @@ def _setup(v: dict):
         nl = {"LINEAR_IN_Y": LinearInY, "POINTWISE_SQUARE": PointwiseSquare,
               "SATURATING_SQUARE": saturating_square}[variant](c=v["nonlinearity.params.c"])
     pointwise = isinstance(nl, (PointwiseSquare, PointwiseGeneral))
-    gt = GridTransform(spec.J, M=v.get("collocation_points")) if pointwise else None
+    with _naming("collocation_points"):
+        gt = GridTransform(spec.J, M=v.get("collocation_points")) if pointwise else None
     run = {"N": 1, "eps": 1.0, "scheme": SchemeKind.COUPLED_MODIFIED}
     run.update((name, v[name]) for name in ("N", "eps", "scheme") if name in v)
     config = RunConfig(T=v["T"], x0=_field(v, "x0", spec.J), y0=_field(v, "y0", spec.J), **run)

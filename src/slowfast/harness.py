@@ -207,13 +207,7 @@ def _require_linear_in_y(nl: Nonlinearity, what: str):
 
 
 def _start_moments(config: RunConfig, spec: SpectrumSpec) -> ModeMoments:
-    return ModeMoments(
-        mean_x=check_field(spec, config.x0),
-        mean_y=check_field(spec, config.y0),
-        var_x=np.zeros(spec.J),
-        var_y=np.zeros(spec.J),
-        cov_xy=np.zeros(spec.J),
-    )
+    return ModeMoments(mean_x=check_field(spec, config.x0), mean_y=check_field(spec, config.y0))
 
 
 def oracle_weak_value(

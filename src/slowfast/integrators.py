@@ -224,22 +224,19 @@ def solve_averaged_reference(
 ) -> np.ndarray:
     """Solution of the averaged evolution equation dx/dt = -Lambda x + Fbar(x) at time T.
 
-    Closed forms where the catalog admits them:
-      * linear-in-y coupling: Fbar = 0, pure semigroup decay;
-      * pointwise square: Fbar is a constant field g, variation of constants
-        x_j(T) = e^(-lam T) x0_j + (1 - e^(-lam T)) g_j / lam_j.
-    Anything else is integrated by a stiff step-control solver (LSODA) at
-    relative tolerance 1e-12, with the constants of Fbar computed once.
+    When Fbar is a constant field g, which holds for the linear-in-y coupling
+    (g = 0) and the pointwise square, variation of constants gives
+    x_j(T) = e^(-lam T) x0_j + (1 - e^(-lam T)) g_j / lam_j.  Anything else is
+    integrated by a stiff step-control solver (LSODA) at relative tolerance
+    1e-12, with the constants of Fbar computed once.
     """
     x0 = check_field(spec, x0)
     if T < 0:
         raise ValueError("T must be nonnegative")
-    with np.errstate(under="ignore"):
-        decay = np.exp(-T * spec.lambdas)
-    if isinstance(nl, LinearInY):
-        return x0 * decay
     fbar = averaged_force(nl, gt, spec)
-    if isinstance(nl, PointwiseSquare):
+    if isinstance(nl, (LinearInY, PointwiseSquare)):
+        with np.errstate(under="ignore"):
+            decay = np.exp(-T * spec.lambdas)
         return x0 * decay + (1.0 - decay) * fbar(np.zeros_like(x0)) / spec.lambdas
     sol = solve_ivp(lambda t, x: fbar(x) - spec.lambdas * x, (0.0, T), x0,
                     method="LSODA", rtol=1e-12, atol=1e-14)

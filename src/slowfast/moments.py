@@ -25,6 +25,7 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import exprel
 
 from .integrators import SchemeKind, Transition
 
@@ -57,14 +58,6 @@ class ModeMoments:
             raise ValueError("cov_xy^2 may not exceed var_x*var_y")
 
 
-def _phi1(u: np.ndarray) -> np.ndarray:
-    """(e^u - 1)/u with the removable singularity filled in."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-6
-    safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0 + u / 2.0 + u * u / 6.0, np.expm1(safe) / safe)
-
-
 def continuous_mean(
     lam: ArrayLike, c: float, eps: float, T: float, x0: ArrayLike, y0: ArrayLike
 ) -> np.ndarray:
@@ -72,16 +65,17 @@ def continuous_mean(
 
     Equals e^(-lam T) x0 + c y0 (e^(-lam T/eps) - e^(-lam T)) / (lam (1 - 1/eps))
     for eps != 1.  The forcing term is evaluated as
-    c y0 T e^(-min(lam, lam/eps) T) phi1(-|lam - lam/eps| T): the slower rate
-    carries the exponential and phi1 sees a nonpositive argument, so it
-    neither overflows for eps > 1 nor loses the eps = 1 limit c y0 T e^(-lam T).
+    c y0 T e^(-min(lam, lam/eps) T) exprel(-|lam - lam/eps| T), with
+    exprel(u) = (e^u - 1)/u: the slower rate carries the exponential and
+    exprel sees a nonpositive argument, so it neither overflows for eps > 1
+    nor loses the eps = 1 limit c y0 T e^(-lam T).
     """
     lam = np.asarray(lam, dtype=float)
     if eps <= 0 or T < 0:
         raise ValueError("need eps > 0 and T >= 0")
     with np.errstate(over="ignore", under="ignore"):
         fast = lam / eps
-        forcing = T * np.exp(-np.minimum(lam, fast) * T) * _phi1(-np.abs(lam - fast) * T)
+        forcing = T * np.exp(-np.minimum(lam, fast) * T) * exprel(-np.abs(lam - fast) * T)
         return np.exp(-lam * T) * np.asarray(x0, float) + c * np.asarray(y0, float) * forcing
 
 

@@ -7,9 +7,8 @@ Four variants are provided:
 * ``PointwiseSquare(c)``  f(u, v) = c*v^2 applied pointwise on a collocation
   grid; Fbar is the deterministic field c*sigma^2(xi) where sigma^2 is the
   pointwise variance of the fast equilibrium.
-* ``PointwiseGeneral(f, quadrature_order)``  arbitrary smooth f(u, v) applied
-  pointwise; Fbar averages v over N(0, sigma^2(xi)) by Gauss-Hermite
-  quadrature.
+* ``PointwiseGeneral(f)``  arbitrary smooth f(u, v) applied pointwise; Fbar
+  averages v over N(0, sigma^2(xi)) by 12-point Gauss-Hermite quadrature.
 
 PointwiseSquare is not globally Lipschitz and its growth is unbounded at
 large amplitude, so it sits outside the strict bounded-derivative class; it
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_QUADRATURE_ORDER = 12  # Gauss-Hermite nodes of PointwiseGeneral's average
 
 
 class GridTransform:
@@ -143,16 +143,11 @@ class PointwiseGeneral:
     """Pointwise nonlinearity f(u, v) with Gauss-Hermite averaged counterpart.
 
     f must be vectorized (ufunc-compatible) and smooth with bounded
-    derivatives up to order 3 for the theory to apply; the default quadrature
-    order 12 integrates polynomial v-dependence exactly up to degree 23.
+    derivatives up to order 3 for the theory to apply; the 12-point rule
+    integrates polynomial v-dependence exactly up to degree 23.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    quadrature_order: int = 12
-
-    def __post_init__(self):
-        if self.quadrature_order < 1:
-            raise ValueError("quadrature_order must be >= 1")
 
 
 Nonlinearity = Union[LinearInY, Affine, PointwiseSquare, PointwiseGeneral]
@@ -165,7 +160,7 @@ def saturating_square(c: float) -> PointwiseGeneral:
         v2 = v * v
         return c * v2 / (1.0 + v2)
 
-    return PointwiseGeneral(f=f, quadrature_order=12)
+    return PointwiseGeneral(f=f)
 
 
 def pointwise_variance(spec: SpectrumSpec, gt: GridTransform) -> np.ndarray:
@@ -231,7 +226,7 @@ def averaged_force(
         coeffs = gt.to_coeffs(nl.c * sig2)
         return lambda x: np.broadcast_to(coeffs, x.shape).copy()
     if isinstance(nl, PointwiseGeneral):
-        t, w = np.polynomial.hermite.hermgauss(nl.quadrature_order)
+        t, w = np.polynomial.hermite.hermgauss(_QUADRATURE_ORDER)
         sig = np.sqrt(sig2)
 
         def average(gx):

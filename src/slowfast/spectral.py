@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize.elementwise import bracket_minimum, find_minimum
 
 __all__ = [
     "SpectrumSpec",
@@ -51,8 +52,6 @@ def dirichlet_spectrum(J: int) -> SpectrumSpec:
 
     lambda_j = (j*pi)**2 for j = 1..J.
     """
-    if J < 1:
-        raise ValueError(f"truncation level must be >= 1, got J={J}")
     j = np.arange(1, J + 1, dtype=float)
     return SpectrumSpec(J=J, lambdas=(j * np.pi) ** 2)
 
@@ -63,8 +62,6 @@ def quadratic_spectrum(J: int, scale: float = 1.0) -> SpectrumSpec:
     A milder admissible alternative to the Dirichlet default (same growth
     exponent, smaller leading eigenvalue when scale < pi**2).
     """
-    if J < 1:
-        raise ValueError(f"truncation level must be >= 1, got J={J}")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     j = np.arange(1, J + 1, dtype=float)
@@ -89,39 +86,31 @@ def _log_ratio_defect(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, exact)
 
 
-def log_ratio_constant(alpha, z_hi: float = 1e19) -> np.ndarray:
+def _neg_log_ratio(logz: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """-log(z^(-alpha) * eta(z)) as a function of log z."""
+    return alpha * logz - np.log(_log_ratio_defect(np.exp(logz)))
+
+
+def log_ratio_constant(alpha) -> np.ndarray:
     """sup_{z>0} z^(-alpha) * (1 - log(1+z)/z), maximized numerically.
 
     Vectorized over alpha in [0, 1].  For alpha = 0 the supremum is 1,
     approached as z -> infinity; it is returned exactly.  For alpha > 0 the
-    maximizer is located on a dense log grid and refined by golden-section
-    search.
+    maximizer over log z in [log 1e-12, log 1e19] is bracketed and refined by
+    SciPy's elementwise minimizer; RuntimeError if it does not converge.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if np.any(alpha < 0.0) or np.any(alpha > 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-
-    def f(logz, a):
-        return np.exp(-a * logz) * _log_ratio_defect(np.exp(logz))
-
-    lo, hi = np.log(1e-12), np.log(z_hi)
-    grid = np.linspace(lo, hi, 1025)
-    # the defect factor is alpha-independent: evaluate the grid once
-    log_defect_grid = np.log(_log_ratio_defect(np.exp(grid)))
-    vals = np.exp(-np.outer(alpha, grid) + log_defect_grid[None, :])
-    k = np.argmax(vals, axis=1)
-    a_brak = grid[np.maximum(k - 1, 0)]
-    b_brak = grid[np.minimum(k + 1, len(grid) - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(60):
-        left = b_brak - invphi * (b_brak - a_brak)
-        right = a_brak + invphi * (b_brak - a_brak)
-        take = f(left, alpha) > f(right, alpha)
-        b_brak = np.where(take, right, b_brak)
-        a_brak = np.where(take, a_brak, left)
-    refined = f(0.5 * (a_brak + b_brak), alpha)
-    best = np.maximum(vals[np.arange(len(alpha)), k], refined)
-    return np.where(alpha < 1e-12, 1.0, best)
+    exact = alpha < 1e-12
+    a = np.where(exact, 0.5, alpha)  # a stand-in where the maximizer runs off to infinity
+    bracket = bracket_minimum(_neg_log_ratio, 0.0, xmin=np.log(1e-12), xmax=np.log(1e19),
+                              args=(a,))
+    best = find_minimum(_neg_log_ratio, bracket.bracket, args=(a,))
+    converged = bracket.success & best.success
+    if not np.all(converged):
+        raise RuntimeError(f"the maximizer did not converge at alpha = {alpha[~converged]}")
+    return np.where(exact, 1.0, np.exp(-best.f_x))
 
 
 @dataclass(frozen=True)
@@ -161,11 +150,12 @@ def eigenvalue_error_bounds(spec: SpectrumSpec, tau: float, alpha: float) -> Eig
     q_bound = c_alpha * tau**alpha * lam**alpha
     # lambda_tau = lam*(1 - eta) < lam and q_tau = 1 - eta < 1 both read eta > 0;
     # q_tau > 0 is checked on log(1+z)/z itself, because eta rounds to 1 at huge z
-    assert (
+    if not (
         np.all(eta > 0.0)
         and np.all(np.log1p(z) / z > 0.0)
         and np.all(lam_gap <= lam_bound * slack)
         and np.all(q_gap <= q_bound * slack)
-    ), f"eigenvalue gap bounds violated at tau={tau}, alpha={alpha}"
+    ):
+        raise AssertionError(f"eigenvalue gap bounds violated at tau={tau}, alpha={alpha}")
     return EigenvalueBoundReport(tau=tau, alpha=alpha, c_alpha=c_alpha, lambda_gap=lam_gap,
                                  q_gap=q_gap, lambda_bound=lam_bound, q_bound=q_bound)

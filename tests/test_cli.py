@@ -320,6 +320,18 @@ class TestFailureModes:
         ("simulate", {"spectrum": {"kind": "cubic"}}, "spectrum.kind"),
         ("simulate", {"nonlinearity": {"variant": "CUBIC"}}, "nonlinearity.variant"),
         ("simulate", {"nonlinearity": {"params": 1.0}}, "nonlinearity.params"),
+        ("ap-test", {"n_threads": 0}, "n_threads"),
+        ("weak-error", {"n_threads": -3}, "n_threads"),
+        ("invariant-test", {"eps": float("nan")}, "eps"),
+        ("invariant-test", {"dt_list": [float("inf")]}, "dt_list"),
+        ("invariant-test", {"x0": {"amplitude": float("-inf")}}, "x0.amplitude"),
+        ("simulate", {"nonlinearity": {"variant": "POINTWISE_SQUARE"}, "collocation_points": 8},
+         "collocation_points"),
+        ("invariant-test", {"spectrum": {"kind": "explicit", "J": 2, "lambdas": [3.0, 1.0]}},
+         "spectrum.lambdas"),
+        ("invariant-test", {"spectrum": {"kind": "explicit", "J": 2, "lambdas": [-1.0, 1.0]}},
+         "spectrum.lambdas"),
+        ("simulate", {"spectrum": {"kind": "quadratic", "scale": -1.0}}, "spectrum.scale"),
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
@@ -330,7 +342,10 @@ class TestFailureModes:
             "boolean_in_tau_list", "subnormal_eps_simulate", "subnormal_eps_weak_error",
             "zero_refinement", "negative_refinement", "negative_sample_index", "one_sample",
             "negative_n_samples", "mode_index_past_J", "short_field_list", "null_field",
-            "unknown_spectrum_kind", "unknown_variant", "scalar_params"])
+            "unknown_spectrum_kind", "unknown_variant", "scalar_params", "zero_threads",
+            "negative_threads", "nan_in_ignored_key", "infinity_in_ignored_list",
+            "infinity_in_ignored_field", "too_few_collocation_points", "decreasing_lambdas",
+            "negative_lambda", "negative_scale"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)
@@ -340,6 +355,12 @@ class TestFailureModes:
         assert f"'{key}'" in err
         assert not out.exists() or os.listdir(out) == []
 
+
+    def test_threads_flag_below_one_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["weak-error", "--threads", "-3", "--output-dir", str(out)]) == 2
+        assert "'n_threads'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_string_output_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"output_dir": 5})

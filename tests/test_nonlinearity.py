@@ -175,15 +175,11 @@ class TestAveragedForce:
         assert abs(sig2[mid] - 0.25) < 1.0 / (np.pi**2 * (J - 1))
 
     def test_general_square_matches_closed_form(self):
-        nl = PointwiseGeneral(f=lambda u, v: v * v, quadrature_order=2)
+        nl = PointwiseGeneral(f=lambda u, v: v * v)
         x = rng.standard_normal(16)
         a = averaged_force(nl, GT, SPEC)(x)
         b = averaged_force(PointwiseSquare(1.0), GT, SPEC)(x)
         assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_general_quadrature_order_validation(self):
-        with pytest.raises(ValueError):
-            PointwiseGeneral(f=lambda u, v: v, quadrature_order=0)
 
 
 class TestPointwiseVariance:

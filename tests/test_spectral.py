@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slowfast.spectral
 from slowfast import (
     LinearInY,
     RunConfig,
@@ -244,6 +248,20 @@ class TestEigenvalueBounds:
         with pytest.raises(ValueError):
             eigenvalue_error_bounds(spec, 1.0, 1.5)
 
+    def test_violated_bound_raises(self, monkeypatch):
+        # an explicit raise, so the check also runs under python -O
+        monkeypatch.setattr(slowfast.spectral, "log_ratio_constant",
+                            lambda alpha: np.array([1e-30]))
+        with pytest.raises(AssertionError, match="gap bounds violated"):
+            eigenvalue_error_bounds(dirichlet_spectrum(4), 1e-2, 0.5)
+
+    def test_constant_raises_without_convergence(self, monkeypatch):
+        find_minimum = slowfast.spectral.find_minimum
+        monkeypatch.setattr(slowfast.spectral, "find_minimum",
+                            lambda *args, **kw: find_minimum(*args, **kw, maxiter=1))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            log_ratio_constant(np.array([0.0, 0.3]))
+
     @pytest.mark.parametrize("tau", [1e-17, 1e17])
     def test_holds_at_extreme_tau(self, tau):
         # at tau*lam ~ 1e-16 log(1+z)/z rounds to 1 although the series gap
@@ -251,3 +269,11 @@ class TestEigenvalueBounds:
         # q_tau = log(1+z)/z is still positive
         rep = eigenvalue_error_bounds(dirichlet_spectrum(4), tau, 0.5)
         assert np.all(rep.lambda_gap > 0) and np.all(rep.q_gap <= 1.0)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check written as one vanishes
+    src = Path(slowfast.spectral.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
