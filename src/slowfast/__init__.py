@@ -21,7 +21,6 @@ from .noise import StreamTag, sample_cylindrical_batch
 from .nonlinearity import (
     GridTransform,
     LinearInY,
-    Affine,
     PointwiseSquare,
     PointwiseGeneral,
     saturating_square,

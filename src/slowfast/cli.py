@@ -29,6 +29,7 @@ from .harness import (
     FunctionalKind,
     FunctionalSpec,
     OracleMode,
+    _config_at_dt,
     ap_diagram,
     fit_rate,
     invariant_measure_check,
@@ -37,7 +38,6 @@ from .harness import (
 )
 from .integrators import RunConfig, SchemeKind, trajectory
 from .nonlinearity import (
-    Affine,
     GridTransform,
     LinearInY,
     PointwiseGeneral,
@@ -87,6 +87,23 @@ def _real(value) -> float:
     return value
 
 
+def _positive(cast):
+    def positive(value):
+        value = cast(value)
+        if np.min(value) <= 0.0:
+            raise ValueError("expected positive numbers")
+        return value
+    return positive
+
+
+def _dt_ladder(value) -> list:
+    """The step sizes of a rate fit: at least 3, positive and strictly decreasing."""
+    dts = _positive(_numbers)(value)
+    if len(dts) < 3 or any(b >= a for a, b in zip(dts, dts[1:])):
+        raise ValueError("expected at least 3 step sizes, strictly decreasing")
+    return dts
+
+
 def _integer(value) -> int:
     """A JSON integer; an integral float such as 4.0 counts, 2.5, true and "4" do not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -120,12 +137,6 @@ def _seed(value) -> int:
     return seed
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("expected true or false")
-    return value
-
-
 def _one_of(*names: str):
     def cast(value) -> str:
         if not isinstance(value, str) or value not in names:
@@ -151,37 +162,34 @@ def _field_keys(name: str, preset: str, commands: tuple) -> list:
 # Every config key as (dotted key, cast, default, the subcommands that read
 # it); defaults are already cast, and a key with a default per subcommand has
 # a row per default.  A subcommand casts each of its keys that the config
-# gives, used by this run or not (spectrum.scale of a dirichlet spectrum); a
+# gives, used by this run or not (spectrum.lambdas of a dirichlet spectrum); a
 # key only other subcommands read is ignored; any other key exits 2.
 SCHEMA = (
     ("spectrum.kind", _one_of("dirichlet", "quadratic", "explicit"), "dirichlet", _ALL),
     ("spectrum.J", _at_least(1), 16, _ALL),
-    ("spectrum.scale", _real, 1.0, _ALL),
     ("spectrum.lambdas", _numbers, None, _ALL),
-    ("nonlinearity.variant", _one_of("LINEAR_IN_Y", "AFFINE", "POINTWISE_SQUARE",
-                                     "SATURATING_SQUARE"), "LINEAR_IN_Y", _RUNS),
+    ("nonlinearity.variant", _one_of("LINEAR_IN_Y", "POINTWISE_SQUARE", "SATURATING_SQUARE"),
+     "LINEAR_IN_Y", _RUNS),
     ("nonlinearity.params.c", _real, 1.0, _RUNS),
-    ("nonlinearity.params.c_x", _real, 0.0, _RUNS),
-    ("nonlinearity.params.c_y", _real, 0.0, _RUNS),
     ("collocation_points", _integer, None, ("simulate", "weak-error", "ap-test")),
     ("scheme", SchemeKind, SchemeKind.COUPLED_MODIFIED, ("simulate", "weak-error")),
-    ("T", _real, 1.0, _RUNS),
+    ("T", _positive(_real), 1.0, _RUNS),
     ("N", _at_least(1), 64, ("simulate", "ap-test")),
-    ("eps", _real, 1.0, ("simulate", "weak-error")),
+    ("eps", _positive(_real), 1.0, ("simulate", "weak-error")),
     *_field_keys("x0", "zero", _RUNS),
     *_field_keys("y0", "zero", _RUNS),
     ("phi.kind", FunctionalKind, FunctionalKind.NORM_SQUARED, _PHI),
     *_field_keys("phi.h", "mode", _PHI),
     ("oracle", OracleMode, OracleMode.MOMENT_ORACLE, ("weak-error",)),
-    ("dt_list", _numbers, tuple(2.0**-k for k in range(4, 10)), ("weak-error",)),
-    ("dt_list", _numbers, tuple(2.0**-k for k in range(4, 11)), ("uniform-sweep",)),
-    ("eps_list", _numbers, tuple(4.0**-k for k in range(0, 7)), ("ap-test", "uniform-sweep")),
-    ("tau_list", _numbers, (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
+    ("dt_list", _dt_ladder, tuple(2.0**-k for k in range(4, 10)), ("weak-error",)),
+    ("dt_list", _dt_ladder, tuple(2.0**-k for k in range(4, 11)), ("uniform-sweep",)),
+    ("eps_list", _positive(_numbers), tuple(4.0**-k for k in range(0, 7)),
+     ("ap-test", "uniform-sweep")),
+    ("tau_list", _positive(_numbers), (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
     ("n_samples", _sample_count, 100000, ("weak-error",)),
     ("n_samples", _sample_count, 0, ("ap-test",)),
     ("refinement", _at_least(1), 64, ("weak-error",)),
     ("refinement", _at_least(1), 512, ("uniform-sweep",)),
-    ("drop_coarsest", _flag, False, ("weak-error",)),
     ("master_seed", _seed, 0, ("simulate", "weak-error", "ap-test")),
     ("n_threads", _at_least(1), 1, ("weak-error", "ap-test")),
     ("sample_index", _at_least(0), 0, ("simulate",)),
@@ -242,8 +250,7 @@ def _naming(key: str):
 def _spectrum(v: dict) -> SpectrumSpec:
     J, kind = v["spectrum.J"], v["spectrum.kind"]
     if kind == "quadratic":
-        with _naming("spectrum.scale"):
-            return quadratic_spectrum(J, scale=v["spectrum.scale"])
+        return quadratic_spectrum(J)
     if kind == "explicit":
         if v["spectrum.lambdas"] is None:
             raise ConfigError("config key 'spectrum.lambdas': the explicit spectrum needs it")
@@ -281,18 +288,18 @@ def _setup(v: dict):
     uniform-sweep measure the coupled modified scheme.
     """
     spec = _spectrum(v)
-    variant = v["nonlinearity.variant"]
-    if variant == "AFFINE":
-        nl = Affine(c_x=v["nonlinearity.params.c_x"], c_y=v["nonlinearity.params.c_y"])
-    else:
-        nl = {"LINEAR_IN_Y": LinearInY, "POINTWISE_SQUARE": PointwiseSquare,
-              "SATURATING_SQUARE": saturating_square}[variant](c=v["nonlinearity.params.c"])
+    nl = {"LINEAR_IN_Y": LinearInY, "POINTWISE_SQUARE": PointwiseSquare,
+          "SATURATING_SQUARE": saturating_square}[v["nonlinearity.variant"]](
+              c=v["nonlinearity.params.c"])
     pointwise = isinstance(nl, (PointwiseSquare, PointwiseGeneral))
     with _naming("collocation_points"):
         gt = GridTransform(spec.J, M=v.get("collocation_points")) if pointwise else None
     run = {"N": 1, "eps": 1.0, "scheme": SchemeKind.COUPLED_MODIFIED}
     run.update((name, v[name]) for name in ("N", "eps", "scheme") if name in v)
     config = RunConfig(T=v["T"], x0=_field(v, "x0", spec.J), y0=_field(v, "y0", spec.J), **run)
+    with _naming("dt_list"):  # the cast checks the ladder itself; whole step counts need T
+        for dt in v.get("dt_list", ()):
+            _config_at_dt(config, dt)
     kind = v.get("phi.kind")
     h = _field(v, "phi.h", spec.J) if kind == FunctionalKind.LINEAR else None
     return spec, nl, gt, config, FunctionalSpec(kind=kind, h=h) if kind else None
@@ -341,7 +348,7 @@ def _cmd_weak_error(v: dict):
     points = weak_error_curve(config, v["dt_list"], phi, spec, nl, gt, oracle=v["oracle"],
                               n_samples=v["n_samples"], master_seed=v["master_seed"],
                               refinement=v["refinement"], n_threads=v["n_threads"])
-    fit = fit_rate(points, drop_coarsest=v["drop_coarsest"])
+    fit = fit_rate(points)
     files = {
         "curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),
                           [(p.dt, p.error, p.stderr, p.oracle_bias) for p in points]),

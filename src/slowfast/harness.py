@@ -163,8 +163,15 @@ def mc_estimate(
     address (master_seed, sample) and the first step at which its replayed
     trajectory is not finite.
     """
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
+    vals = _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, batch)
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
+    return McEstimate(mean=float(np.mean(vals)), stderr=stderr, n_samples=n_samples)
+
+
+def _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, batch=2048):
+    """phi of every sample's final state, in sample order; see `mc_estimate`."""
+    if n_samples < 2 or batch < 1:
+        raise ValueError(f"need n_samples >= 2 and batch >= 1, got {n_samples} and {batch}")
     vals = np.empty(n_samples)
     spans = [(a, min(a + batch, n_samples)) for a in range(0, n_samples, batch)]
 
@@ -187,9 +194,7 @@ def mc_estimate(
                  if step is not None else "its trajectory is finite, phi of its final state is not")
         raise ValueError(f"{bad.size} of {n_samples} samples gave a non-finite phi; the first is "
                          f"(master_seed, sample) = ({master_seed}, {sample}): {where}")
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples)
+    return vals
 
 
 def _first_nonfinite_step(config, spec, nl, gt, master_seed, sample) -> Optional[int]:
@@ -312,7 +317,7 @@ def _reference_config(config: RunConfig, refinement: int) -> RunConfig:
     return replace(config, scheme=SchemeKind.COUPLED_EXPO, N=config.N * refinement)
 
 
-def fit_rate(points, drop_coarsest: bool = False) -> RateFit:
+def fit_rate(points) -> RateFit:
     """Least-squares slope of log(error) against log(dt).
 
     points: iterable of (dt, error) pairs or WeakErrorPoint.  Zero or
@@ -321,8 +326,6 @@ def fit_rate(points, drop_coarsest: bool = False) -> RateFit:
     """
     pts = [(p.dt, p.error) if isinstance(p, WeakErrorPoint) else (float(p[0]), float(p[1]))
            for p in points]
-    if drop_coarsest:
-        pts = pts[1:]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a rate")
     dts = np.array([p[0] for p in pts])
@@ -357,16 +360,21 @@ def ap_diagram(
     """Gap |E phi(coupled at eps) - E phi(limiting)| for each eps at fixed dt.
 
     n_samples = 0 requests the noise-free moment-oracle path (linear-in-y
-    only); otherwise both values are Monte Carlo estimates with the same
-    seed.  Returns a list of (eps, gap, stderr) rows.
+    only, stderr 0); otherwise both values are Monte Carlo estimates on the
+    same draws, and the stderr is that of the per-sample differences.
+    Returns a list of (eps, gap, stderr) rows.
     """
-    lim = _expectation(replace(config, eps=1.0, scheme=SchemeKind.LIMITING), phi, spec, nl, gt,
-                       n_samples, master_seed, n_threads)
+    def values(cfg):
+        if n_samples == 0:
+            return np.array([oracle_weak_value(cfg, phi, spec, nl)])
+        return _phi_samples(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
+
+    lim = values(replace(config, eps=1.0, scheme=SchemeKind.LIMITING))
     rows = []
     for eps in eps_list:
-        cfg = replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
-        est = _expectation(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
-        rows.append((float(eps), abs(est.mean - lim.mean), math.hypot(est.stderr, lim.stderr)))
+        vals = values(replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED))
+        se = float(np.std(vals - lim, ddof=1) / math.sqrt(n_samples)) if n_samples else 0.0
+        rows.append((float(eps), abs(float(np.mean(vals)) - float(np.mean(lim))), se))
     return rows
 
 

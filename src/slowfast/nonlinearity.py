@@ -1,9 +1,8 @@
 """Catalog of coupling nonlinearities and their Gaussian averages.
 
-Four variants are provided:
+Three variants are provided:
 
 * ``LinearInY(c)``        F(x, y) = c*y            Fbar = 0
-* ``Affine(c_x, c_y)``    F(x, y) = c_x*x + c_y*y  Fbar = c_x*x
 * ``PointwiseSquare(c)``  f(u, v) = c*v^2 applied pointwise on a collocation
   grid; Fbar is the deterministic field c*sigma^2(xi) where sigma^2 is the
   pointwise variance of the fast equilibrium.
@@ -33,7 +32,6 @@ from .spectral import SpectrumSpec
 __all__ = [
     "GridTransform",
     "LinearInY",
-    "Affine",
     "PointwiseSquare",
     "PointwiseGeneral",
     "Nonlinearity",
@@ -128,12 +126,6 @@ class LinearInY:
 
 
 @dataclass(frozen=True)
-class Affine:
-    c_x: float
-    c_y: float
-
-
-@dataclass(frozen=True)
 class PointwiseSquare:
     c: float
 
@@ -150,7 +142,7 @@ class PointwiseGeneral:
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-Nonlinearity = Union[LinearInY, Affine, PointwiseSquare, PointwiseGeneral]
+Nonlinearity = Union[LinearInY, PointwiseSquare, PointwiseGeneral]
 
 
 def saturating_square(c: float) -> PointwiseGeneral:
@@ -191,9 +183,6 @@ def eval_F(nl: Nonlinearity, gt: Optional[GridTransform], x: np.ndarray, y: np.n
     if isinstance(nl, LinearInY):
         y = np.asarray(y, dtype=float)
         return nl.c * y
-    if isinstance(nl, Affine):
-        x, y = _check_pair(x, y, np.asarray(x).shape[-1])
-        return nl.c_x * x + nl.c_y * y
     if gt is None:
         raise ValueError("pointwise nonlinearities need a GridTransform")
     x, y = _check_pair(x, y, gt.J)
@@ -217,8 +206,6 @@ def averaged_force(
     """
     if isinstance(nl, LinearInY):
         return np.zeros_like
-    if isinstance(nl, Affine):
-        return lambda x: nl.c_x * x
     if gt is None:
         raise ValueError("pointwise nonlinearities need a GridTransform")
     sig2 = pointwise_variance(spec, gt)

@@ -56,16 +56,14 @@ def dirichlet_spectrum(J: int) -> SpectrumSpec:
     return SpectrumSpec(J=J, lambdas=(j * np.pi) ** 2)
 
 
-def quadratic_spectrum(J: int, scale: float = 1.0) -> SpectrumSpec:
-    """Generic quadratic-growth spectrum lambda_j = scale * j**2.
+def quadratic_spectrum(J: int) -> SpectrumSpec:
+    """Quadratic-growth spectrum lambda_j = j**2.
 
     A milder admissible alternative to the Dirichlet default (same growth
-    exponent, smaller leading eigenvalue when scale < pi**2).
+    exponent, leading eigenvalue 1 instead of pi**2).
     """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
     j = np.arange(1, J + 1, dtype=float)
-    return SpectrumSpec(J=J, lambdas=scale * j**2)
+    return SpectrumSpec(J=J, lambdas=j**2)
 
 
 def check_field(spec: SpectrumSpec, x: np.ndarray) -> np.ndarray:

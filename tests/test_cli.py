@@ -299,6 +299,7 @@ class TestFailureModes:
         ("weak-error", {"refinement": "64"}, "refinement"),
         ("weak-error", {"drop_coarsest": "false"}, "drop_coarsest"),
         ("weak-error", {"drop_coarsest": 0}, "drop_coarsest"),
+        ("weak-error", {"drop_coarsest": True}, "drop_coarsest"),
         ("simulate", {"master_seed": -1}, "master_seed"),
         ("simulate", {"master_seed": 2**64}, "master_seed"),
         ("simulate", {"T": float("nan")}, "T"),
@@ -332,20 +333,38 @@ class TestFailureModes:
         ("invariant-test", {"spectrum": {"kind": "explicit", "J": 2, "lambdas": [-1.0, 1.0]}},
          "spectrum.lambdas"),
         ("simulate", {"spectrum": {"kind": "quadratic", "scale": -1.0}}, "spectrum.scale"),
+        ("simulate", {"spectrum": {"kind": "quadratic", "scale": 2.0}}, "spectrum.scale"),
+        ("simulate", {"nonlinearity": {"params": {"c_x": 1.0}}}, "nonlinearity.params.c_x"),
+        ("simulate", {"nonlinearity": {"variant": "AFFINE"}}, "nonlinearity.variant"),
+        ("simulate", {"T": -1.0}, "T"),
+        ("simulate", {"eps": -1.0}, "eps"),
+        ("simulate", {"eps": 0.0, "scheme": "LIMITING"}, "eps"),
+        ("ap-test", {"eps_list": [0.0]}, "eps_list"),
+        ("invariant-test", {"tau_list": [-1.0]}, "tau_list"),
+        ("weak-error", {"dt_list": [-0.5, 0.25]}, "dt_list"),
+        ("weak-error", {"dt_list": [0.25, 0.5, 0.125]}, "dt_list"),
+        ("weak-error", {"dt_list": [0.3]}, "dt_list"),
+        ("weak-error", {"dt_list": [0.3, 0.2, 0.1]}, "dt_list"),
+        ("uniform-sweep", {"dt_list": [0.25, 0.125]}, "dt_list"),
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
             "empty_eps_list", "fractional_master_seed", "fractional_J", "fractional_n_samples",
-            "boolean_sample_index", "string_refinement", "string_drop_coarsest",
-            "numeric_drop_coarsest", "negative_master_seed", "master_seed_past_64_bits",
-            "nan_T", "nan_coefficient", "infinite_eps", "boolean_T", "string_eps",
-            "boolean_in_tau_list", "subnormal_eps_simulate", "subnormal_eps_weak_error",
+            "boolean_sample_index", "string_refinement", "removed_drop_coarsest_string",
+            "removed_drop_coarsest_numeric", "removed_drop_coarsest", "negative_master_seed",
+            "master_seed_past_64_bits", "nan_T", "nan_coefficient", "infinite_eps", "boolean_T",
+            "string_eps", "boolean_in_tau_list", "subnormal_eps_simulate",
+            "subnormal_eps_weak_error",
             "zero_refinement", "negative_refinement", "negative_sample_index", "one_sample",
             "negative_n_samples", "mode_index_past_J", "short_field_list", "null_field",
             "unknown_spectrum_kind", "unknown_variant", "scalar_params", "zero_threads",
             "negative_threads", "nan_in_ignored_key", "infinity_in_ignored_list",
             "infinity_in_ignored_field", "too_few_collocation_points", "decreasing_lambdas",
-            "negative_lambda", "negative_scale"])
+            "negative_lambda", "removed_scale_negative", "removed_scale",
+            "removed_affine_params", "removed_affine_variant", "negative_T", "negative_eps",
+            "zero_eps_limiting", "zero_in_eps_list", "negative_in_tau_list",
+            "negative_in_dt_list", "unordered_dt_list", "one_entry_dt_list",
+            "non_dividing_dt_list", "two_point_sweep"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)
@@ -425,12 +444,12 @@ BAD_VALUES = {"null": None, "true": True, "string": "x", "object": {}, "list": [
 def shared_config(x0, y0, h):
     """A config that holds every key any subcommand reads, with the given fields."""
     return {
-        "spectrum": {"kind": "explicit", "J": 3, "scale": 2.0, "lambdas": [1.0, 4.0, 9.0]},
-        "nonlinearity": {"variant": "LINEAR_IN_Y", "params": {"c": 0.5, "c_x": 0.1, "c_y": 0.2}},
+        "spectrum": {"kind": "explicit", "J": 3, "lambdas": [1.0, 4.0, 9.0]},
+        "nonlinearity": {"variant": "LINEAR_IN_Y", "params": {"c": 0.5}},
         "collocation_points": 12, "scheme": "COUPLED_MODIFIED", "T": 0.5, "N": 8, "eps": 0.5,
         "x0": x0, "y0": y0, "phi": {"kind": "LINEAR", "h": h}, "oracle": "MOMENT_ORACLE",
         "dt_list": [0.125, 0.0625, 0.03125], "eps_list": [1.0, 0.1], "tau_list": [1.0],
-        "n_samples": 0, "refinement": 4, "drop_coarsest": False, "master_seed": 3,
+        "n_samples": 0, "refinement": 4, "master_seed": 3,
         "n_threads": 1, "sample_index": 2, "output_dir": "unused",
     }
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from slowfast import (
-    Affine,
     FunctionalKind,
     FunctionalSpec,
     GridTransform,
@@ -16,6 +16,7 @@ from slowfast import (
     ModeMoments,
     OracleMode,
     PointwiseGeneral,
+    PointwiseSquare,
     RunConfig,
     SchemeKind,
     SpectrumSpec,
@@ -30,6 +31,7 @@ from slowfast import (
     mc_estimate,
     oracle_weak_value,
     quadratic_spectrum,
+    run_trajectory_batch,
     trajectory,
     uniform_sweep,
     weak_error_curve,
@@ -149,6 +151,11 @@ class TestMcEstimate:
             with pytest.raises(ValueError, match=r"\(7, 0\): its trajectory is finite"):
                 mc_estimate(cfg, PHI_NORM, 4, 7, SPEC, LinearInY(c=0.0))
 
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_rejects_batch_below_one(self, batch):
+        with pytest.raises(ValueError, match="batch"):
+            mc_estimate(coupled_config(), PHI_NORM, 10, 0, SPEC, NL, batch=batch)
+
     def test_stderr_scaling(self):
         cfg = coupled_config(N=4)
         small = mc_estimate(cfg, PHI_NORM, 4000, 1, SPEC, NL)
@@ -221,14 +228,6 @@ class TestFitRate:
         fit = fit_rate([(d, 0.7 * d**0.75 * j) for d, j in zip(dts, jitter)])
         assert abs(fit.slope - 0.75) < 0.02
 
-    def test_drop_coarsest(self):
-        dts = [0.5, 0.25, 0.125, 0.0625]
-        pts = [(d, d) for d in dts]
-        pts[0] = (0.5, 17.0)  # corrupt the coarsest point
-        fit = fit_rate(pts, drop_coarsest=True)
-        assert fit.slope == pytest.approx(1.0, abs=1e-12)
-        assert len(fit.points) == 3
-
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError, match="noise floor"):
             fit_rate([(0.5, 1.0), (0.25, 0.0), (0.125, 0.1)])
@@ -251,14 +250,33 @@ class TestApDiagram:
         assert sum(a < b for a, b in zip(gaps, gaps[1:])) <= 1
 
     def test_y_independent_coupling_gives_zero_gap(self):
-        nl = Affine(c_x=0.5, c_y=0.0)
+        nl = PointwiseGeneral(f=lambda u, v: 0.8 * u)
         h = np.ones(16)
         phi = FunctionalSpec(kind=FunctionalKind.LINEAR, h=h)
         cfg = coupled_config(T=0.5, N=8)
-        rows = ap_diagram(cfg, [1.0, 0.01], phi, SPEC, nl, n_samples=64, master_seed=5)
+        rows = ap_diagram(cfg, [1.0, 0.01], phi, SPEC, nl, GridTransform(16), n_samples=64,
+                          master_seed=5)
         for _, gap, se in rows:
             assert gap == 0.0
-            assert se < 1e-15
+            assert se == 0.0
+
+    def test_stderr_of_paired_differences(self):
+        # both sides run on the same draws, so the stderr is that of the
+        # per-sample differences, not the hypot of the two stderrs
+        cfg = coupled_config(T=0.5, N=8)
+        n, seed = 400, 9
+        rows = ap_diagram(cfg, [1.0, 0.01], PHI_NORM, SPEC, NL, n_samples=n, master_seed=seed)
+
+        def phi_values(scheme, eps):
+            x = run_trajectory_batch(replace(cfg, eps=eps, scheme=scheme), SPEC, NL, None, seed,
+                                     0, n)
+            return evaluate_functional(PHI_NORM, x)
+
+        lim = phi_values(SchemeKind.LIMITING, 1.0)
+        for eps, gap, se in rows:
+            mod = phi_values(SchemeKind.COUPLED_MODIFIED, eps)
+            assert gap == abs(np.mean(mod) - np.mean(lim))
+            assert se == np.std(mod - lim, ddof=1) / math.sqrt(n)
 
     def test_stiff_limit_fast_variance(self):
         # one-step fast variance at tau = dt/eps with eps = 1e-8 sits at
@@ -281,7 +299,7 @@ class TestAveragingCurve:
     def test_requires_linear_coupling(self):
         cfg = coupled_config()
         with pytest.raises(ValueError):
-            averaging_curve([0.5, 0.25], cfg, PHI_NORM, SPEC, Affine(1.0, 1.0))
+            averaging_curve([0.5, 0.25], cfg, PHI_NORM, SPEC, PointwiseSquare(1.0))
 
 
 class TestInvariantCheck:

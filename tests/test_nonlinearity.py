@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from slowfast import (
-    Affine,
     GridTransform,
     LinearInY,
     PointwiseGeneral,
@@ -108,12 +107,6 @@ class TestEvalF:
         out = eval_F(LinearInY(c=2.0), None, np.zeros(16), y)
         assert out[0] == 2.0 and np.all(out[1:] == 0.0)
 
-    def test_affine(self):
-        x = rng.standard_normal(16)
-        y = rng.standard_normal(16)
-        out = eval_F(Affine(c_x=0.5, c_y=-1.5), None, x, y)
-        assert np.allclose(out, 0.5 * x - 1.5 * y, rtol=1e-15)
-
     def test_square_of_zero(self):
         out = eval_F(PointwiseSquare(c=1.0), GT, np.zeros(16), np.zeros(16))
         assert np.all(out == 0.0)
@@ -135,7 +128,7 @@ class TestEvalF:
 
     def test_rejects_mismatched_fields(self):
         with pytest.raises(ValueError):
-            eval_F(Affine(1.0, 1.0), None, np.ones(16), np.ones(15))
+            eval_F(PointwiseSquare(1.0), GT, np.ones(16), np.ones(15))
         with pytest.raises(ValueError):
             eval_F(PointwiseSquare(1.0), GT, np.ones(8), np.ones(8))
 
@@ -149,10 +142,6 @@ class TestAveragedForce:
         for c in (-3.0, 0.5):
             x = rng.standard_normal(16)
             assert np.all(averaged_force(LinearInY(c), None, SPEC)(x) == 0.0)
-
-    def test_affine_keeps_slow_part(self):
-        x = rng.standard_normal(16)
-        assert np.allclose(averaged_force(Affine(0.7, 3.0), None, SPEC)(x), 0.7 * x, rtol=1e-15)
 
     def test_square_average_is_truncated_variance_field(self):
         out = averaged_force(PointwiseSquare(2.5), GT, SPEC)(rng.standard_normal(16))
@@ -207,8 +196,8 @@ class TestStatisticalProperties:
 
     @pytest.mark.parametrize(
         "nl",
-        [LinearInY(1.3), Affine(0.4, -0.8), PointwiseSquare(1.0), saturating_square(2.0)],
-        ids=["linear", "affine", "square", "saturating"],
+        [LinearInY(1.3), PointwiseSquare(1.0), saturating_square(2.0)],
+        ids=["linear", "square", "saturating"],
     )
     def test_centering_of_fbar(self, nl):
         # Monte Carlo average of F(x, Y) over Y ~ N(0, Lambda^-1) must match
@@ -224,24 +213,14 @@ class TestStatisticalProperties:
 
     @pytest.mark.parametrize(
         "nl, L",
-        [(LinearInY(1.3), 1.3), (Affine(0.4, -0.8), np.hypot(0.4, -0.8)),
-         (saturating_square(2.0), 2.0)],
-        ids=["linear", "affine", "saturating"],
+        [(LinearInY(1.3), 1.3), (saturating_square(2.0), 2.0)],
+        ids=["linear", "saturating"],
     )
     def test_Lipschitz_in_fast_variable(self, nl, L):
-        # |c|, hypot(c_x, c_y) and |c| bound |F(x, y2) - F(x, y1)| / |y2 - y1|
+        # |c| bounds |F(x, y2) - F(x, y1)| / |y2 - y1|
         x = rng.standard_normal(16)
         for _ in range(1000):
             y1 = rng.standard_normal(16) * 10 ** rng.uniform(-2, 1)
             y2 = rng.standard_normal(16) * 10 ** rng.uniform(-2, 1)
             d_out = np.linalg.norm(eval_F(nl, GT, x, y2) - eval_F(nl, GT, x, y1))
             assert d_out <= L * np.linalg.norm(y2 - y1) * (1 + 1e-9)
-
-    def test_fbar_linearity_for_linear_variants(self):
-        for nl in (LinearInY(2.0), Affine(0.9, 1.1)):
-            x1 = rng.standard_normal(16)
-            x2 = rng.standard_normal(16)
-            fbar = averaged_force(nl, None, SPEC)
-            lhs = fbar(x1 + 0.5 * x2)
-            rhs = fbar(x1) + 0.5 * fbar(x2)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
