@@ -230,11 +230,18 @@ def oracle_weak_value(
     return gaussian_expectation(phi, mom.mean_x, mom.var_x)
 
 
-def _expectation(config, phi, spec, nl, gt, n_samples, master_seed, n_threads) -> McEstimate:
-    """E[phi(X_N)]: the moment oracle (stderr 0) when n_samples == 0, else Monte Carlo."""
+def _phi_values(config, phi, spec, nl, gt, n_samples, master_seed, n_threads) -> np.ndarray:
+    """The moment oracle's E[phi(X_N)] as one value when n_samples == 0, else every sample's phi."""
     if n_samples == 0:
-        return McEstimate(mean=oracle_weak_value(config, phi, spec, nl), stderr=0.0, n_samples=0)
-    return mc_estimate(config, phi, n_samples, master_seed, spec, nl, gt, n_threads=n_threads)
+        return np.array([oracle_weak_value(config, phi, spec, nl)])
+    return _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads)
+
+
+def _paired_stderr(a: np.ndarray, b: np.ndarray) -> float:
+    """Standard error of mean(a) - mean(b) over paired samples; 0 for oracle values."""
+    if a.size == 1:
+        return 0.0
+    return float(np.std(a - b, ddof=1) / math.sqrt(a.size))
 
 
 def continuous_weak_value(
@@ -268,8 +275,9 @@ def weak_error_curve(
     dt_list must be strictly decreasing with T/dt an integer.  In
     MOMENT_ORACLE mode the truth is the continuous law and both sides are
     exact (stderr 0); the oracle_bias column is exactly 0.  In
-    REFINED_REFERENCE mode both sides are Monte Carlo estimates, or moment
-    oracle values when n_samples == 0; the bias column holds the exact
+    REFINED_REFERENCE mode both sides are Monte Carlo estimates from the same
+    seed, with the stderr of the per-sample differences, or moment oracle
+    values when n_samples == 0; the bias column holds the exact
     reference bias when the coupling is linear-in-y and a
     refinement-doubling estimate otherwise.
     """
@@ -285,19 +293,22 @@ def weak_error_curve(
             points.append(WeakErrorPoint(dt=dt, error=abs(val - truth), stderr=0.0, oracle_bias=0.0))
         elif oracle == OracleMode.REFINED_REFERENCE:
             ref_cfg = _reference_config(cfg, refinement)
-            est = _expectation(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
-            ref = _expectation(ref_cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
+            est = _phi_values(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
+            ref = _phi_values(ref_cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
+            ref_mean = float(np.mean(ref))
             if truth is None:
-                ref2 = _expectation(replace(ref_cfg, N=2 * ref_cfg.N), phi, spec, nl, gt,
-                                    n_samples, master_seed, n_threads)
-                bias = abs(ref2.mean - ref.mean)
+                ref2 = _phi_values(replace(ref_cfg, N=2 * ref_cfg.N), phi, spec, nl, gt,
+                                   n_samples, master_seed, n_threads)
+                bias = abs(float(np.mean(ref2)) - ref_mean)
             elif n_samples == 0:
-                bias = abs(ref.mean - truth)  # ref is already the oracle value
+                bias = abs(ref_mean - truth)  # ref is already the oracle value
             else:
                 bias = abs(oracle_weak_value(ref_cfg, phi, spec, nl) - truth)
-            err = abs(est.mean - ref.mean)
-            se = math.hypot(est.stderr, ref.stderr)
-            points.append(WeakErrorPoint(dt=dt, error=err, stderr=se, oracle_bias=bias))
+            err = abs(float(np.mean(est)) - ref_mean)
+            # the legs share noise draws (under COUPLED_EXPO, the same stream at steps 0..N-1),
+            # so the stderr is that of the per-sample differences
+            points.append(WeakErrorPoint(dt=dt, error=err, stderr=_paired_stderr(est, ref),
+                                         oracle_bias=bias))
         else:
             raise ValueError(f"unknown oracle mode {oracle!r}")
     return points
@@ -364,17 +375,14 @@ def ap_diagram(
     same draws, and the stderr is that of the per-sample differences.
     Returns a list of (eps, gap, stderr) rows.
     """
-    def values(cfg):
-        if n_samples == 0:
-            return np.array([oracle_weak_value(cfg, phi, spec, nl)])
-        return _phi_samples(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
-
-    lim = values(replace(config, eps=1.0, scheme=SchemeKind.LIMITING))
+    lim = _phi_values(replace(config, eps=1.0, scheme=SchemeKind.LIMITING),
+                      phi, spec, nl, gt, n_samples, master_seed, n_threads)
     rows = []
     for eps in eps_list:
-        vals = values(replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED))
-        se = float(np.std(vals - lim, ddof=1) / math.sqrt(n_samples)) if n_samples else 0.0
-        rows.append((float(eps), abs(float(np.mean(vals)) - float(np.mean(lim))), se))
+        vals = _phi_values(replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED),
+                           phi, spec, nl, gt, n_samples, master_seed, n_threads)
+        rows.append((float(eps), abs(float(np.mean(vals)) - float(np.mean(lim))),
+                     _paired_stderr(vals, lim)))
     return rows
 
 

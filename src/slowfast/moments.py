@@ -15,16 +15,19 @@ covariance ODE
     d cov   / dt = -(lam + lam/eps) cov + c var_y
     d var_y / dt = -(2 lam / eps) var_y + 2 / eps
 
-solved exactly by one matrix exponential of the stacked per-mode generators.
+solved exactly in closed form: the generator is upper bidiagonal, so the
+entries of its exponential are divided differences of exp over the decay
+rates, evaluated elementwise per mode (no matrix exponential).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  unused; perfbench/tracer.py counts calls to this name
 from scipy.special import exprel
 
 from .integrators import SchemeKind, Transition
@@ -142,6 +145,27 @@ def second_moment_recursion(
                        var_y=np.maximum(vy, 0.0), cov_xy=cv)
 
 
+def _exp_divided_differences(nodes):
+    """f[z_0], f[z_0, z_1], ..., f[z_0, ..., z_k] of f = exp, nodes in [-2, 0].
+
+    Taylor series about -1: with y_i = z_i + 1 in [-1, 1],
+    f[z_0..z_k] = e^(-1) sum_m h_m(y_0..y_k) / (m + k)!, where the complete
+    homogeneous polynomials obey h_m(y_0..y_i) = h_m(y_0..y_(i-1)) + y_i h_(m-1)(y_0..y_i).
+    The m-th term is at most 1/(m! k!), so 20 terms reach rounding, and
+    coincident nodes need no special case.
+    """
+    ys = [z + 1.0 for z in nodes]
+    h = [np.ones_like(ys[0]) for _ in ys]
+    sums = [h[i] / math.factorial(i) for i in range(len(ys))]
+    for m in range(1, 20):
+        prev = 0.0
+        for i, y in enumerate(ys):
+            h[i] = prev + y * h[i]
+            prev = h[i]
+            sums[i] = sums[i] + h[i] / math.factorial(m + i)
+    return [math.exp(-1.0) * s for s in sums]
+
+
 def continuous_second_moment(
     lam: ArrayLike,
     c: float,
@@ -149,11 +173,24 @@ def continuous_second_moment(
     T: float,
     start: ModeMoments,
 ) -> ModeMoments:
-    """Second moments of the exact dynamics at time T, per mode.
+    """Second moments of the exact dynamics at time T, per mode, in closed form.
 
-    The covariance generator is upper triangular; its matrix exponential is
-    evaluated exactly, in one call on the (J, 4, 4) stack of per-mode
-    generators acting on (var_x, cov_xy, var_y, 1).
+    The generator on (var_x, cov_xy, var_y, 1) is upper bidiagonal, with
+    diagonal -2 lam, -(lam + lam/eps), -2 lam/eps, 0 and superdiagonal 2c, c,
+    2/eps, so its exponential's (i, j) entry is the product of the
+    superdiagonal entries i..j-1, times T^(j-i), times the divided difference
+    f[z_i, ..., z_j] of f = exp over the nodes z = T * diagonal.
+
+    The three decay nodes are equally spaced: with hi the largest of them and
+    d = |lam - lam/eps| T, they are hi, hi - d, hi - 2d, and
+    f[hi, hi - d] = e^hi exprel(-d), f[hi, hi - d, hi - 2d] = e^hi exprel(-d)^2 / 2
+    do not cancel, not even at eps = 1.  The forcing entries (the node 0) come
+    from Newton's recurrence on f[0, z] = exprel(z), which adds hi - d and
+    then hi - 2d and divides by their distances from 0.  Those are at least
+    1/2 unless hi > -1 and d < 1/2; there all four nodes lie in (-2, 0], the
+    recurrence would cancel, and the series of `_exp_divided_differences`
+    takes over.  Every operation is elementwise, so a mode's moments do not
+    depend on the other modes in the call.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if eps <= 0 or T < 0:
@@ -164,17 +201,31 @@ def continuous_second_moment(
         raise ValueError(f"argument 'eps' = {eps!r} is too small: lam/eps is not finite")
     ones = np.ones_like(lam)
     mx = continuous_mean(lam, c, eps, T, start.mean_x, start.mean_y)
+    vx0, cv0, vy0 = (np.asarray(v, float) * ones for v in (start.var_x, start.cov_xy, start.var_y))
     with np.errstate(under="ignore"):
         my = np.exp(-lam * T / eps) * (np.asarray(start.mean_y, float) * ones)
-    gen = np.zeros((lam.size, 4, 4))
-    gen[:, 0, 0] = -2.0 * lam
-    gen[:, 0, 1] = 2.0 * c
-    gen[:, 1, 1] = -(lam + fast)
-    gen[:, 1, 2] = c
-    gen[:, 2, 2] = -2.0 * lam / eps
-    gen[:, 2, 3] = 2.0 / eps
-    start_vec = np.stack([np.asarray(v, float) * ones for v in
-                          (start.var_x, start.cov_xy, start.var_y, 1.0)], axis=1)
-    vx, cv, vy = np.einsum("nij,nj->ni", expm(gen * T), start_vec)[:, :3].T
+        a = lam * T
+        d = a * (abs(1.0 - eps) / eps)  # 1 - eps is exact near eps = 1
+        hi = -2.0 * np.minimum(a, fast * T)
+        mid, lo = hi - d, hi - 2.0 * d
+        e_hi, e_mid, r = np.exp(hi), np.exp(mid), exprel(-d)
+        f_trio = e_hi * (r * r / 2.0)  # f[z0, z1, z2]
+        if eps <= 1.0:  # z0 = -2 lam T is the largest decay node, z2 = -2 lam T/eps the smallest
+            z0, z2, f01, f12 = hi, lo, e_hi * r, e_mid * r
+        else:
+            z0, z2, f01, f12 = lo, hi, e_mid * r, e_hi * r
+        f0_z2 = exprel(z2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where the series serves
+            f0_z2_z1 = (f0_z2 - f12) / -mid
+            f0_trio = ((exprel(hi) - e_hi * r) / -mid - f_trio) / -lo
+        near = (hi > -1.0) & (d < 0.5)
+        if np.any(near):
+            series = _exp_divided_differences([np.zeros(np.count_nonzero(near)), z2[near],
+                                               mid[near], z0[near]])
+            f0_z2_z1[near], f0_trio[near] = series[2], series[3]
+        q = 2.0 * T / eps
+        vy = np.exp(z2) * vy0 + q * f0_z2
+        cv = e_mid * cv0 + c * T * (f12 * vy0 + q * f0_z2_z1)
+        vx = np.exp(z0) * vx0 + 2.0 * c * T * (f01 * cv0 + c * T * (f_trio * vy0 + q * f0_trio))
     return ModeMoments(mean_x=mx, mean_y=my, var_x=np.maximum(vx, 0.0),
                        var_y=np.maximum(vy, 0.0), cov_xy=cv)

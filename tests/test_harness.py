@@ -208,6 +208,24 @@ class TestWeakErrorCurve:
             assert abs(pa.error - pb.error) < 3 * (pa.stderr + pb.stderr)
             assert pa.oracle_bias > 0.0  # exact bias reported for linear coupling
 
+    def test_refined_reference_stderr_is_paired(self):
+        # under COUPLED_EXPO the measured leg and the reference draw the same
+        # stream at steps 0..N-1 from one seed, so their phi values correlate
+        # (about +0.53 at refinement 2) and the stderr of the per-sample
+        # differences is below the independent-legs hypot; the error column
+        # is the difference of the two plain MC means
+        spec = dirichlet_spectrum(4)
+        nl = LinearInY(c=1.0)
+        cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_EXPO,
+                        x0=np.ones(4), y0=np.ones(4))
+        (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl,
+                                    oracle=OracleMode.REFINED_REFERENCE, n_samples=4000,
+                                    master_seed=0, refinement=2)
+        est = mc_estimate(cfg, PHI_EXP, 4000, 0, spec, nl)
+        ref = mc_estimate(replace(cfg, N=8), PHI_EXP, 4000, 0, spec, nl)
+        assert point.error == abs(est.mean - ref.mean)
+        assert 0.0 < point.stderr < math.hypot(est.stderr, ref.stderr)
+
 
 class TestFitRate:
     def test_exact_half_order(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from covariance_mpmath import mp_second_moments
 from covariance_ode import ode_moments
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,74 @@ class TestContinuousSecondMoment:
             b = ode_moments(lam, c, eps, T, start)
             for f in ("var_x", "cov_xy", "var_y"):
                 assert abs(getattr(a, f)[0] - getattr(b, f)[0]) < 1e-9
+
+    def test_against_mpmath(self):
+        # 3,000 seeded draws against divided differences summed in mpmath at
+        # 60+ digits.  Each of var_x, cov_xy, var_y is held to 1e-12 of the
+        # sum of its terms' magnitudes (its own magnitude for a zero start,
+        # where nothing cancels; a correlated start can cancel terms, and no
+        # double evaluation beats that scale), with a floor for underflow.
+        # The draws cycle through eps = 1 exactly, 1 + 1e-9, 1 - 1e-9,
+        # |eps - 1| < 1e-3, lam/eps in [1e9, 1e12] and log-uniform eps, and
+        # through T in [1e-12, 1e-6], lam*T in [0.03, 5] (where the series
+        # hands over to the recurrence) and T in [1e-6, 10].
+        draw = np.random.default_rng(20090)
+        fields = ("var_x", "cov_xy", "var_y")
+        for k in range(3000):
+            lam = 10.0 ** draw.uniform(-2.0, 4.0)
+            eps = [1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + draw.uniform(-1e-3, 1e-3),
+                   lam / 10.0 ** draw.uniform(9.0, 12.0), 10.0 ** draw.uniform(-9.0, 2.0)][k % 6]
+            T = [10.0 ** draw.uniform(-12.0, -6.0), 10.0 ** draw.uniform(-1.5, 0.7) / lam,
+                 10.0 ** draw.uniform(-6.0, 1.0)][(k // 6) % 3]
+            c = draw.uniform(-3.0, 3.0)
+            var_x, var_y = draw.uniform(0.0, 2.0, 2)
+            cov_xy = draw.uniform(-1.0, 1.0) * np.sqrt(var_x * var_y)
+            if (k // 18) % 2:
+                var_x = cov_xy = var_y = 0.0
+            got = continuous_second_moment(np.array([lam]), c, eps, T,
+                                           ModeMoments(var_x=var_x, cov_xy=cov_xy, var_y=var_y))
+            exact, scales = mp_second_moments(lam, c, eps, T, var_x, cov_xy, var_y)
+            for f, x, scale in zip(fields, exact, scales):
+                err = abs(getattr(got, f)[0] - x)
+                assert err <= 1e-12 * scale + 1e-300, (f, lam, c, eps, T, var_x, cov_xy, var_y)
+
+    @pytest.mark.parametrize("eps, expected", [
+        (1.0 + 1e-9, (0.0007337485393196707, 0.00645662511512429, 0.11363637036301388)),
+        (1.0 - 1e-9, (0.0007337485385857598, 0.006456625108667406, 0.11363637036301366)),
+    ])
+    def test_near_unit_eps_pinned(self, eps, expected):
+        # lam = 8.8, c = 1, T = 0.93; the values are covariance_mpmath's.  SciPy's
+        # expm of the generator missed them by 5.7e-9 (eps = 1 + 1e-9) and
+        # 1.1e-9 (eps = 1 - 1e-9) relative in var_x and cov_xy
+        out = continuous_second_moment(np.array([8.8]), 1.0, eps, 0.93,
+                                       ModeMoments(var_x=0.3, cov_xy=0.1, var_y=0.2))
+        for f, x in zip(("var_x", "cov_xy", "var_y"), expected):
+            assert getattr(out, f)[0] == pytest.approx(x, rel=2e-15)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(J=st.integers(1, 32), log_lam_scale=st.floats(-3.0, 3.0), c=st.floats(-3.0, 3.0),
+           eps=st.one_of(st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]),
+                         st.floats(-9.0, 2.0).map(lambda e: 10.0**e)),
+           log_T=st.floats(-12.0, 1.0), seed=st.integers(0, 2**32))
+    def test_batch_invariance(self, J, log_lam_scale, c, eps, log_T, seed):
+        # the reproducibility contract: moments over a vector of modes equal,
+        # bit for bit, one call per mode (the modes may straddle the series
+        # and the recurrence)
+        lam = dirichlet_spectrum(J).lambdas * 10.0**log_lam_scale
+        T = 10.0**log_T
+        draw = np.random.default_rng(seed)
+        var_x, var_y = draw.uniform(0, 1, J), draw.uniform(0, 1, J)
+        start = ModeMoments(mean_x=draw.uniform(-1, 1, J), mean_y=draw.uniform(-1, 1, J),
+                            var_x=var_x, var_y=var_y,
+                            cov_xy=draw.uniform(-1, 1, J) * np.sqrt(var_x * var_y))
+        fields = ("mean_x", "mean_y", "var_x", "cov_xy", "var_y")
+        whole = continuous_second_moment(lam, c, eps, T, start)
+        ones = [continuous_second_moment(lam[j], c, eps, T,
+                                         ModeMoments(**{f: getattr(start, f)[j] for f in fields}))
+                for j in range(J)]
+        for f in fields:
+            assert np.array_equal(np.concatenate([getattr(o, f) for o in ones]),
+                                  getattr(whole, f)), f
 
 
 class TestAgainstMonteCarlo:
