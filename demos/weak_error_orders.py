@@ -14,7 +14,6 @@ from slowfast import (
     FunctionalKind,
     FunctionalSpec,
     LinearInY,
-    OracleMode,
     RunConfig,
     SchemeKind,
     dirichlet_spectrum,
@@ -31,7 +30,7 @@ dts = [2.0**-k for k in range(4, 13)]
 
 print("fixed-eps error of the coupled modified scheme, |x|^2 functional, eps = 1")
 cfg = RunConfig(T=0.5, N=8, eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED, x0=x0, y0=y0)
-points = weak_error_curve(cfg, dts, phi, spec, nl, oracle=OracleMode.MOMENT_ORACLE)
+points = weak_error_curve(cfg, dts, phi, spec, nl)
 for p in points:
     print(f"  dt = 2^{np.log2(p.dt):+.0f}   error = {p.error:.6e}")
 fit = fit_rate(points)

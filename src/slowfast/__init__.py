@@ -47,7 +47,6 @@ from .harness import (
     FunctionalSpec,
     McEstimate,
     RateFit,
-    OracleMode,
     evaluate_functional,
     gaussian_expectation,
     mc_estimate,

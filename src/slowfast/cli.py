@@ -28,7 +28,6 @@ import numpy as np
 from .harness import (
     FunctionalKind,
     FunctionalSpec,
-    OracleMode,
     _config_at_dt,
     ap_diagram,
     fit_rate,
@@ -180,14 +179,12 @@ SCHEMA = (
     *_field_keys("y0", "zero", _RUNS),
     ("phi.kind", FunctionalKind, FunctionalKind.NORM_SQUARED, _PHI),
     *_field_keys("phi.h", "mode", _PHI),
-    ("oracle", OracleMode, OracleMode.MOMENT_ORACLE, ("weak-error",)),
     ("dt_list", _dt_ladder, tuple(2.0**-k for k in range(4, 10)), ("weak-error",)),
     ("dt_list", _dt_ladder, tuple(2.0**-k for k in range(4, 11)), ("uniform-sweep",)),
     ("eps_list", _positive(_numbers), tuple(4.0**-k for k in range(0, 7)),
      ("ap-test", "uniform-sweep")),
     ("tau_list", _positive(_numbers), (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
-    ("n_samples", _sample_count, 100000, ("weak-error",)),
-    ("n_samples", _sample_count, 0, ("ap-test",)),
+    ("n_samples", _sample_count, 0, ("weak-error", "ap-test")),
     ("refinement", _at_least(1), 64, ("weak-error",)),
     ("refinement", _at_least(1), 512, ("uniform-sweep",)),
     ("master_seed", _seed, 0, ("simulate", "weak-error", "ap-test")),
@@ -345,9 +342,9 @@ def _cmd_simulate(v: dict):
 
 def _cmd_weak_error(v: dict):
     spec, nl, gt, config, phi = _setup(v)
-    points = weak_error_curve(config, v["dt_list"], phi, spec, nl, gt, oracle=v["oracle"],
-                              n_samples=v["n_samples"], master_seed=v["master_seed"],
-                              refinement=v["refinement"], n_threads=v["n_threads"])
+    points = weak_error_curve(config, v["dt_list"], phi, spec, nl, gt, n_samples=v["n_samples"],
+                              master_seed=v["master_seed"], refinement=v["refinement"],
+                              n_threads=v["n_threads"])
     fit = fit_rate(points)
     files = {
         "curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),

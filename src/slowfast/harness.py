@@ -1,15 +1,19 @@
 """Experiment driver: Monte Carlo estimation, weak-error curves, rate fits,
 asymptotic-preserving and invariant-measure diagnostics.
 
-Two truth modes are available for weak-error measurement:
+One switch, n_samples, picks how an expectation is measured:
 
-* MOMENT_ORACLE     linear-in-y coupling only; scheme expectations come from
-  the exact moment recursions and the truth from the continuous moments, so
-  curves are noise-free and bit-reproducible.
-* REFINED_REFERENCE Monte Carlo against the exact-transition scheme on a
+* n_samples = 0     the moment oracle (linear-in-y coupling only): scheme
+  expectations come from the exact moment recursions and the truth from the
+  continuous moments, so curves are noise-free and bit-reproducible.
+* n_samples >= 2    Monte Carlo against the exact-transition scheme on a
   refined grid; works for any catalog nonlinearity, with the reference bias
   reported (exactly when the oracle applies, otherwise by refinement
-  doubling).  With n_samples = 0 both sides are moment-oracle values.
+  doubling).
+
+The schemes without a fast state (LIMITING, AVERAGED) approximate the
+averaged equation, so their weak errors are measured against phi of its
+solution at T instead, with no reference leg.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "FunctionalSpec",
     "McEstimate",
     "RateFit",
-    "OracleMode",
     "WeakErrorPoint",
     "evaluate_functional",
     "gaussian_expectation",
@@ -124,11 +127,6 @@ class RateFit:
     points: tuple
 
 
-class OracleMode(Enum):
-    MOMENT_ORACLE = "MOMENT_ORACLE"
-    REFINED_REFERENCE = "REFINED_REFERENCE"
-
-
 @dataclass(frozen=True)
 class WeakErrorPoint:
     dt: float
@@ -160,12 +158,11 @@ def mc_estimate(
     sample order.
 
     A non-finite phi value raises ValueError naming the first such sample's
-    address (master_seed, sample) and the first step at which its replayed
-    trajectory is not finite.
+    address (master_seed, sample) and the first step at which its trajectory,
+    replayed within its own span, is not finite.
     """
     vals = _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, batch)
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return McEstimate(mean=float(np.mean(vals)), stderr=stderr, n_samples=n_samples)
+    return McEstimate(mean=float(np.mean(vals)), stderr=_stderr(vals), n_samples=n_samples)
 
 
 def _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, batch=2048):
@@ -189,7 +186,8 @@ def _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, b
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         sample = int(bad[0])
-        step = _first_nonfinite_step(config, spec, nl, gt, master_seed, sample)
+        step = _first_nonfinite_step(_replay(config, spec, nl, gt, master_seed, sample,
+                                             n_samples, batch))
         where = (f"its trajectory is first non-finite at step {step} of {config.N}"
                  if step is not None else "its trajectory is finite, phi of its final state is not")
         raise ValueError(f"{bad.size} of {n_samples} samples gave a non-finite phi; the first is "
@@ -197,10 +195,24 @@ def _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, b
     return vals
 
 
-def _first_nonfinite_step(config, spec, nl, gt, master_seed, sample) -> Optional[int]:
-    """First step at which one sample's replayed (x, y) is not finite; None if none is."""
+def _replay(config, spec, nl, gt, master_seed, sample, n_samples, batch):
+    """(x, y) of one sample at steps 0..N, computed exactly as `_phi_samples` computed it.
+
+    The pointwise couplings round a row differently depending on how many
+    rows its collocation product has, so the sample's whole span is rerun and
+    its row read off.
+    """
+    first = sample // batch * batch
+    row = sample - first
+    for x, y in trajectory(config, spec, nl, gt, master_seed, first,
+                           min(batch, n_samples - first)):
+        yield x[row], (None if y is None else y[row])
+
+
+def _first_nonfinite_step(states) -> Optional[int]:
+    """First step at which a replayed (x, y) is not finite; None if none is."""
     with np.errstate(all="ignore"):
-        for n, (x, y) in enumerate(trajectory(config, spec, nl, gt, master_seed, sample, 1)):
+        for n, (x, y) in enumerate(states):
             if not np.isfinite(x).all() or (y is not None and not np.isfinite(y).all()):
                 return n
     return None
@@ -237,11 +249,11 @@ def _phi_values(config, phi, spec, nl, gt, n_samples, master_seed, n_threads) ->
     return _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads)
 
 
-def _paired_stderr(a: np.ndarray, b: np.ndarray) -> float:
-    """Standard error of mean(a) - mean(b) over paired samples; 0 for oracle values."""
-    if a.size == 1:
+def _stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of per-sample values; 0 for one oracle value."""
+    if values.size == 1:
         return 0.0
-    return float(np.std(a - b, ddof=1) / math.sqrt(a.size))
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def continuous_weak_value(
@@ -264,54 +276,61 @@ def weak_error_curve(
     spec: SpectrumSpec,
     nl: Nonlinearity,
     gt: Optional[GridTransform] = None,
-    oracle: OracleMode = OracleMode.MOMENT_ORACLE,
-    n_samples: int = 100000,
+    n_samples: int = 0,
     master_seed: int = 0,
     refinement: int = 64,
     n_threads: int = 1,
 ):
     """|E phi(scheme at dt) - truth| for each dt on a decreasing ladder.
 
-    dt_list must be strictly decreasing with T/dt an integer.  In
-    MOMENT_ORACLE mode the truth is the continuous law and both sides are
-    exact (stderr 0); the oracle_bias column is exactly 0.  In
-    REFINED_REFERENCE mode both sides are Monte Carlo estimates from the same
-    seed, with the stderr of the per-sample differences, or moment oracle
-    values when n_samples == 0; the bias column holds the exact
-    reference bias when the coupling is linear-in-y and a
-    refinement-doubling estimate otherwise.
+    dt_list must be strictly decreasing with T/dt an integer.  With
+    n_samples = 0 both sides are exact: the scheme from the moment oracle,
+    the truth from the continuous law at config.eps (stderr and oracle_bias
+    0).  Otherwise both sides are Monte Carlo estimates from the same seed,
+    the truth is the exact-transition scheme on the grid refined
+    `refinement` times, the stderr is that of the per-sample differences,
+    and oracle_bias is the reference's exact bias when the coupling is
+    linear-in-y and a refinement-doubling estimate otherwise.
+
+    LIMITING and AVERAGED have no fast state and approximate the averaged
+    equation: their truth is phi of its solution at T, with no reference
+    leg, the plain stderr and oracle_bias 0.
     """
+    coupled = config.scheme.coupled
+    if not coupled:
+        xbar = solve_averaged_reference(spec, nl, config.x0, config.T, gt)
+        truth = float(evaluate_functional(phi, xbar))
+    elif n_samples == 0 or isinstance(nl, LinearInY):
+        truth = continuous_weak_value(config, phi, spec, nl)
+    points = []
+    for dt, cfg in _ladder(config, dt_list):
+        est = _phi_values(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
+        if n_samples == 0 or not coupled:
+            points.append(WeakErrorPoint(dt=dt, error=abs(float(np.mean(est)) - truth),
+                                         stderr=_stderr(est), oracle_bias=0.0))
+            continue
+        ref_cfg = _reference_config(cfg, refinement)
+        ref = _phi_samples(ref_cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
+        ref_mean = float(np.mean(ref))
+        if isinstance(nl, LinearInY):
+            bias = abs(oracle_weak_value(ref_cfg, phi, spec, nl) - truth)
+        else:
+            ref2 = _phi_samples(replace(ref_cfg, N=2 * ref_cfg.N), phi, n_samples, master_seed,
+                                spec, nl, gt, n_threads)
+            bias = abs(float(np.mean(ref2)) - ref_mean)
+        # the legs share noise draws (under COUPLED_EXPO, the same stream at steps 0..N-1),
+        # so the stderr is that of the per-sample differences
+        points.append(WeakErrorPoint(dt=dt, error=abs(float(np.mean(est)) - ref_mean),
+                                     stderr=_stderr(est - ref), oracle_bias=bias))
+    return points
+
+
+def _ladder(config: RunConfig, dt_list: Sequence[float]) -> list:
+    """(dt, config at dt) for each dt of a strictly decreasing ladder."""
     dts = list(dt_list)
     if any(d2 >= d1 for d1, d2 in zip(dts, dts[1:])):
         raise ValueError("dt_list must be strictly decreasing")
-    truth = continuous_weak_value(config, phi, spec, nl) if isinstance(nl, LinearInY) else None
-    points = []
-    for dt in dts:
-        cfg = _config_at_dt(config, dt)
-        if oracle == OracleMode.MOMENT_ORACLE:
-            val = oracle_weak_value(cfg, phi, spec, nl)
-            points.append(WeakErrorPoint(dt=dt, error=abs(val - truth), stderr=0.0, oracle_bias=0.0))
-        elif oracle == OracleMode.REFINED_REFERENCE:
-            ref_cfg = _reference_config(cfg, refinement)
-            est = _phi_values(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
-            ref = _phi_values(ref_cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
-            ref_mean = float(np.mean(ref))
-            if truth is None:
-                ref2 = _phi_values(replace(ref_cfg, N=2 * ref_cfg.N), phi, spec, nl, gt,
-                                   n_samples, master_seed, n_threads)
-                bias = abs(float(np.mean(ref2)) - ref_mean)
-            elif n_samples == 0:
-                bias = abs(ref_mean - truth)  # ref is already the oracle value
-            else:
-                bias = abs(oracle_weak_value(ref_cfg, phi, spec, nl) - truth)
-            err = abs(float(np.mean(est)) - ref_mean)
-            # the legs share noise draws (under COUPLED_EXPO, the same stream at steps 0..N-1),
-            # so the stderr is that of the per-sample differences
-            points.append(WeakErrorPoint(dt=dt, error=err, stderr=_paired_stderr(est, ref),
-                                         oracle_bias=bias))
-        else:
-            raise ValueError(f"unknown oracle mode {oracle!r}")
-    return points
+    return [(dt, _config_at_dt(config, dt)) for dt in dts]
 
 
 def _config_at_dt(config: RunConfig, dt: float) -> RunConfig:
@@ -333,8 +352,10 @@ def fit_rate(points) -> RateFit:
 
     points: iterable of (dt, error) pairs or WeakErrorPoint.  Zero or
     negative errors are rejected: they signal a measurement at or below the
-    noise floor, which a log fit cannot represent.
+    noise floor, which a log fit cannot represent.  So is a Monte Carlo point
+    whose error is below twice its stderr.
     """
+    points = list(points)
     pts = [(p.dt, p.error) if isinstance(p, WeakErrorPoint) else (float(p[0]), float(p[1]))
            for p in points]
     if len(pts) < 3:
@@ -343,6 +364,10 @@ def fit_rate(points) -> RateFit:
     errs = np.array([p[1] for p in pts])
     if not np.all(np.isfinite(errs)):
         raise ValueError(f"errors must be finite for a log-log fit, got {errs.tolist()}")
+    noisy = [p.dt for p in points if isinstance(p, WeakErrorPoint) and p.error < 2.0 * p.stderr]
+    if noisy:
+        raise ValueError(f"errors below 2 stderr (the Monte Carlo noise floor) at dt = {noisy}; "
+                         "take more samples or drop those step sizes")
     if np.any(errs <= 0.0):
         raise ValueError("errors must be positive for a log-log fit (below noise floor?)")
     x = np.log(dts)
@@ -382,7 +407,7 @@ def ap_diagram(
         vals = _phi_values(replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED),
                            phi, spec, nl, gt, n_samples, master_seed, n_threads)
         rows.append((float(eps), abs(float(np.mean(vals)) - float(np.mean(lim))),
-                     _paired_stderr(vals, lim)))
+                     _stderr(vals - lim)))
     return rows
 
 
@@ -484,20 +509,23 @@ def uniform_sweep(
 ) -> UniformSweepResult:
     """Weak error of the coupled modified scheme over an (eps, dt) grid.
 
-    One REFINED_REFERENCE weak-error curve per eps, evaluated through the
-    moment recursions (n_samples = 0: noise-free, linear-in-y coupling
-    required), so each error is measured against the exact-transition scheme
-    on a grid refined by `refinement` and the reference bias against the
-    continuous law is exact.  The fit is over the max-over-eps error per dt.
+    Every expectation comes from the moment recursions (noise-free,
+    linear-in-y coupling required): each error is measured against the
+    exact-transition scheme on a grid refined by `refinement`, and the
+    reference bias against the continuous law is exact.  The fit is over
+    the max-over-eps error per dt.
     """
-    _require_linear_in_y(nl, "the uniform sweep")
     epss = [float(e) for e in eps_list]
     dts = list(dt_list)
-    curves = [weak_error_curve(replace(config, eps=eps), dts, phi, spec, nl,
-                               oracle=OracleMode.REFINED_REFERENCE, n_samples=0,
-                               refinement=refinement) for eps in epss]
-    errors = np.array([[p.error for p in curve] for curve in curves]).T
-    bias = np.array([[p.oracle_bias for p in curve] for curve in curves]).T
+    errors = np.empty((len(dts), len(epss)))
+    bias = np.empty_like(errors)
+    for k, eps in enumerate(epss):
+        at_eps = replace(config, eps=eps)
+        truth = continuous_weak_value(at_eps, phi, spec, nl)
+        for i, (_, cfg) in enumerate(_ladder(at_eps, dts)):
+            ref = oracle_weak_value(_reference_config(cfg, refinement), phi, spec, nl)
+            errors[i, k] = abs(oracle_weak_value(cfg, phi, spec, nl) - ref)
+            bias[i, k] = abs(ref - truth)
     max_errors = errors.max(axis=1)
     fit = fit_rate(list(zip(dts, max_errors)))
     return UniformSweepResult(

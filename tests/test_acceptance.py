@@ -15,7 +15,6 @@ from slowfast import (
     FunctionalSpec,
     LinearInY,
     GridTransform,
-    OracleMode,
     PointwiseSquare,
     RunConfig,
     SchemeKind,
@@ -140,7 +139,7 @@ def test_04_fixed_eps_order_at_least_half():
     y0 = 1.0 / spec.lambdas
     cfg = RunConfig(T=0.5, N=8, eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED, x0=x0, y0=y0)
     dts = [2.0**-k for k in range(4, 13)]
-    points = weak_error_curve(cfg, dts, PHI_NORM, spec, nl, oracle=OracleMode.MOMENT_ORACLE)
+    points = weak_error_curve(cfg, dts, PHI_NORM, spec, nl)
     fit = fit_rate(points)
     elapsed = time.time() - t0
     ok = fit.slope >= 0.45 and fit.r_squared >= 0.99 and elapsed < 10.0

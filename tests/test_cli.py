@@ -91,7 +91,6 @@ class TestWeakError:
             "x0": {"preset": "decay", "p": 2.0},
             "y0": {"preset": "ones"},
             "phi": {"kind": "NORM_SQUARED"},
-            "oracle": "MOMENT_ORACLE",
             "dt_list": [2**-3, 2**-4, 2**-5, 2**-6],
         })
         out = tmp_path / "o"
@@ -123,7 +122,6 @@ class TestWeakError:
             "T": 0.25, "N": 4, "eps": 0.5,
             "x0": {"preset": "ones"}, "y0": {"preset": "ones"},
             "phi": {"kind": "BOUNDED_EXP"},
-            "oracle": "REFINED_REFERENCE",
             "n_samples": 2000, "refinement": 16, "master_seed": 42,
             "dt_list": [2**-2, 2**-3, 2**-4],
         })
@@ -135,6 +133,30 @@ class TestWeakError:
             assert rc == 0
             outs.append(read(out / "curve.csv"))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_point_below_noise_floor_exits_2(self, tmp_path, capsys):
+        # 50 samples: the finest point's error is 0.9 of its stderr, the
+        # others at least 3.1 stderr
+        cfg = write_config(tmp_path, "c.json", {
+            "spectrum": {"J": 8}, "T": 0.25, "eps": 0.5,
+            "x0": {"preset": "ones"}, "y0": {"preset": "ones"}, "phi": {"kind": "BOUNDED_EXP"},
+            "n_samples": 50, "refinement": 16, "master_seed": 0,
+            "dt_list": [2.0**-k for k in range(2, 9)],
+        })
+        out = tmp_path / "o"
+        assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "noise floor" in err
+        assert f"dt = [{2.0**-8!r}]" in err
+        assert not out.exists()
+
+    def test_limiting_scheme_is_first_order_against_the_averaged_limit(self, tmp_path):
+        # the limiting scheme has no fast state; its truth is the averaged
+        # equation, not the slow-fast law at the config's eps
+        cfg = write_config(tmp_path, "c.json", {"scheme": "LIMITING"})
+        out = tmp_path / "o"
+        assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["slope"] >= 0.85
 
 
 class TestSimulate:
@@ -300,6 +322,7 @@ class TestFailureModes:
         ("weak-error", {"drop_coarsest": "false"}, "drop_coarsest"),
         ("weak-error", {"drop_coarsest": 0}, "drop_coarsest"),
         ("weak-error", {"drop_coarsest": True}, "drop_coarsest"),
+        ("weak-error", {"oracle": "MOMENT_ORACLE"}, "oracle"),
         ("simulate", {"master_seed": -1}, "master_seed"),
         ("simulate", {"master_seed": 2**64}, "master_seed"),
         ("simulate", {"T": float("nan")}, "T"),
@@ -351,7 +374,8 @@ class TestFailureModes:
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
             "empty_eps_list", "fractional_master_seed", "fractional_J", "fractional_n_samples",
             "boolean_sample_index", "string_refinement", "removed_drop_coarsest_string",
-            "removed_drop_coarsest_numeric", "removed_drop_coarsest", "negative_master_seed",
+            "removed_drop_coarsest_numeric", "removed_drop_coarsest", "removed_oracle",
+            "negative_master_seed",
             "master_seed_past_64_bits", "nan_T", "nan_coefficient", "infinite_eps", "boolean_T",
             "string_eps", "boolean_in_tau_list", "subnormal_eps_simulate",
             "subnormal_eps_weak_error",
@@ -447,7 +471,7 @@ def shared_config(x0, y0, h):
         "spectrum": {"kind": "explicit", "J": 3, "lambdas": [1.0, 4.0, 9.0]},
         "nonlinearity": {"variant": "LINEAR_IN_Y", "params": {"c": 0.5}},
         "collocation_points": 12, "scheme": "COUPLED_MODIFIED", "T": 0.5, "N": 8, "eps": 0.5,
-        "x0": x0, "y0": y0, "phi": {"kind": "LINEAR", "h": h}, "oracle": "MOMENT_ORACLE",
+        "x0": x0, "y0": y0, "phi": {"kind": "LINEAR", "h": h},
         "dt_list": [0.125, 0.0625, 0.03125], "eps_list": [1.0, 0.1], "tau_list": [1.0],
         "n_samples": 0, "refinement": 4, "master_seed": 3,
         "n_threads": 1, "sample_index": 2, "output_dir": "unused",

@@ -14,7 +14,6 @@ from slowfast import (
     GridTransform,
     LinearInY,
     ModeMoments,
-    OracleMode,
     PointwiseGeneral,
     PointwiseSquare,
     RunConfig,
@@ -32,10 +31,12 @@ from slowfast import (
     oracle_weak_value,
     quadratic_spectrum,
     run_trajectory_batch,
+    solve_averaged_reference,
     trajectory,
     uniform_sweep,
     weak_error_curve,
 )
+from slowfast.harness import WeakErrorPoint, _phi_samples, _replay
 
 rng = np.random.default_rng(5150)
 
@@ -144,6 +145,25 @@ class TestMcEstimate:
         assert f"first non-finite at step {step} of 16" in str(info.value)
         assert 0 < step and all(finite[:step])
 
+    @pytest.mark.parametrize("batch", [2048, 256])
+    def test_replay_is_the_sampled_row_bit_for_bit(self, batch):
+        # the pointwise square's collocation product rounds a row differently
+        # with the number of rows, so a one-sample replay would not be the
+        # sampled path; the replay reruns the sample's own span
+        J, n, seed = 16, 600, 4
+        spec, gt, nl = dirichlet_spectrum(J), GridTransform(J), PointwiseSquare(1.0)
+        cfg = RunConfig(T=1.0, N=16, eps=1.0, scheme=SchemeKind.LIMITING, x0=np.ones(J),
+                        y0=np.zeros(J))
+        phi = FunctionalSpec(kind=FunctionalKind.LINEAR, h=np.ones(J))
+        vals = _phi_samples(cfg, phi, n, seed, spec, nl, gt, 1, batch)
+        batch_rows = run_trajectory_batch(cfg, spec, nl, gt, seed, 0, n)
+        for sample in (0, 1, 255, 256, 300, 511, 512, 599):
+            *_, (x, y) = _replay(cfg, spec, nl, gt, seed, sample, n, batch)
+            assert y is None
+            assert evaluate_functional(phi, x) == vals[sample]
+            if batch > n:
+                assert np.array_equal(x, batch_rows[sample])
+
     def test_overflowing_phi_of_finite_state_raises(self):
         cfg = RunConfig(T=0.1, N=1, eps=1.0, scheme=SchemeKind.LIMITING, x0=np.full(16, 1e170),
                         y0=np.zeros(16))
@@ -200,13 +220,27 @@ class TestWeakErrorCurve:
         cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
                         x0=np.ones(4), y0=np.ones(4))
         dts = [2.0**-3, 2.0**-4]
-        a = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, oracle=OracleMode.REFINED_REFERENCE,
-                             n_samples=2000, master_seed=0, refinement=16)
-        b = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, oracle=OracleMode.REFINED_REFERENCE,
-                             n_samples=4000, master_seed=0, refinement=16)
+        a = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, n_samples=2000, master_seed=0,
+                             refinement=16)
+        b = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, n_samples=4000, master_seed=0,
+                             refinement=16)
         for pa, pb in zip(a, b):
             assert abs(pa.error - pb.error) < 3 * (pa.stderr + pb.stderr)
             assert pa.oracle_bias > 0.0  # exact bias reported for linear coupling
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.LIMITING, SchemeKind.AVERAGED])
+    def test_uncoupled_scheme_is_measured_against_the_averaged_solution(self, scheme):
+        # no fast state, so no refined reference leg: |MC mean - phi(xbar(T))|
+        spec, gt, nl = dirichlet_spectrum(4), GridTransform(4), PointwiseSquare(1.0)
+        cfg = RunConfig(T=0.25, N=4, eps=1.0, scheme=scheme, x0=np.ones(4), y0=np.ones(4))
+        phi = FunctionalSpec(kind=FunctionalKind.LINEAR, h=np.ones(4))
+        truth = float(evaluate_functional(phi, solve_averaged_reference(spec, nl, cfg.x0, 0.25,
+                                                                        gt)))
+        (point,) = weak_error_curve(cfg, [0.0625], phi, spec, nl, gt, n_samples=500,
+                                    master_seed=3)
+        est = mc_estimate(cfg, phi, 500, 3, spec, nl, gt)
+        assert point.error == abs(est.mean - truth)
+        assert point.stderr == est.stderr and point.oracle_bias == 0.0
 
     def test_refined_reference_stderr_is_paired(self):
         # under COUPLED_EXPO the measured leg and the reference draw the same
@@ -218,8 +252,7 @@ class TestWeakErrorCurve:
         nl = LinearInY(c=1.0)
         cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_EXPO,
                         x0=np.ones(4), y0=np.ones(4))
-        (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl,
-                                    oracle=OracleMode.REFINED_REFERENCE, n_samples=4000,
+        (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl, n_samples=4000,
                                     master_seed=0, refinement=2)
         est = mc_estimate(cfg, PHI_EXP, 4000, 0, spec, nl)
         ref = mc_estimate(replace(cfg, N=8), PHI_EXP, 4000, 0, spec, nl)
@@ -251,6 +284,15 @@ class TestFitRate:
             fit_rate([(0.5, 1.0), (0.25, 0.0), (0.125, 0.1)])
         with pytest.raises(ValueError):
             fit_rate([(0.5, 1.0), (0.25, 0.5)])
+
+    def test_rejects_points_below_twice_their_stderr(self):
+        pts = [WeakErrorPoint(dt=2.0**-k, error=e, stderr=0.01, oracle_bias=0.0)
+               for k, e in ((2, 0.4), (3, 0.2), (4, 0.1), (5, 0.019))]
+        with pytest.raises(ValueError, match=r"noise floor\) at dt = \[0\.03125\]"):
+            fit_rate(pts)
+        assert fit_rate(pts[:3]).slope == pytest.approx(1.0)
+        # an exact point has stderr 0 and is never below the floor
+        fit_rate([replace(p, error=1e-300, stderr=0.0) for p in pts])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_errors(self, bad):
