@@ -1,19 +1,18 @@
 """Experiment driver: Monte Carlo estimation, weak-error curves, rate fits,
 asymptotic-preserving and invariant-measure diagnostics.
 
-One switch, n_samples, picks how an expectation is measured:
+One switch, n_samples, picks how a scheme's expectation is measured:
 
-* n_samples = 0     the moment oracle (linear-in-y coupling only): scheme
-  expectations come from the exact moment recursions and the truth from the
-  continuous moments, so curves are noise-free and bit-reproducible.
-* n_samples >= 2    Monte Carlo against the exact-transition scheme on a
-  refined grid; works for any catalog nonlinearity, with the reference bias
-  reported (exactly when the oracle applies, otherwise by refinement
-  doubling).
+* n_samples = 0     the moment oracle (linear-in-y coupling only): exact
+  moment recursions, so curves are noise-free and bit-reproducible.
+* n_samples >= 2    Monte Carlo; works for any catalog nonlinearity.
 
-The schemes without a fast state (LIMITING, AVERAGED) approximate the
-averaged equation, so their weak errors are measured against phi of its
-solution at T instead, with no reference leg.
+A weak error is measured against the exact truth wherever there is one:
+the continuous law for the linear-in-y coupling, and phi of the averaged
+solution at T for the schemes without a fast state (LIMITING, AVERAGED).
+Only Monte Carlo with a pointwise coupling in a coupled scheme, which has no
+exact truth, measures against the exact-transition scheme on a refined grid
+and estimates that reference's bias by refinement doubling.
 """
 
 from __future__ import annotations
@@ -124,7 +123,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    points: tuple
 
 
 @dataclass(frozen=True)
@@ -283,45 +281,44 @@ def weak_error_curve(
 ):
     """|E phi(scheme at dt) - truth| for each dt on a decreasing ladder.
 
-    dt_list must be strictly decreasing with T/dt an integer.  With
-    n_samples = 0 both sides are exact: the scheme from the moment oracle,
-    the truth from the continuous law at config.eps (stderr and oracle_bias
-    0).  Otherwise both sides are Monte Carlo estimates from the same seed,
-    the truth is the exact-transition scheme on the grid refined
-    `refinement` times, the stderr is that of the per-sample differences,
-    and oracle_bias is the reference's exact bias when the coupling is
-    linear-in-y and a refinement-doubling estimate otherwise.
+    dt_list must be strictly decreasing with T/dt an integer.  The scheme's
+    side is the moment oracle when n_samples = 0 and a Monte Carlo estimate
+    otherwise.  Where an exact truth exists, each error is |mean - truth|
+    with the plain stderr (0 for the oracle) and oracle_bias 0: for the
+    linear-in-y coupling the truth is the continuous law at config.eps, and
+    for LIMITING and AVERAGED, which have no fast state and approximate the
+    averaged equation, it is phi of that equation's solution at T.
 
-    LIMITING and AVERAGED have no fast state and approximate the averaged
-    equation: their truth is phi of its solution at T, with no reference
-    leg, the plain stderr and oracle_bias 0.
+    Monte Carlo with a pointwise coupling in a coupled scheme has no exact
+    truth: it is measured against the exact-transition scheme on the grid
+    refined `refinement` times, from the same seed, with the stderr of the
+    per-sample differences and a refinement-doubling estimate of the
+    reference's bias as oracle_bias.
     """
-    coupled = config.scheme.coupled
-    if not coupled:
+    if not config.scheme.coupled:
         xbar = solve_averaged_reference(spec, nl, config.x0, config.T, gt)
         truth = float(evaluate_functional(phi, xbar))
     elif n_samples == 0 or isinstance(nl, LinearInY):
         truth = continuous_weak_value(config, phi, spec, nl)
+    else:
+        truth = None
     points = []
     for dt, cfg in _ladder(config, dt_list):
         est = _phi_values(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
-        if n_samples == 0 or not coupled:
+        if truth is not None:
             points.append(WeakErrorPoint(dt=dt, error=abs(float(np.mean(est)) - truth),
                                          stderr=_stderr(est), oracle_bias=0.0))
             continue
         ref_cfg = _reference_config(cfg, refinement)
         ref = _phi_samples(ref_cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
+        ref2 = _phi_samples(replace(ref_cfg, N=2 * ref_cfg.N), phi, n_samples, master_seed,
+                            spec, nl, gt, n_threads)
         ref_mean = float(np.mean(ref))
-        if isinstance(nl, LinearInY):
-            bias = abs(oracle_weak_value(ref_cfg, phi, spec, nl) - truth)
-        else:
-            ref2 = _phi_samples(replace(ref_cfg, N=2 * ref_cfg.N), phi, n_samples, master_seed,
-                                spec, nl, gt, n_threads)
-            bias = abs(float(np.mean(ref2)) - ref_mean)
         # the legs share noise draws (under COUPLED_EXPO, the same stream at steps 0..N-1),
         # so the stderr is that of the per-sample differences
         points.append(WeakErrorPoint(dt=dt, error=abs(float(np.mean(est)) - ref_mean),
-                                     stderr=_stderr(est - ref), oracle_bias=bias))
+                                     stderr=_stderr(est - ref),
+                                     oracle_bias=abs(float(np.mean(ref2)) - ref_mean)))
     return points
 
 
@@ -378,8 +375,7 @@ def fit_rate(points) -> RateFit:
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
-                   points=tuple((float(d), float(e)) for d, e in pts))
+    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
 def ap_diagram(

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,17 @@ class TestInvariantTest:
         assert run_cli(["invariant-test", "--config", cfg, "--output-dir", str(out)]) == 0
         assert len((out / "residuals.csv").read_text().splitlines()) == 1 + 4
 
+    def test_runs_as_a_module(self, tmp_path):
+        # python -m slowfast.cli runs the subcommand, not only the installed script
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "slowfast.cli", "invariant-test",
+                               "--output-dir", str(out)],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "residuals.csv").stat().st_size > 0
+
 
 class TestWeakError:
     def test_moment_oracle_curve(self, tmp_path):
@@ -135,13 +148,13 @@ class TestWeakError:
         assert outs[0] == outs[1] == outs[2]
 
     def test_point_below_noise_floor_exits_2(self, tmp_path, capsys):
-        # 50 samples: the finest point's error is 0.9 of its stderr, the
-        # others at least 3.1 stderr
+        # 50 samples against the continuous law: the finest point's error is
+        # 1.4 of its stderr, the others at least 6.3 stderr
         cfg = write_config(tmp_path, "c.json", {
             "spectrum": {"J": 8}, "T": 0.25, "eps": 0.5,
             "x0": {"preset": "ones"}, "y0": {"preset": "ones"}, "phi": {"kind": "BOUNDED_EXP"},
-            "n_samples": 50, "refinement": 16, "master_seed": 0,
-            "dt_list": [2.0**-k for k in range(2, 9)],
+            "n_samples": 50, "master_seed": 0,
+            "dt_list": [2.0**-k for k in (2, 3, 4, 5, 6, 8)],
         })
         out = tmp_path / "o"
         assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 2

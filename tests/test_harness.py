@@ -214,19 +214,37 @@ class TestWeakErrorCurve:
             weak_error_curve(cfg, [0.25, 0.25], PHI_NORM, SPEC, NL)
 
     def test_refined_reference_mode_consistency(self):
-        # doubling the sample count moves each point by < 3 combined stderr
-        spec = dirichlet_spectrum(4)
-        nl = LinearInY(c=1.0)
+        # a pointwise coupling has no exact truth, so Monte Carlo measures it
+        # against the refined reference; doubling the sample count moves each
+        # point by < 3 combined stderr
+        spec, gt, nl = dirichlet_spectrum(4), GridTransform(4), PointwiseSquare(c=1.0)
         cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
                         x0=np.ones(4), y0=np.ones(4))
         dts = [2.0**-3, 2.0**-4]
-        a = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, n_samples=2000, master_seed=0,
+        a = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=2000, master_seed=0,
                              refinement=16)
-        b = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, n_samples=4000, master_seed=0,
+        b = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=4000, master_seed=0,
                              refinement=16)
         for pa, pb in zip(a, b):
             assert abs(pa.error - pb.error) < 3 * (pa.stderr + pb.stderr)
-            assert pa.oracle_bias > 0.0  # exact bias reported for linear coupling
+            assert pa.oracle_bias > 0.0  # the refinement-doubling estimate
+
+    @pytest.mark.parametrize("scheme", [SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO])
+    def test_linear_in_y_monte_carlo_is_measured_against_the_continuous_law(self, scheme):
+        # an exact truth exists, so no refined reference leg: |MC mean - truth|
+        # with the plain stderr, within 4 stderr of the noise-free curve
+        spec, nl = dirichlet_spectrum(4), LinearInY(c=1.0)
+        cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=scheme, x0=np.ones(4), y0=np.ones(4))
+        dts = [2.0**-2, 2.0**-3, 2.0**-4]
+        truth = continuous_weak_value(cfg, PHI_EXP, spec, nl)
+        mc = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, n_samples=2000, master_seed=0,
+                              refinement=16)
+        exact = weak_error_curve(cfg, dts, PHI_EXP, spec, nl)
+        for p, q in zip(mc, exact):
+            est = mc_estimate(replace(cfg, N=round(cfg.T / p.dt)), PHI_EXP, 2000, 0, spec, nl)
+            assert p.error == abs(est.mean - truth)
+            assert p.stderr == est.stderr and p.oracle_bias == 0.0
+            assert abs(p.error - q.error) < 4 * p.stderr
 
     @pytest.mark.parametrize("scheme", [SchemeKind.LIMITING, SchemeKind.AVERAGED])
     def test_uncoupled_scheme_is_measured_against_the_averaged_solution(self, scheme):
@@ -245,18 +263,19 @@ class TestWeakErrorCurve:
     def test_refined_reference_stderr_is_paired(self):
         # under COUPLED_EXPO the measured leg and the reference draw the same
         # stream at steps 0..N-1 from one seed, so their phi values correlate
-        # (about +0.53 at refinement 2) and the stderr of the per-sample
-        # differences is below the independent-legs hypot; the error column
-        # is the difference of the two plain MC means
-        spec = dirichlet_spectrum(4)
-        nl = LinearInY(c=1.0)
+        # and the stderr of the per-sample differences is below the
+        # independent-legs hypot; the error and the bias are differences of
+        # plain MC means
+        spec, gt, nl = dirichlet_spectrum(4), GridTransform(4), PointwiseSquare(c=1.0)
         cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_EXPO,
                         x0=np.ones(4), y0=np.ones(4))
-        (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl, n_samples=4000,
+        (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl, gt, n_samples=4000,
                                     master_seed=0, refinement=2)
-        est = mc_estimate(cfg, PHI_EXP, 4000, 0, spec, nl)
-        ref = mc_estimate(replace(cfg, N=8), PHI_EXP, 4000, 0, spec, nl)
+        est = mc_estimate(cfg, PHI_EXP, 4000, 0, spec, nl, gt)
+        ref = mc_estimate(replace(cfg, N=8), PHI_EXP, 4000, 0, spec, nl, gt)
+        ref2 = mc_estimate(replace(cfg, N=16), PHI_EXP, 4000, 0, spec, nl, gt)
         assert point.error == abs(est.mean - ref.mean)
+        assert point.oracle_bias == abs(ref2.mean - ref.mean)
         assert 0.0 < point.stderr < math.hypot(est.stderr, ref.stderr)
 
 
@@ -408,8 +427,8 @@ class TestUniformSweep:
 
 
 class TestContinuousWeakValue:
-    def test_methods_agree(self):
-        # the matrix-exponential value against the Radau oracle's moments
+    def test_closed_form_agrees_with_ode_oracle(self):
+        # the closed-form value against the Radau oracle's moments
         cfg = coupled_config(N=32, eps=0.5)
         a = continuous_weak_value(cfg, PHI_NORM, SPEC, NL)
         mom = ode_moments(SPEC.lambdas, NL.c, cfg.eps, cfg.T,

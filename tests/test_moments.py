@@ -190,7 +190,7 @@ class TestContinuousSecondMoment:
     def test_golden_value_from_ode_oracle(self):
         # lam = pi^2, c = 1, eps = 0.5, T = 0.25, zero initial moments;
         # frozen from the step-control integrator at rtol 1e-10, verified
-        # here at half tolerance and against the matrix-exponential path
+        # here at half tolerance and against the closed form
         lam = np.array([LAM])
         golden = {"var_x": 0.000333396989998927, "cov_xy": 0.003414176675187465,
                   "var_y": 0.10131594298788839}
@@ -201,7 +201,7 @@ class TestContinuousSecondMoment:
         ex = continuous_second_moment(lam, 1.0, 0.5, 0.25, ModeMoments())
         assert ex.var_x[0] == pytest.approx(golden["var_x"], rel=1e-10)
 
-    def test_expm_agrees_with_ode_oracle(self):
+    def test_closed_form_agrees_with_ode_oracle(self):
         for _ in range(8):
             lam = np.array([10 ** rng.uniform(0, 2.5)])
             c = rng.uniform(-2, 2)
