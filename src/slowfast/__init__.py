@@ -40,6 +40,7 @@ from .moments import (
     ModeMoments,
     continuous_mean,
     second_moment_recursion,
+    second_moment_recursions,
     continuous_second_moment,
 )
 from .harness import (
@@ -51,6 +52,7 @@ from .harness import (
     gaussian_expectation,
     mc_estimate,
     oracle_weak_value,
+    oracle_weak_values,
     continuous_weak_value,
     weak_error_curve,
     fit_rate,

@@ -16,6 +16,7 @@ run completes, so a failing run leaves no partial outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -423,7 +424,10 @@ _COMMANDS = {
 }
 
 
-def run_cli(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use rather than at import, then reused:
+    `parse_args` returns a fresh namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="slowfast",
         description="Spectral simulation lab for two-time-scale stochastic evolution systems",
@@ -439,6 +443,11 @@ def run_cli(argv=None) -> int:
                        help="override the config master seed")
         p.add_argument("--threads", type=int, default=None,
                        help="override the config thread count")
+    return parser
+
+
+def run_cli(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help(sys.stderr)

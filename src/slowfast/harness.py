@@ -28,7 +28,7 @@ import numpy as np
 from .integrators import (
     RunConfig, SchemeKind, Transition, run_trajectory_batch, solve_averaged_reference, trajectory,
 )
-from .moments import ModeMoments, continuous_second_moment, second_moment_recursion
+from .moments import ModeMoments, continuous_second_moment, second_moment_recursions
 from .nonlinearity import GridTransform, LinearInY, Nonlinearity
 from .spectral import SpectrumSpec, check_field
 
@@ -42,6 +42,7 @@ __all__ = [
     "gaussian_expectation",
     "mc_estimate",
     "oracle_weak_value",
+    "oracle_weak_values",
     "continuous_weak_value",
     "weak_error_curve",
     "fit_rate",
@@ -231,20 +232,51 @@ def oracle_weak_value(
     spec: SpectrumSpec,
     nl: Nonlinearity,
 ) -> float:
-    """Exact E[phi(X_N)] of the scheme via the moment recursions (no sampling)."""
+    """Exact E[phi(X_N)] of the scheme via the moment recursions (no sampling).
+
+    The one-config case of `oracle_weak_values`: one matrix power.
+    """
+    return oracle_weak_values([config], phi, spec, nl)[0]
+
+
+def oracle_weak_values(
+    configs: Sequence[RunConfig],
+    phi: FunctionalSpec,
+    spec: SpectrumSpec,
+    nl: Nonlinearity,
+) -> list:
+    """`oracle_weak_value` of each config, with one matrix power per step count.
+
+    The configs are grouped by N, and each group's step matrices, whatever
+    their schemes, step sizes and eps, are raised to the N-th power in one
+    stacked call (`second_moment_recursions`).  Each value is bit-identical
+    to the config's own `oracle_weak_value`.
+    """
     _require_linear_in_y(nl, "the moment oracle")
-    mom = second_moment_recursion(
-        config.scheme, spec.lambdas, nl.c, config.eps, config.dt, config.N,
-        _start_moments(config, spec),
-    )
-    return gaussian_expectation(phi, mom.mean_x, mom.var_x)
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(cfg.N, []).append(i)
+    values = [0.0] * len(configs)
+    for N, members in groups.items():
+        runs = [configs[i] for i in members]
+        start = ModeMoments(mean_x=np.array([check_field(spec, cfg.x0) for cfg in runs]),
+                            mean_y=np.array([check_field(spec, cfg.y0) for cfg in runs]))
+        mom = second_moment_recursions(
+            [Transition(cfg.scheme, spec.lambdas, cfg.dt, cfg.eps) for cfg in runs], nl.c, N,
+            start)
+        for i, mean_x, var_x in zip(members, mom.mean_x, mom.var_x):
+            values[i] = gaussian_expectation(phi, mean_x, var_x)
+    return values
 
 
-def _phi_values(config, phi, spec, nl, gt, n_samples, master_seed, n_threads) -> np.ndarray:
-    """The moment oracle's E[phi(X_N)] as one value when n_samples == 0, else every sample's phi."""
+def _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads):
+    """An iterator over the configs' phi values: the moment oracle's E[phi(X_N)] as one
+    value each when n_samples == 0, all from one `oracle_weak_values` call; else every
+    sample's phi, each config sampled when its values are drawn."""
     if n_samples == 0:
-        return np.array([oracle_weak_value(config, phi, spec, nl)])
-    return _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads)
+        return (np.array([v]) for v in oracle_weak_values(configs, phi, spec, nl))
+    return (_phi_samples(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
+            for cfg in configs)
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -302,9 +334,11 @@ def weak_error_curve(
         truth = continuous_weak_value(config, phi, spec, nl)
     else:
         truth = None
+    ladder = _ladder(config, dt_list)
+    estimates = _phi_values([cfg for _, cfg in ladder], phi, spec, nl, gt, n_samples,
+                            master_seed, n_threads)
     points = []
-    for dt, cfg in _ladder(config, dt_list):
-        est = _phi_values(cfg, phi, spec, nl, gt, n_samples, master_seed, n_threads)
+    for (dt, cfg), est in zip(ladder, estimates):
         if truth is not None:
             points.append(WeakErrorPoint(dt=dt, error=abs(float(np.mean(est)) - truth),
                                          stderr=_stderr(est), oracle_bias=0.0))
@@ -396,12 +430,12 @@ def ap_diagram(
     same draws, and the stderr is that of the per-sample differences.
     Returns a list of (eps, gap, stderr) rows.
     """
-    lim = _phi_values(replace(config, eps=1.0, scheme=SchemeKind.LIMITING),
-                      phi, spec, nl, gt, n_samples, master_seed, n_threads)
+    configs = [replace(config, eps=1.0, scheme=SchemeKind.LIMITING)]
+    configs += [replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED) for eps in eps_list]
+    values = _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads)
+    lim = next(values)
     rows = []
-    for eps in eps_list:
-        vals = _phi_values(replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED),
-                           phi, spec, nl, gt, n_samples, master_seed, n_threads)
+    for eps, vals in zip(eps_list, values):
         rows.append((float(eps), abs(float(np.mean(vals)) - float(np.mean(lim))),
                      _stderr(vals - lim)))
     return rows
@@ -418,16 +452,15 @@ def averaging_curve(
 
     E phi(X^eps(T)) is approximated by the exact-transition scheme at the
     (fine) resolution carried by config.N, evaluated through the moment
-    recursions, so the curve is noise-free.  Returns (eps, gap) rows.
+    recursions (one matrix power for the whole ladder, which shares N), so
+    the curve is noise-free.  Returns (eps, gap) rows.
     """
     _require_linear_in_y(nl, "the averaging curve")
     xbar = solve_averaged_reference(spec, nl, config.x0, config.T)
-    target = evaluate_functional(phi, xbar)
-    rows = []
-    for eps in eps_list:
-        cfg = replace(config, eps=eps, scheme=SchemeKind.COUPLED_EXPO)
-        rows.append((float(eps), abs(oracle_weak_value(cfg, phi, spec, nl) - float(target))))
-    return rows
+    target = float(evaluate_functional(phi, xbar))
+    values = oracle_weak_values([replace(config, eps=eps, scheme=SchemeKind.COUPLED_EXPO)
+                                 for eps in eps_list], phi, spec, nl)
+    return [(float(eps), abs(value - target)) for eps, value in zip(eps_list, values)]
 
 
 @dataclass(frozen=True)
@@ -508,20 +541,21 @@ def uniform_sweep(
     Every expectation comes from the moment recursions (noise-free,
     linear-in-y coupling required): each error is measured against the
     exact-transition scheme on a grid refined by `refinement`, and the
-    reference bias against the continuous law is exact.  The fit is over
-    the max-over-eps error per dt.
+    reference bias against the continuous law is exact.  All cells and
+    references go through one `oracle_weak_values` call, so the grid costs
+    one matrix power per step count (at most 2 per dt), not one per cell.
+    The fit is over the max-over-eps error per dt.
     """
     epss = [float(e) for e in eps_list]
     dts = list(dt_list)
-    errors = np.empty((len(dts), len(epss)))
-    bias = np.empty_like(errors)
-    for k, eps in enumerate(epss):
-        at_eps = replace(config, eps=eps)
-        truth = continuous_weak_value(at_eps, phi, spec, nl)
-        for i, (_, cfg) in enumerate(_ladder(at_eps, dts)):
-            ref = oracle_weak_value(_reference_config(cfg, refinement), phi, spec, nl)
-            errors[i, k] = abs(oracle_weak_value(cfg, phi, spec, nl) - ref)
-            bias[i, k] = abs(ref - truth)
+    truth = np.array([continuous_weak_value(replace(config, eps=eps), phi, spec, nl)
+                      for eps in epss])
+    cells = [replace(cfg, eps=eps) for _, cfg in _ladder(config, dts) for eps in epss]
+    values = oracle_weak_values(cells + [_reference_config(cfg, refinement) for cfg in cells],
+                                phi, spec, nl)
+    est, ref = np.reshape(values, (2, len(dts), len(epss)))
+    errors = np.abs(est - ref)
+    bias = np.abs(ref - truth)
     max_errors = errors.max(axis=1)
     fit = fit_rate(list(zip(dts, max_errors)))
     return UniformSweepResult(

@@ -3,9 +3,9 @@
 When F(x, y) = c*y the modes decouple and every scheme in the catalog has
 Gaussian iterates whose per-mode moments obey one constant-coefficient
 affine map on (m_y, m_x, var_y, cov_xy, var_x).  This module applies that
-map N times as one matrix power per mode, which turns weak-error
-measurement into a noise-free computation: repeated runs give bit
-identical errors.
+map N times as one matrix power per mode, stacked over all the schemes that
+share N, which turns weak-error measurement into a noise-free computation:
+repeated runs give bit identical errors.
 
 The continuous-time counterparts serve as the truth side: the mean comes
 from the variation-of-constants formula, the second moments from the 3x3
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  unused; perfbench/tracer.py counts calls to this name
@@ -36,6 +36,7 @@ __all__ = [
     "ModeMoments",
     "continuous_mean",
     "second_moment_recursion",
+    "second_moment_recursions",
     "continuous_second_moment",
 ]
 
@@ -82,10 +83,16 @@ def continuous_mean(
         return np.exp(-lam * T) * np.asarray(x0, float) + c * np.asarray(y0, float) * forcing
 
 
-def _step_matrix(tr: Transition, c: float) -> np.ndarray:
-    """(J, 6, 6) affine step of the scheme on (m_y, m_x, var_y, cov_xy, var_x, 1)."""
-    a, s2, dt = tr.a, tr.s2, tr.dt
-    r = 1.0 / tr.one_plus
+def _step_matrix(transitions: Sequence[Transition], c: float) -> np.ndarray:
+    """(K*J, 6, 6) affine steps on (m_y, m_x, var_y, cov_xy, var_x, 1), transition by transition.
+
+    Each entry is an elementwise product of the transitions' concatenated
+    coefficients, so a transition's matrices do not depend on the others.
+    """
+    a, s2, one_plus = (np.concatenate([getattr(tr, name) for tr in transitions])
+                       for name in ("a", "s2", "one_plus"))
+    dt = np.repeat([tr.dt for tr in transitions], [tr.a.size for tr in transitions])
+    r = 1.0 / one_plus
     g = r * dt * c  # weight of the updated fast iterate in x'
     M = np.zeros((a.size, 6, 6))
     M[:, 0, 0] = a
@@ -128,19 +135,46 @@ def second_moment_recursion(
     (the nonlinearity sees the updated fast iterate).  For the LIMITING
     scheme the fresh draw leaves no cross correlation, which is the a = 0,
     s2 = 1/lam case of the same map.  The map is affine, so N steps are the
-    N-th matrix power of `_step_matrix`, taken by repeated squaring.
+    N-th matrix power of `_step_matrix`, taken by repeated squaring.  This is
+    the one-transition case of `second_moment_recursions`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    return _moments(_propagate([Transition(kind, lam, dt, eps)], c, N, start)[0])
+
+
+def second_moment_recursions(
+    transitions: Sequence[Transition],
+    c: float,
+    N: int,
+    start: ModeMoments,
+) -> ModeMoments:
+    """`second_moment_recursion` after N steps of each of K transitions over the same J modes.
+
+    start's fields broadcast to (K, J), one row per transition, and so do the
+    result's.  The transitions' step matrices are stacked and raised to the
+    N-th power in one call; schemes, step sizes and eps may differ.  A
+    stacked matrix power treats every matrix on its own, so each row is
+    bit-identical to the transition's own `second_moment_recursion`.
+    """
+    return _moments(_propagate(transitions, c, N, start))
+
+
+def _propagate(transitions, c, N, start) -> np.ndarray:
+    """(K, J, 6) state (m_y, m_x, var_y, cov_xy, var_x, 1) after N steps of each transition."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    ones = np.ones_like(lam)
+    ones = np.ones((len(transitions), transitions[0].one_plus.size))
     state = np.stack([np.asarray(v, float) * ones for v in
                       (start.mean_y, start.mean_x, start.var_y, start.cov_xy, start.var_x, 1.0)],
-                     axis=1)
+                     axis=-1)
     if N > 0:
-        power = np.linalg.matrix_power(_step_matrix(Transition(kind, lam, dt, eps), c), N)
-        state = np.einsum("nij,nj->ni", power, state)
-    my, mx, vy, cv, vx = state[:, :5].T
+        power = np.linalg.matrix_power(_step_matrix(transitions, c), N)
+        state = np.einsum("nij,nj->ni", power, state.reshape(-1, 6)).reshape(state.shape)
+    return state
+
+
+def _moments(state: np.ndarray) -> ModeMoments:
+    my, mx, vy, cv, vx = np.moveaxis(state[..., :5], -1, 0)
     return ModeMoments(mean_x=mx, mean_y=my, var_x=np.maximum(vx, 0.0),
                        var_y=np.maximum(vy, 0.0), cov_xy=cv)
 

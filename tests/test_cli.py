@@ -65,6 +65,35 @@ def assert_matches_recorded(value, expected, where):
             f"{where}: {value!r} != recorded {expected!r}"
 
 
+def run_module(module, argv):
+    """`python -m module *argv` in a fresh process, against the package in src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+
+
+def output_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        # run_cli builds its parser once per process; a flag given to one call must
+        # not reach the next, so each call writes the bytes of a fresh process
+        cfg = write_config(tmp_path, "c.json", {"tau_list": [0.5, 2.0], "spectrum": {"J": 3}})
+        runs = [["simulate", "--master-seed", "7", "--threads", "2"], ["simulate"],
+                ["invariant-test", "--config", cfg]]
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"in{i}"
+            assert run_cli(argv + ["--output-dir", str(out)]) == 0
+            in_process = (capsys.readouterr().out, output_files(out))
+            fresh = tmp_path / f"fresh{i}"
+            proc = run_module("slowfast", argv + ["--output-dir", str(fresh)])
+            assert proc.returncode == 0, proc.stderr
+            assert (proc.stdout, output_files(fresh)) == in_process, argv
+
+
 class TestInvariantTest:
     def test_default_run(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -84,13 +113,16 @@ class TestInvariantTest:
 
     def test_runs_as_a_module(self, tmp_path):
         # python -m slowfast.cli runs the subcommand, not only the installed script
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-m", "slowfast.cli", "invariant-test",
-                               "--output-dir", str(out)],
-                              env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        proc = run_module("slowfast.cli", ["invariant-test", "--output-dir", str(out)])
         assert proc.returncode == 0, proc.stderr
+        assert (out / "residuals.csv").stat().st_size > 0
+
+    def test_runs_as_the_package_without_warnings(self, tmp_path):
+        # python -m slowfast loads the CLI module once, so runpy has nothing to warn about
+        out = tmp_path / "out"
+        proc = run_module("slowfast", ["invariant-test", "--output-dir", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, "")
         assert (out / "residuals.csv").stat().st_size > 0
 
 

@@ -9,11 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# limiting_scheme_mc is left out: its Monte Carlo ladder takes about 35 s
+# every demo; limiting_scheme_mc, the Monte Carlo one, takes about 10 s on 2 cores
 FAST_DEMOS = [
     "ap_commutation",
     "averaging_limit",
     "invariant_preservation",
+    "limiting_scheme_mc",
     "uniform_accuracy_sweep",
     "weak_error_orders",
 ]

@@ -29,6 +29,7 @@ from slowfast import (
     invariant_measure_check,
     mc_estimate,
     oracle_weak_value,
+    oracle_weak_values,
     quadratic_spectrum,
     run_trajectory_batch,
     solve_averaged_reference,
@@ -424,6 +425,64 @@ class TestUniformSweep:
         cfg = coupled_config(T=1.0)
         with pytest.raises(ValueError):
             uniform_sweep(cfg, [1.0], [0.3], PHI_NORM, SPEC, NL)
+
+
+class TestOracleWeakValues:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(J=st.integers(1, 8), T=st.floats(0.1, 4.0), c=st.floats(-2.0, 2.0),
+           steps=st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 16, 100, 1024]), min_size=1,
+                          max_size=4, unique=True),
+           log_eps=st.lists(st.floats(-8.0, 1.0), min_size=1, max_size=3),
+           schemes=st.lists(st.sampled_from(list(SchemeKind)), min_size=1, max_size=4,
+                            unique=True),
+           kind=st.sampled_from(list(FunctionalKind)), seed=st.integers(0, 2**32))
+    def test_equals_one_config_at_a_time(self, J, T, c, steps, log_eps, schemes, kind, seed):
+        # a dt ladder T/N times an eps list times the schemes, shuffled, so that
+        # groups of one N mix schemes, eps and their position in the list;
+        # N <= 3 is where matrix_power multiplies out instead of squaring
+        draw = np.random.default_rng(seed)
+        spec = SpectrumSpec(J, np.sort(draw.uniform(1.0, 400.0, J)))
+        phi = FunctionalSpec(kind=kind, h=draw.standard_normal(J))
+        configs = [RunConfig(T=T, N=N, eps=10.0**e, scheme=scheme,
+                             x0=draw.standard_normal(J), y0=draw.standard_normal(J))
+                   for N in steps for e in log_eps for scheme in schemes]
+        configs = [configs[i] for i in draw.permutation(len(configs))]
+        nl = LinearInY(c=c)
+        single = [oracle_weak_value(cfg, phi, spec, nl) for cfg in configs]
+        assert oracle_weak_values(configs, phi, spec, nl) == single
+
+    def test_callers_equal_one_config_at_a_time(self):
+        # the sweep, the averaging curve, the AP diagram and the weak-error curve
+        # batch their configs; every value stays that of its own oracle call
+        cfg = coupled_config(T=0.5, N=8)
+        epss, dts = [1.0, 2.0**-4, 2.0**-8], [2.0**-3, 2.0**-4, 2.0**-5]
+        res = uniform_sweep(cfg, epss, dts, PHI_EXP, SPEC, NL, refinement=8)
+        for k, eps in enumerate(epss):
+            truth = continuous_weak_value(replace(cfg, eps=eps), PHI_EXP, SPEC, NL)
+            for i, dt in enumerate(dts):
+                cell = replace(cfg, eps=eps, N=round(0.5 / dt))
+                ref = oracle_weak_value(replace(cell, scheme=SchemeKind.COUPLED_EXPO,
+                                                N=cell.N * 8), PHI_EXP, SPEC, NL)
+                assert res.errors[i, k] == abs(oracle_weak_value(cell, PHI_EXP, SPEC, NL) - ref)
+                assert res.reference_bias[i, k] == abs(ref - truth)
+
+        target = float(evaluate_functional(PHI_EXP, solve_averaged_reference(SPEC, NL, cfg.x0,
+                                                                             cfg.T)))
+        for eps, gap in averaging_curve(epss, cfg, PHI_EXP, SPEC, NL):
+            exact = oracle_weak_value(replace(cfg, eps=eps, scheme=SchemeKind.COUPLED_EXPO),
+                                      PHI_EXP, SPEC, NL)
+            assert gap == abs(exact - target)
+
+        lim = oracle_weak_value(replace(cfg, eps=1.0, scheme=SchemeKind.LIMITING), PHI_EXP,
+                                SPEC, NL)
+        for eps, gap, se in ap_diagram(cfg, epss, PHI_EXP, SPEC, NL):
+            exact = oracle_weak_value(replace(cfg, eps=eps), PHI_EXP, SPEC, NL)
+            assert (gap, se) == (abs(exact - lim), 0.0)
+
+        truth = continuous_weak_value(cfg, PHI_EXP, SPEC, NL)
+        for p in weak_error_curve(cfg, dts, PHI_EXP, SPEC, NL):
+            exact = oracle_weak_value(replace(cfg, N=round(0.5 / p.dt)), PHI_EXP, SPEC, NL)
+            assert p.error == abs(exact - truth)
 
 
 class TestContinuousWeakValue:

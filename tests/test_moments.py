@@ -19,6 +19,7 @@ from slowfast import (
     fit_rate,
     run_trajectory_batch,
     second_moment_recursion,
+    second_moment_recursions,
 )
 
 rng = np.random.default_rng(90210)
@@ -154,6 +155,29 @@ class TestSecondMomentRecursion:
         for name in ("mean_x", "mean_y", "var_y", "cov_xy", "var_x"):
             atol = 1e-15 if name == "mean_x" else 1e-300
             assert np.allclose(getattr(power, name), getattr(loop, name), rtol=1e-11, atol=atol), name
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from(list(SchemeKind)), st.floats(-6.0, 1.0),
+                                   st.floats(-5.0, 0.0)), min_size=1, max_size=5),
+           J=st.integers(1, 6), N=st.integers(0, 300), c=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32))
+    def test_stack_equals_each_transition_alone(self, runs, J, N, c, seed):
+        # schemes, eps, dt and starts differ from row to row of one stacked power
+        draw = np.random.default_rng(seed)
+        lam = np.sort(draw.uniform(1.0, 100.0, J))
+        transitions = [Transition(scheme, lam, 10.0**log_dt, 10.0**log_eps)
+                       for scheme, log_eps, log_dt in runs]
+        var_x, var_y = draw.uniform(0, 1, (2, len(runs), J))
+        start = ModeMoments(mean_x=draw.uniform(-1, 1, var_x.shape),
+                            mean_y=draw.uniform(-1, 1, var_x.shape), var_x=var_x, var_y=var_y,
+                            cov_xy=draw.uniform(-1, 1, var_x.shape) * np.sqrt(var_x * var_y))
+        stacked = second_moment_recursions(transitions, c, N, start)
+        for k, ((scheme, log_eps, log_dt), tr) in enumerate(zip(runs, transitions)):
+            row = ModeMoments(**{name: getattr(start, name)[k] for name in
+                                 ("mean_x", "mean_y", "var_x", "var_y", "cov_xy")})
+            alone = second_moment_recursion(scheme, lam, c, 10.0**log_eps, tr.dt, N, row)
+            for name in ("mean_x", "mean_y", "var_y", "cov_xy", "var_x"):
+                assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)), name
 
     def test_matches_continuous_at_small_dt(self):
         lam = np.array([LAM])
