@@ -324,6 +324,17 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a rate fit with r2 below this is reported with a warning on stderr: its
+# ladder is likely not yet in the asymptotic regime
+WARN_R_SQUARED = 0.9
+
+
+def _warn_if_poor_fit(fit):
+    if fit.r_squared < WARN_R_SQUARED:
+        print(f"warning: the log-log fit has r2 {fit.r_squared:.3g} < {WARN_R_SQUARED} "
+              f"(slope {fit.slope:.3g}); the dt ladder may not be asymptotic", file=sys.stderr)
+
+
 # Each command takes its config values and returns (files, info): its CSV
 # texts plus the fields of summary.json, and the fields of the stdout line.
 
@@ -347,6 +358,7 @@ def _cmd_weak_error(v: dict):
                               master_seed=v["master_seed"], refinement=v["refinement"],
                               n_threads=v["n_threads"])
     fit = fit_rate(points)
+    _warn_if_poor_fit(fit)
     files = {
         "curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),
                           [(p.dt, p.error, p.stderr, p.oracle_bias) for p in points]),
@@ -395,6 +407,7 @@ def _cmd_uniform_sweep(v: dict):
     spec, nl, _, config, phi = _setup(v)
     result = uniform_sweep(config, v["eps_list"], v["dt_list"], phi, spec, nl,
                            refinement=v["refinement"])
+    _warn_if_poor_fit(result.fit)
     grid_rows = []
     for i, dt in enumerate(result.dt_list):
         for k, eps in enumerate(result.eps_list):

@@ -7,12 +7,13 @@ One switch, n_samples, picks how a scheme's expectation is measured:
   moment recursions, so curves are noise-free and bit-reproducible.
 * n_samples >= 2    Monte Carlo; works for any catalog nonlinearity.
 
-A weak error is measured against the exact truth wherever there is one:
-the continuous law for the linear-in-y coupling, and phi of the averaged
-solution at T for the schemes without a fast state (LIMITING, AVERAGED).
-Only Monte Carlo with a pointwise coupling in a coupled scheme, which has no
-exact truth, measures against the exact-transition scheme on a refined grid
-and estimates that reference's bias by refinement doubling.
+A weak-error curve has one truth for its whole ladder, computed before the
+ladder: the continuous law for the linear-in-y coupling, and phi of the
+averaged solution at T for the schemes without a fast state (LIMITING,
+AVERAGED).  Only Monte Carlo with a pointwise coupling in a coupled scheme,
+which has no exact truth, samples one: the exact-transition scheme at the
+finest step refined `refinement` times, with that reference's bias
+estimated by refinement doubling.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ __all__ = [
     "invariant_measure_check",
     "uniform_sweep",
 ]
+
+# samples per Monte Carlo span: small enough that a span's working arrays stay
+# in cache and that the spans spread evenly over the worker threads
+MC_SPAN = 2048
 
 
 class FunctionalKind(Enum):
@@ -143,18 +148,16 @@ def mc_estimate(
     nl: Nonlinearity,
     gt: Optional[GridTransform] = None,
     n_threads: int = 1,
-    batch: int = 2048,
+    batch: int = MC_SPAN,
 ) -> McEstimate:
     """Sample mean and standard error of phi over independent trajectories.
 
-    The samples are run in spans of `batch` samples (default 2048, small
-    enough that a span's working arrays stay in cache and that the spans
-    spread evenly over the workers), on n_threads worker threads.  Sample i
-    always uses the stream addressed by (master_seed, i, step), so the
-    result is identical for any n_threads and any batch size; for the
-    pointwise couplings, any batch size above one collocation block
-    (`GridTransform.rows_per_block`).  Per-sample values are aggregated in
-    sample order.
+    The samples are run in spans of `batch` samples (default `MC_SPAN`), on
+    n_threads worker threads.  Sample i always uses the stream addressed by
+    (master_seed, i, step), so the result is identical for any n_threads and
+    any batch size; for the pointwise couplings, any batch size above one
+    collocation block (`GridTransform.rows_per_block`).  Per-sample values
+    are aggregated in sample order.
 
     A non-finite phi value raises ValueError naming the first such sample's
     address (master_seed, sample) and the first step at which its trajectory,
@@ -164,7 +167,7 @@ def mc_estimate(
     return McEstimate(mean=float(np.mean(vals)), stderr=_stderr(vals), n_samples=n_samples)
 
 
-def _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, batch=2048):
+def _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, batch=MC_SPAN):
     """phi of every sample's final state, in sample order; see `mc_estimate`."""
     if n_samples < 2 or batch < 1:
         raise ValueError(f"need n_samples >= 2 and batch >= 1, got {n_samples} and {batch}")
@@ -286,6 +289,14 @@ def _stderr(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
+def _gap(values: np.ndarray, truth) -> tuple:
+    """(|mean(values) - mean(truth)|, stderr): the plain stderr against an exact (float)
+    truth, and that of the per-sample differences against sampled truth values, which
+    share their draws with values sample by sample."""
+    diff = values if np.ndim(truth) == 0 else values - truth
+    return abs(float(np.mean(values)) - float(np.mean(truth))), _stderr(diff)
+
+
 def continuous_weak_value(
     config: RunConfig,
     phi: FunctionalSpec,
@@ -315,45 +326,34 @@ def weak_error_curve(
 
     dt_list must be strictly decreasing with T/dt an integer.  The scheme's
     side is the moment oracle when n_samples = 0 and a Monte Carlo estimate
-    otherwise.  Where an exact truth exists, each error is |mean - truth|
-    with the plain stderr (0 for the oracle) and oracle_bias 0: for the
-    linear-in-y coupling the truth is the continuous law at config.eps, and
-    for LIMITING and AVERAGED, which have no fast state and approximate the
-    averaged equation, it is phi of that equation's solution at T.
+    otherwise.  One truth, computed before the ladder, serves every point
+    (`_gap`).  Where an exact one exists, the stderr is the plain one (0 for
+    the oracle) and oracle_bias is 0: the continuous law at config.eps for
+    the linear-in-y coupling, and for LIMITING and AVERAGED, which have no
+    fast state and approximate the averaged equation, phi of its solution at T.
 
     Monte Carlo with a pointwise coupling in a coupled scheme has no exact
-    truth: it is measured against the exact-transition scheme on the grid
-    refined `refinement` times, from the same seed, with the stderr of the
-    per-sample differences and a refinement-doubling estimate of the
-    reference's bias as oracle_bias.
+    truth: it samples, from the same seed, the exact-transition scheme at the
+    finest dt refined `refinement` times, and each stderr is that of the
+    per-sample differences.  Every oracle_bias is the one refinement-doubling
+    estimate of that reference's bias.
     """
+    ladder = _ladder(config, dt_list)
+    bias = 0.0
     if not config.scheme.coupled:
         xbar = solve_averaged_reference(spec, nl, config.x0, config.T, gt)
         truth = float(evaluate_functional(phi, xbar))
     elif n_samples == 0 or isinstance(nl, LinearInY):
         truth = continuous_weak_value(config, phi, spec, nl)
     else:
-        truth = None
-    ladder = _ladder(config, dt_list)
+        ref_cfg = _reference_config(ladder[-1][1], refinement)
+        truth, ref2 = _phi_values([ref_cfg, replace(ref_cfg, N=2 * ref_cfg.N)], phi, spec, nl,
+                                  gt, n_samples, master_seed, n_threads)
+        bias = abs(float(np.mean(ref2)) - float(np.mean(truth)))
     estimates = _phi_values([cfg for _, cfg in ladder], phi, spec, nl, gt, n_samples,
                             master_seed, n_threads)
-    points = []
-    for (dt, cfg), est in zip(ladder, estimates):
-        if truth is not None:
-            points.append(WeakErrorPoint(dt=dt, error=abs(float(np.mean(est)) - truth),
-                                         stderr=_stderr(est), oracle_bias=0.0))
-            continue
-        ref_cfg = _reference_config(cfg, refinement)
-        ref = _phi_samples(ref_cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
-        ref2 = _phi_samples(replace(ref_cfg, N=2 * ref_cfg.N), phi, n_samples, master_seed,
-                            spec, nl, gt, n_threads)
-        ref_mean = float(np.mean(ref))
-        # the legs share noise draws (under COUPLED_EXPO, the same stream at steps 0..N-1),
-        # so the stderr is that of the per-sample differences
-        points.append(WeakErrorPoint(dt=dt, error=abs(float(np.mean(est)) - ref_mean),
-                                     stderr=_stderr(est - ref),
-                                     oracle_bias=abs(float(np.mean(ref2)) - ref_mean)))
-    return points
+    return [WeakErrorPoint(dt, *_gap(est, truth), oracle_bias=bias)
+            for (dt, _), est in zip(ladder, estimates)]
 
 
 def _ladder(config: RunConfig, dt_list: Sequence[float]) -> list:
@@ -428,17 +428,14 @@ def ap_diagram(
     n_samples = 0 requests the noise-free moment-oracle path (linear-in-y
     only, stderr 0); otherwise both values are Monte Carlo estimates on the
     same draws, and the stderr is that of the per-sample differences.
-    Returns a list of (eps, gap, stderr) rows.
+    Returns a list of (eps, gap, stderr) rows, each the `_gap` of the coupled
+    values against the limiting ones.
     """
     configs = [replace(config, eps=1.0, scheme=SchemeKind.LIMITING)]
     configs += [replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED) for eps in eps_list]
     values = _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads)
     lim = next(values)
-    rows = []
-    for eps, vals in zip(eps_list, values):
-        rows.append((float(eps), abs(float(np.mean(vals)) - float(np.mean(lim))),
-                     _stderr(vals - lim)))
-    return rows
+    return [(float(eps), *_gap(vals, lim)) for eps, vals in zip(eps_list, values)]
 
 
 def averaging_curve(

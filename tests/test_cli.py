@@ -18,6 +18,7 @@ from slowfast import (
     saturating_square,
     trajectory,
 )
+from slowfast import cli
 from slowfast.cli import SCHEMA
 
 COMMANDS = ("simulate", "weak-error", "ap-test", "invariant-test", "uniform-sweep")
@@ -160,14 +161,17 @@ class TestWeakError:
         assert np.all(np.isfinite(errors))
         assert np.isfinite(json.loads((out / "summary.json").read_text())["slope"])
 
-    def test_byte_identical_reruns_and_threads(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["LINEAR_IN_Y", "SATURATING_SQUARE"])
+    def test_byte_identical_reruns_and_threads(self, tmp_path, variant):
+        # 4500 samples run in three spans of MC_SPAN, so 8 threads split them;
+        # the saturating square also samples the refined reference
         cfg = write_config(tmp_path, "c.json", {
             "spectrum": {"kind": "dirichlet", "J": 8},
-            "nonlinearity": {"variant": "LINEAR_IN_Y", "params": {"c": 1.0}},
+            "nonlinearity": {"variant": variant, "params": {"c": 1.0}},
             "T": 0.25, "N": 4, "eps": 0.5,
             "x0": {"preset": "ones"}, "y0": {"preset": "ones"},
             "phi": {"kind": "BOUNDED_EXP"},
-            "n_samples": 2000, "refinement": 16, "master_seed": 42,
+            "n_samples": 4500, "refinement": 16, "master_seed": 42,
             "dt_list": [2**-2, 2**-3, 2**-4],
         })
         outs = []
@@ -178,6 +182,19 @@ class TestWeakError:
             assert rc == 0
             outs.append(read(out / "curve.csv"))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_poor_fit_warns_on_stderr(self, tmp_path, capsys):
+        # eps = 2 from ones: the signed errors are not monotone in dt, so the
+        # fit has r2 0.015; the run still succeeds and writes its outputs
+        cfg = write_config(tmp_path, "c.json", {
+            "spectrum": {"J": 32}, "eps": 2.0, "x0": {"preset": "ones"}, "y0": {"preset": "ones"},
+        })
+        out = tmp_path / "o"
+        assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning: ")
+        assert f"r2 {summary['r2']:.3g}" in err and f"slope {summary['slope']:.3g}" in err
 
     def test_point_below_noise_floor_exits_2(self, tmp_path, capsys):
         # 50 samples against the continuous law: the finest point's error is
@@ -617,6 +634,21 @@ class TestRecordedOracleValues:
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)
         for name, recorded in expected.items():
             assert_matches_recorded(parse_output(out / name), recorded, f"{command}/{name}")
+
+
+class TestPoorFitWarning:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_configs_leave_stderr_empty(self, tmp_path, capsys, command):
+        assert run_cli([command, "--output-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_uniform_sweep_warns_below_the_threshold(self, tmp_path, capsys, monkeypatch):
+        # the default sweep fits with r2 0.9989; a threshold above it must warn
+        monkeypatch.setattr(cli, "WARN_R_SQUARED", 1.0)
+        out = tmp_path / "o"
+        assert run_cli(["uniform-sweep", "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err.startswith("warning: the log-log fit has r2 0.999 < 1.0")
+        assert (out / "sweep.csv").exists()
 
 
 class TestFloatFormat:

@@ -37,7 +37,8 @@ from slowfast import (
     uniform_sweep,
     weak_error_curve,
 )
-from slowfast.harness import WeakErrorPoint, _phi_samples, _replay
+from slowfast import harness
+from slowfast.harness import WeakErrorPoint, _gap, _phi_samples, _replay
 
 rng = np.random.default_rng(5150)
 
@@ -278,6 +279,38 @@ class TestWeakErrorCurve:
         assert point.error == abs(est.mean - ref.mean)
         assert point.oracle_bias == abs(ref2.mean - ref.mean)
         assert 0.0 < point.stderr < math.hypot(est.stderr, ref.stderr)
+
+    def test_one_sampled_reference_at_the_finest_step(self, monkeypatch):
+        # a pointwise coupling in a coupled scheme samples one truth for the
+        # whole ladder: the exact-transition scheme at the finest dt refined R
+        # times, and again at 2R for the bias, so K step sizes sample K + 2
+        # configs, and every point shares the one bias estimate
+        spec, gt, nl = dirichlet_spectrum(4), GridTransform(4), PointwiseSquare(c=1.0)
+        cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
+                        x0=np.ones(4), y0=np.ones(4))
+        dts, R, n, seed = [2.0**-2, 2.0**-3, 2.0**-4], 4, 1000, 7
+        sampled = []
+
+        def counting(config, *args, **kwargs):
+            sampled.append(config)
+            return _phi_samples(config, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_phi_samples", counting)
+        points = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=n,
+                                  master_seed=seed, refinement=R)
+        monkeypatch.undo()
+        assert len(sampled) == len(dts) + 2
+
+        def samples(scheme, N):
+            return _phi_samples(replace(cfg, scheme=scheme, N=N), PHI_EXP, n, seed, spec, nl, gt,
+                                1)
+
+        ref = samples(SchemeKind.COUPLED_EXPO, 4 * R)  # the finest dt has N = 4
+        ref2 = samples(SchemeKind.COUPLED_EXPO, 8 * R)
+        for p in points:
+            est = samples(SchemeKind.COUPLED_MODIFIED, round(cfg.T / p.dt))
+            assert (p.error, p.stderr) == _gap(est, ref)
+            assert p.oracle_bias == abs(np.mean(ref2) - np.mean(ref))
 
 
 class TestFitRate:
