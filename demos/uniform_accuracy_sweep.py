@@ -28,12 +28,12 @@ cfg = RunConfig(T=1.0, N=16, eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED,
 
 eps_list = [4.0**-k for k in range(0, 7)]
 dt_list = [2.0**-k for k in range(4, 11)]
-res = uniform_sweep(cfg, eps_list, dt_list, phi, spec, nl, refinement=512)
+res = uniform_sweep(cfg, eps_list, dt_list, phi, spec, nl)
 
 header = "dt \\ eps " + " ".join(f"2^{int(np.log2(e)):+4d}" for e in eps_list)
 print("weak error |E phi(scheme) - E phi(reference)| on the grid")
 print(header)
-for i, dt in enumerate(res.dt_list):
+for i, dt in enumerate(dt_list):
     row = " ".join(f"{res.errors[i, k]:.1e}" for k in range(len(eps_list)))
     print(f"2^{int(np.log2(dt)):+4d}  {row}   max {res.max_errors[i]:.2e}")
 

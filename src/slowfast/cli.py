@@ -27,6 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .harness import (
+    SWEEP_REFINEMENT,
     FunctionalKind,
     FunctionalSpec,
     _config_at_dt,
@@ -130,11 +131,12 @@ def _sample_count(value) -> int:
     return n
 
 
-def _seed(value) -> int:
-    seed = _integer(value)
-    if not 0 <= seed < 2**64:
+def _uint64(value) -> int:
+    """An integer in [0, 2^64), the range of a noise address's seed and sample index."""
+    n = _integer(value)
+    if not 0 <= n < 2**64:
         raise ValueError("expected an integer in [0, 2**64)")
-    return seed
+    return n
 
 
 def _one_of(*names: str):
@@ -187,10 +189,9 @@ SCHEMA = (
     ("tau_list", _positive(_numbers), (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
     ("n_samples", _sample_count, 0, ("weak-error", "ap-test")),
     ("refinement", _at_least(1), 64, ("weak-error",)),
-    ("refinement", _at_least(1), 512, ("uniform-sweep",)),
-    ("master_seed", _seed, 0, ("simulate", "weak-error", "ap-test")),
+    ("master_seed", _uint64, 0, ("simulate", "weak-error", "ap-test")),
     ("n_threads", _at_least(1), 1, ("weak-error", "ap-test")),
-    ("sample_index", _at_least(0), 0, ("simulate",)),
+    ("sample_index", _uint64, 0, ("simulate",)),
     ("output_dir", _path, ".", _ALL),
 )
 
@@ -387,7 +388,8 @@ def _cmd_ap_test(v: dict):
 
 def _cmd_invariant_test(v: dict):
     spec = _spectrum(v)
-    report = invariant_measure_check(spec, v["tau_list"])
+    with _naming("tau_list"):
+        report = invariant_measure_check(spec, v["tau_list"])
     rows = []
     for i, tau in enumerate(report.tau_list):
         for j in range(spec.J):
@@ -405,22 +407,20 @@ def _cmd_invariant_test(v: dict):
 
 def _cmd_uniform_sweep(v: dict):
     spec, nl, _, config, phi = _setup(v)
-    result = uniform_sweep(config, v["eps_list"], v["dt_list"], phi, spec, nl,
-                           refinement=v["refinement"])
+    result = uniform_sweep(config, v["eps_list"], v["dt_list"], phi, spec, nl)
     _warn_if_poor_fit(result.fit)
     grid_rows = []
-    for i, dt in enumerate(result.dt_list):
-        for k, eps in enumerate(result.eps_list):
+    for i, dt in enumerate(v["dt_list"]):
+        for k, eps in enumerate(v["eps_list"]):
             grid_rows.append((dt, eps, result.errors[i, k], result.reference_bias[i, k]))
     files = {
         "sweep.csv": _csv(("dt", "eps", "error", "oracle_bias"), grid_rows),
-        "max_curve.csv": _csv(("dt", "max_error"),
-                              list(zip(result.dt_list, result.max_errors))),
+        "max_curve.csv": _csv(("dt", "max_error"), list(zip(v["dt_list"], result.max_errors))),
         "summary.json": {
             "slope": result.fit.slope,
             "intercept": result.fit.intercept,
             "r2": result.fit.r_squared,
-            "refinement": result.refinement,
+            "refinement": SWEEP_REFINEMENT,
             "max_reference_bias": float(result.reference_bias.max()),
             "oracle_functional": phi.oracle_only,
         },

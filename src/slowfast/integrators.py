@@ -98,8 +98,9 @@ class Transition:
     one_plus); the sampler calls `step`.
 
     COUPLED_MODIFIED  a = 1/(1 + tau*lam), xi = sqrt(2 tau) (b1 g1 + b2 g2),
-                      s2 = tau (2 + tau*lam) a^2, with tau = dt/eps;
-                      b1 = a/sqrt(2), b2 = sqrt(a/2), b1^2 + b2^2 = (a^2 + a)/2
+                      s2 = 2 tau (b1^2 + b2^2) = tau a (1 + a), which equals
+                      tau (2 + tau*lam) a^2 and stays finite for any finite
+                      tau*lam; tau = dt/eps, b1 = a/sqrt(2), b2 = sqrt(a/2)
     COUPLED_EXPO      a = exp(-dt*lam/eps), xi = sd*g, s2 = sd^2 = (1 - a^2)/lam
     LIMITING          y' = g/sqrt(lam), a fresh equilibrium draw: a = 0, s2 = 1/lam
     AVERAGED          no fast variable, a = s2 = 0; F is replaced by Fbar
@@ -125,7 +126,7 @@ class Transition:
             self.b1 = self.a / np.sqrt(2.0)
             self.b2 = np.sqrt(0.5 * self.a)
             self.scale = np.sqrt(2.0 * dt / eps)
-            self.s2 = tau * (2.0 + z) * self.a * self.a
+            self.s2 = tau * self.a * (1.0 + self.a)
             self.tags = (StreamTag.GAMMA_1, StreamTag.GAMMA_2)
         elif scheme == SchemeKind.COUPLED_EXPO:
             z = dt * lam / eps

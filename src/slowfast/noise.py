@@ -42,7 +42,8 @@ def _stream(master_seed: int, tag: StreamTag, step: int, first_block: int) -> Ge
     if not 0 <= seed < 2**64:
         raise ValueError(f"master_seed must lie in [0, 2**64), got {seed}")
     key = SeedSequence([seed, int(tag), int(step)])
-    return Generator(Philox(key=key.generate_state(2, np.uint64), counter=[first_block, 0, 0, 0]))
+    # an int sets the whole 256-bit counter exactly; a list past 2^63 would pass through float64
+    return Generator(Philox(key=key.generate_state(2, np.uint64), counter=first_block))
 
 
 def sample_cylindrical_batch(

@@ -172,7 +172,7 @@ def test_06_uniform_sweep_exponent():
                     x0=1.0 / spec.lambdas, y0=np.ones(16))
     eps_list = [4.0**-k for k in range(0, 7)]      # 2^0 .. 2^-12
     dt_list = [2.0**-k for k in range(4, 11)]      # 2^-4 .. 2^-10
-    res = uniform_sweep(cfg, eps_list, dt_list, PHI_NORM, spec, nl, refinement=512)
+    res = uniform_sweep(cfg, eps_list, dt_list, PHI_NORM, spec, nl)
     # reference bias at the points that define the max-over-eps curve
     arg = np.argmax(res.errors, axis=1)
     bias_at_curve = res.reference_bias[np.arange(len(dt_list)), arg]

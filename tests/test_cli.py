@@ -112,6 +112,25 @@ class TestInvariantTest:
         assert run_cli(["invariant-test", "--config", cfg, "--output-dir", str(out)]) == 0
         assert len((out / "residuals.csv").read_text().splitlines()) == 1 + 4
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_tau_stays_finite(self, tmp_path, capsys):
+        # tau*lam = 2.5e303: the modified noise variance tends to 1/lam, so the
+        # fixed point still holds to rounding, without an overflow warning
+        cfg = write_config(tmp_path, "c.json", {"tau_list": [1e300]})
+        out = tmp_path / "o"
+        assert run_cli(["invariant-test", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "summary.json").read_text())["worst_modified_residual"] < 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_tau_lambda_names_tau_list(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"tau_list": [1e308]})
+        out = tmp_path / "o"
+        assert run_cli(["invariant-test", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'tau_list': ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_runs_as_a_module(self, tmp_path):
         # python -m slowfast.cli runs the subcommand, not only the installed script
         out = tmp_path / "out"
@@ -251,6 +270,26 @@ class TestSimulate:
             outs.append(read(out / "trajectory.csv"))
         assert outs[0] == outs[1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_sample_index_has_its_own_path(self, tmp_path, capsys):
+        # at J = 16 sample 2^62 - 1 starts at counter block 2^64 - 4
+        outs = []
+        for index in (2**62 - 1, 0):
+            out = tmp_path / str(index)
+            cfg = write_config(tmp_path, f"{index}.json", {"sample_index": index})
+            assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+            outs.append(read(out / "trajectory.csv"))
+        assert outs[0] != outs[1]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_horizon_without_warning(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"T": 1e300, "N": 1})
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.isfinite(json.loads((out / "summary.json").read_text())["final_norm_x"])
+
     def test_averaged_scheme_runs(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "spectrum": {"J": 4}, "scheme": "AVERAGED",
@@ -314,14 +353,22 @@ class TestApAndSweep:
             "phi": {"kind": "NORM_SQUARED"},
             "eps_list": [1.0, 0.0625],
             "dt_list": [2**-3, 2**-4, 2**-5],
-            "refinement": 64,
         })
         out = tmp_path / "o"
         assert run_cli(["uniform-sweep", "--config", cfg, "--output-dir", str(out)]) == 0
         assert (out / "sweep.csv").exists()
         assert (out / "max_curve.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert "slope" in summary and summary["refinement"] == 64
+        assert "slope" in summary and summary["refinement"] == 512
+
+    def test_sweep_ignores_weak_error_refinement(self, tmp_path):
+        # refinement is weak-error's key: a shared config must not weaken the sweep
+        cfg = write_config(tmp_path, "c.json", {"refinement": 16})
+        assert run_cli(["uniform-sweep", "--config", cfg, "--output-dir",
+                        str(tmp_path / "shared")]) == 0
+        assert run_cli(["uniform-sweep", "--output-dir", str(tmp_path / "default")]) == 0
+        for name in ("sweep.csv", "max_curve.csv"):
+            assert read(tmp_path / "shared" / name) == read(tmp_path / "default" / name)
 
 
 class TestFailureModes:
@@ -396,8 +443,8 @@ class TestFailureModes:
         ("simulate", {"eps": 1e-320, "N": 4}, "eps"),
         ("weak-error", {"eps": 1e-320, "N": 4}, "eps"),
         ("weak-error", {"refinement": 0}, "refinement"),
-        ("uniform-sweep", {"refinement": -2}, "refinement"),
         ("simulate", {"sample_index": -1}, "sample_index"),
+        ("simulate", {"sample_index": 2**64}, "sample_index"),
         ("weak-error", {"n_samples": 1}, "n_samples"),
         ("ap-test", {"n_samples": -3}, "n_samples"),
         ("simulate", {"x0": {"preset": "mode", "k": 5}, "spectrum": {"J": 4}}, "x0.k"),
@@ -441,7 +488,7 @@ class TestFailureModes:
             "master_seed_past_64_bits", "nan_T", "nan_coefficient", "infinite_eps", "boolean_T",
             "string_eps", "boolean_in_tau_list", "subnormal_eps_simulate",
             "subnormal_eps_weak_error",
-            "zero_refinement", "negative_refinement", "negative_sample_index", "one_sample",
+            "zero_refinement", "negative_sample_index", "sample_index_past_64_bits", "one_sample",
             "negative_n_samples", "mode_index_past_J", "short_field_list", "null_field",
             "unknown_spectrum_kind", "unknown_variant", "scalar_params", "zero_threads",
             "negative_threads", "nan_in_ignored_key", "infinity_in_ignored_list",
@@ -465,6 +512,14 @@ class TestFailureModes:
         out = tmp_path / "o"
         assert run_cli(["weak-error", "--threads", "-3", "--output-dir", str(out)]) == 2
         assert "'n_threads'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_root_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", [1, 2])
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config root must be a JSON object\n"
         assert not out.exists()
 
     def test_non_string_output_dir(self, tmp_path, capsys):

@@ -38,7 +38,7 @@ from slowfast import (
     weak_error_curve,
 )
 from slowfast import harness
-from slowfast.harness import WeakErrorPoint, _gap, _phi_samples, _replay
+from slowfast.harness import SWEEP_REFINEMENT, WeakErrorPoint, _gap, _phi_samples, _replay
 
 rng = np.random.default_rng(5150)
 
@@ -445,13 +445,11 @@ class TestUniformSweep:
         nl = LinearInY(1.0)
         cfg = RunConfig(T=0.5, N=8, eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED,
                         x0=1.0 / spec.lambdas, y0=np.ones(8))
-        res = uniform_sweep(cfg, [1.0, 2.0**-4], [2.0**-3, 2.0**-4, 2.0**-5], PHI_NORM, spec, nl,
-                            refinement=64)
+        res = uniform_sweep(cfg, [1.0, 2.0**-4], [2.0**-3, 2.0**-4, 2.0**-5], PHI_NORM, spec, nl)
         assert res.errors.shape == (3, 2)
         assert np.all(res.max_errors >= res.errors.max(axis=1) - 1e-300)
         assert np.all(res.reference_bias >= 0.0)
-        res2 = uniform_sweep(cfg, [1.0, 2.0**-4], [2.0**-3, 2.0**-4, 2.0**-5], PHI_NORM, spec, nl,
-                             refinement=64)
+        res2 = uniform_sweep(cfg, [1.0, 2.0**-4], [2.0**-3, 2.0**-4, 2.0**-5], PHI_NORM, spec, nl)
         assert np.array_equal(res.errors, res2.errors)
 
     def test_rejects_bad_dt(self):
@@ -489,13 +487,13 @@ class TestOracleWeakValues:
         # batch their configs; every value stays that of its own oracle call
         cfg = coupled_config(T=0.5, N=8)
         epss, dts = [1.0, 2.0**-4, 2.0**-8], [2.0**-3, 2.0**-4, 2.0**-5]
-        res = uniform_sweep(cfg, epss, dts, PHI_EXP, SPEC, NL, refinement=8)
+        res = uniform_sweep(cfg, epss, dts, PHI_EXP, SPEC, NL)
         for k, eps in enumerate(epss):
             truth = continuous_weak_value(replace(cfg, eps=eps), PHI_EXP, SPEC, NL)
             for i, dt in enumerate(dts):
                 cell = replace(cfg, eps=eps, N=round(0.5 / dt))
                 ref = oracle_weak_value(replace(cell, scheme=SchemeKind.COUPLED_EXPO,
-                                                N=cell.N * 8), PHI_EXP, SPEC, NL)
+                                                N=cell.N * SWEEP_REFINEMENT), PHI_EXP, SPEC, NL)
                 assert res.errors[i, k] == abs(oracle_weak_value(cell, PHI_EXP, SPEC, NL) - ref)
                 assert res.reference_bias[i, k] == abs(ref - truth)
 

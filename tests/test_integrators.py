@@ -94,6 +94,14 @@ class TestCoupledModifiedStep:
         lhs = tr.b1**2 + tr.b2**2
         assert np.max(np.abs(lhs - (2.0 + z) / (2.0 * (1.0 + z) ** 2)) / lhs) < 1e-12
 
+    @pytest.mark.parametrize("tau", [3.7, 1e200, 1e300])
+    def test_noise_variance_is_that_of_the_draws_at_any_tau(self, tau):
+        # s2 = 2 tau (b1^2 + b2^2) stays finite as tau*lam passes 1e154, tending to 1/lam
+        tr = Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, tau, 1.0)
+        assert np.allclose(tr.s2, 2.0 * tau * (tr.b1**2 + tr.b2**2), rtol=1e-14, atol=0.0)
+        if tau > 1e100:
+            assert np.allclose(tr.s2 * SPEC.lambdas, 1.0, rtol=1e-14, atol=0.0)
+
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, -0.1, 1.0)

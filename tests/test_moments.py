@@ -63,6 +63,11 @@ class TestContinuousMean:
         base = continuous_mean(lam, 1.0, 1e-12, 1.0, 1.0, 5.0)[0]
         assert base == pytest.approx(np.exp(-2.0), rel=1e-10)
 
+    @pytest.mark.parametrize("eps, T", [(0.0, 1.0), (-0.5, 1.0), (0.5, -1.0)])
+    def test_rejects_nonpositive_eps_or_negative_T(self, eps, T):
+        with pytest.raises(ValueError, match="need eps > 0 and T >= 0"):
+            continuous_mean(np.array([2.0]), 1.0, eps, T, 1.0, 1.0)
+
 
 def mean_x(kind, lam, c, eps, dt, N, x0, y0):
     """E X_N of the scheme with F = c*y: the mean part of the moment recursion."""
@@ -119,6 +124,11 @@ class TestStepFactors:
 
 
 class TestSecondMomentRecursion:
+    def test_rejects_negative_step_count(self):
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            second_moment_recursion(SchemeKind.COUPLED_MODIFIED, np.array([5.0]), 1.0, 1.0, 0.1,
+                                    -1, ModeMoments())
+
     def test_uncoupled_variance_decay(self):
         lam = np.array([5.0])
         dt, N = 0.02, 25
@@ -199,6 +209,11 @@ class TestSecondMomentRecursion:
 
 
 class TestContinuousSecondMoment:
+    @pytest.mark.parametrize("eps, T", [(0.0, 1.0), (-0.5, 1.0), (0.5, -1.0)])
+    def test_rejects_nonpositive_eps_or_negative_T(self, eps, T):
+        with pytest.raises(ValueError, match="need eps > 0 and T >= 0"):
+            continuous_second_moment(np.array([2.0]), 1.0, eps, T, ModeMoments())
+
     def test_stationary_fast_variance(self):
         lam = np.array([3.0, 30.0])
         start = ModeMoments(var_y=1.0 / lam)

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from slowfast import StreamTag, dirichlet_spectrum, sample_cylindrical_batch
 
 SPEC = dirichlet_spectrum(16)
+# first samples near and past 2^61 and 2^62: at J = 16 a sample spans 4 counter
+# blocks, so from 2^62 on its first block no longer fits in 64 bits
+LARGE_FIRST = (0, 2**61 - 3, 2**61 + 5, 2**62 - 1, 2**62 + 5)
 
 
 def draw(master_seed, sample_index=0, step_index=0, stream_tag=StreamTag.GAMMA_1):
@@ -30,20 +35,32 @@ class TestDeterminism:
 
     def test_partition_invariance(self):
         # any split of the sample range reproduces the full-batch rows exactly
-        full = sample_cylindrical_batch(SPEC, 7, StreamTag.OU_EXACT, 2, 0, 100)
-        for cuts in ([0, 100], [0, 1, 100], [0, 37, 64, 100], list(range(0, 101, 10))):
-            parts = [
-                sample_cylindrical_batch(SPEC, 7, StreamTag.OU_EXACT, 2, a, b - a)
-                for a, b in zip(cuts, cuts[1:])
-            ]
-            assert np.array_equal(np.vstack(parts), full)
+        for first in LARGE_FIRST:
+            full = sample_cylindrical_batch(SPEC, 7, StreamTag.OU_EXACT, 2, first, 100)
+            for cuts in ([0, 100], [0, 1, 100], [0, 37, 64, 100], list(range(0, 101, 10))):
+                parts = [
+                    sample_cylindrical_batch(SPEC, 7, StreamTag.OU_EXACT, 2, first + a, b - a)
+                    for a, b in zip(cuts, cuts[1:])
+                ]
+                assert np.array_equal(np.vstack(parts), full)
 
     def test_odd_mode_count_partitions(self):
         # J not a multiple of the generator block width still block-aligns
         spec5 = dirichlet_spectrum(5)
-        full = sample_cylindrical_batch(spec5, 3, StreamTag.GAMMA_1, 0, 0, 21)
-        parts = [sample_cylindrical_batch(spec5, 3, StreamTag.GAMMA_1, 0, a, 7) for a in (0, 7, 14)]
-        assert np.array_equal(np.vstack(parts), full)
+        for first in LARGE_FIRST + (2**63 - 7, 2**63 + 7):
+            full = sample_cylindrical_batch(spec5, 3, StreamTag.GAMMA_1, 0, first, 21)
+            parts = [sample_cylindrical_batch(spec5, 3, StreamTag.GAMMA_1, 0, first + a, 7)
+                     for a in (0, 7, 14)]
+            assert np.array_equal(np.vstack(parts), full)
+
+    def test_large_sample_index_has_its_own_draws(self):
+        # the first block of sample 2^62 - 1 is 2^64 - 4: it must not wrap to sample 0's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sample_cylindrical_batch(SPEC, 11, StreamTag.GAMMA_1, 0, 2**62 - 1, 3)
+            for i in range(3):
+                assert np.array_equal(rows[i], draw(11, sample_index=2**62 - 1 + i))
+            assert not np.array_equal(rows[0], draw(11))
 
     def test_streams_differ(self):
         base = dict(master_seed=1, sample_index=0, step_index=0, stream_tag=StreamTag.GAMMA_1)

@@ -93,6 +93,10 @@ class TestGridTransform:
         with pytest.raises(ValueError):
             GridTransform(16, M=32)
 
+    def test_rejects_no_modes(self):
+        with pytest.raises(ValueError, match="J must be >= 1"):
+            GridTransform(0)
+
     def test_rejects_wrong_sizes(self):
         with pytest.raises(ValueError):
             GT.to_grid(np.ones(15))
@@ -136,6 +140,10 @@ class TestEvalF:
         with pytest.raises(ValueError):
             eval_F(PointwiseSquare(1.0), None, np.ones(16), np.ones(16))
 
+    def test_rejects_unknown_coupling(self):
+        with pytest.raises(TypeError, match="unknown nonlinearity"):
+            eval_F(object(), GT, np.ones(16), np.ones(16))
+
 
 class TestAveragedForce:
     def test_linear_in_y_averages_to_zero(self):
@@ -163,6 +171,14 @@ class TestAveragedForce:
         sig2 = pointwise_variance(spec, gt)
         assert abs(sig2[mid] - 0.25) < 1.0 / (np.pi**2 * (J - 1))
 
+    def test_pointwise_needs_grid(self):
+        with pytest.raises(ValueError, match="need a GridTransform"):
+            averaged_force(PointwiseSquare(1.0), None, SPEC)
+
+    def test_rejects_unknown_coupling(self):
+        with pytest.raises(TypeError, match="unknown nonlinearity"):
+            averaged_force(object(), GT, SPEC)
+
     def test_general_square_matches_closed_form(self):
         nl = PointwiseGeneral(f=lambda u, v: v * v)
         x = rng.standard_normal(16)
@@ -172,6 +188,10 @@ class TestAveragedForce:
 
 
 class TestPointwiseVariance:
+    def test_rejects_grid_of_another_J(self):
+        with pytest.raises(ValueError, match="disagree on J"):
+            pointwise_variance(SPEC, GridTransform(8))
+
     def test_matches_bruteforce_sum(self):
         sig2 = pointwise_variance(SPEC, GT)
         for m in (0, 5, GT.M - 1):

@@ -227,6 +227,11 @@ class TestEigenvalueBounds:
             assert np.max(z ** (-alpha) * defect) <= c * (1 + 1e-9)
             assert np.max(z_small ** (-alpha) * defect_small) <= c * (1 + 1e-9)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, [0.5, 2.0]])
+    def test_constant_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            log_ratio_constant(alpha)
+
     def test_alpha_one_constant_is_half(self):
         # z^(-1) (1 - log(1+z)/z) increases to 1/2 as z -> 0
         assert float(log_ratio_constant(1.0)[0]) == pytest.approx(0.5, abs=1e-9)
