@@ -32,7 +32,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .noise import StreamTag, sample_cylindrical_batch
 from .nonlinearity import (
@@ -239,6 +238,8 @@ def solve_averaged_reference(
         with np.errstate(under="ignore"):
             decay = np.exp(-T * spec.lambdas)
         return x0 * decay + (1.0 - decay) * fbar(np.zeros_like(x0)) / spec.lambdas
+    from scipy.integrate import solve_ivp  # imported here: only this branch needs it
+
     sol = solve_ivp(lambda t, x: fbar(x) - spec.lambdas * x, (0.0, T), x0,
                     method="LSODA", rtol=1e-12, atol=1e-14)
     if not sol.success:

@@ -18,6 +18,11 @@ covariance ODE
 solved exactly in closed form: the generator is upper bidiagonal, so the
 entries of its exponential are divided differences of exp over the decay
 rates, evaluated elementwise per mode (no matrix exponential).
+
+``moments.expm`` still names SciPy's matrix exponential, which nothing here
+calls; `perfbench/tracer.py` counts calls through that name.  It is imported
+on first lookup, by the module ``__getattr__``, so that importing the package
+does not load ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm  # noqa: F401  unused; perfbench/tracer.py counts calls to this name
 from scipy.special import exprel
 
 from .integrators import SchemeKind, Transition
@@ -41,6 +45,14 @@ __all__ = [
 ]
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def __getattr__(name):
+    if name == "expm":
+        from scipy.linalg import expm
+
+        return expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,10 @@ small-amplitude behavior.
 
 ``eval_F`` evaluates F; ``averaged_force`` builds x -> Fbar(x) once, with the
 constants of the average precomputed.  Both take coefficient arrays of shape
-(J,) or (n, J) and return the same shape.
+(J,) or (n, J) and return the same shape.  The Gauss-Hermite average makes one
+f call on all 12 nodes at once, the nodes stacked on a leading axis, and sums
+the weighted values over that axis in node order, which gives the bits of a
+per-node loop.
 """
 
 from __future__ import annotations
@@ -136,7 +139,9 @@ class PointwiseGeneral:
 
     f must be vectorized (ufunc-compatible) and smooth with bounded
     derivatives up to order 3 for the theory to apply; the 12-point rule
-    integrates polynomial v-dependence exactly up to degree 23.
+    integrates polynomial v-dependence exactly up to degree 23.  The average
+    calls f once with u and v that broadcast against each other, v holding
+    the nodes on a leading axis, so f must act elementwise.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -203,6 +208,14 @@ def averaged_force(
     The constants of the average (the pointwise variance of Y and the
     Gauss-Hermite nodes) are computed here, once, so a time loop builds the
     function once and calls it every step.
+
+    For `PointwiseGeneral` each call evaluates f once, on grid values of
+    shape (K, *gx.shape): the K = 12 nodes v_k = sqrt(2)*sigma*t_k on a
+    leading axis.  The weighted values are summed over axis 0 of a 2-D
+    C-contiguous (K, gx.size) array, which numpy accumulates row by row in
+    node order, so the result equals a per-node loop's `acc += w_k*f_k` bit
+    for bit.  A tensordot, einsum or BLAS product in place of the sum orders
+    the additions differently and moves the last bit.
     """
     if isinstance(nl, LinearInY):
         return np.zeros_like
@@ -214,14 +227,14 @@ def averaged_force(
         return lambda x: np.broadcast_to(coeffs, x.shape).copy()
     if isinstance(nl, PointwiseGeneral):
         t, w = np.polynomial.hermite.hermgauss(_QUADRATURE_ORDER)
-        sig = np.sqrt(sig2)
+        # E f(u, V) for V ~ N(0, sig^2), on the (K, M) grid v_k = sqrt(2)*sig*t_k
+        nodes = np.outer(t, _SQRT2 * np.sqrt(sig2))
+        K = len(t)
 
         def average(gx):
-            # E f(u, V) for V ~ N(0, sig^2): Gauss-Hermite with v = sqrt(2)*sig*t
-            acc = np.zeros_like(gx)
-            for tk, wk in zip(t, w):
-                acc += wk * nl.f(gx, _SQRT2 * sig * tk)
-            return acc / np.sqrt(np.pi)
+            v = nodes.reshape((K,) + (1,) * (gx.ndim - 1) + (gt.M,))
+            fk = np.broadcast_to(nl.f(gx[None], v), (K,) + gx.shape)
+            return (w[:, None] * fk.reshape(K, -1)).sum(axis=0).reshape(gx.shape) / np.sqrt(np.pi)
 
         return lambda x: gt.pointwise(average, x)
     raise TypeError(f"unknown nonlinearity {nl!r}")

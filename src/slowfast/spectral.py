@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize.elementwise import bracket_minimum, find_minimum
 
 __all__ = [
     "SpectrumSpec",
@@ -97,6 +96,9 @@ def log_ratio_constant(alpha) -> np.ndarray:
     maximizer over log z in [log 1e-12, log 1e19] is bracketed and refined by
     SciPy's elementwise minimizer; RuntimeError if it does not converge.
     """
+    # imported here: scipy.optimize also loads scipy.linalg, which no other path needs
+    from scipy.optimize.elementwise import bracket_minimum, find_minimum
+
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if np.any(alpha < 0.0) or np.any(alpha > 1.0):
         raise ValueError("alpha must lie in [0, 1]")

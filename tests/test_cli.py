@@ -66,16 +66,37 @@ def assert_matches_recorded(value, expected, where):
             f"{where}: {value!r} != recorded {expected!r}"
 
 
-def run_module(module, argv):
-    """`python -m module *argv` in a fresh process, against the package in src/."""
+def run_python(*args):
+    """`python *args` in a fresh process, against the package in src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", module, *argv],
+    return subprocess.run([sys.executable, *args],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+
+
+def run_module(module, argv):
+    """`python -m module *argv` in a fresh process, against the package in src/."""
+    return run_python("-m", module, *argv)
 
 
 def output_files(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestStartUp:
+    def test_import_leaves_heavy_scipy_subpackages_unloaded(self):
+        # scipy.optimize, scipy.integrate and scipy.linalg load on first use only;
+        # moments.expm still resolves, and only its lookup loads scipy.linalg
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+        proc = run_python("-c", f"""
+import sys
+import slowfast
+print([m for m in {heavy!r} if m in sys.modules])
+from scipy.linalg import expm
+print(slowfast.moments.expm is expm)
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 class TestParserReuse:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from average_loop import loop_average
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from slowfast import (
@@ -185,6 +188,39 @@ class TestAveragedForce:
         a = averaged_force(nl, GT, SPEC)(x)
         b = averaged_force(PointwiseSquare(1.0), GT, SPEC)(x)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+# couplings for the loop oracle, each built from one coefficient c
+ORACLE_COUPLINGS = {
+    "ignores_u": lambda c: PointwiseGeneral(f=lambda u, v: c * np.cos(v) * v),
+    "ignores_v": lambda c: PointwiseGeneral(f=lambda u, v: c * np.tanh(u)),
+    "scalar": lambda c: PointwiseGeneral(f=lambda u, v: c),
+    "u_and_v": lambda c: PointwiseGeneral(f=lambda u, v: np.exp(-u * u) * np.cos(c * v) + u * v),
+    "saturating": saturating_square,
+}
+
+
+class TestAveragedForceAgainstLoop:
+    """The stacked average equals the per-node loop bit for bit."""
+
+    @pytest.mark.parametrize("J", [4, 16, 64])
+    @pytest.mark.parametrize("coupling", sorted(ORACLE_COUPLINGS))
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(rows=st.integers(1, 2048), c=st.floats(-10.0, 10.0), scale=st.floats(1e-3, 1e2),
+           seed=st.integers(0, 2**32))
+    def test_bit_identical_to_loop(self, J, coupling, rows, c, scale, seed):
+        # a drawn row count, and every batch shape that pointwise handles apart:
+        # 1-D, a few rows, one whole block, one block plus a row, many blocks
+        spec, gt = dirichlet_spectrum(J), GridTransform(J)
+        nl = ORACLE_COUPLINGS[coupling](c)
+        stacked, loop = averaged_force(nl, gt, spec), loop_average(nl, gt, spec)
+        rng = np.random.default_rng(seed)
+        for shape in [(J,), *((n, J) for n in (rows, 1, 2, 7, gt.rows_per_block,
+                                               gt.rows_per_block + 1, 2048))]:
+            x = scale * rng.standard_normal(shape)
+            got = stacked(x)
+            assert got.shape == shape
+            assert np.array_equal(got, loop(x))
 
 
 class TestPointwiseVariance:

@@ -261,8 +261,11 @@ class TestEigenvalueBounds:
             eigenvalue_error_bounds(dirichlet_spectrum(4), 1e-2, 0.5)
 
     def test_constant_raises_without_convergence(self, monkeypatch):
-        find_minimum = slowfast.spectral.find_minimum
-        monkeypatch.setattr(slowfast.spectral, "find_minimum",
+        # log_ratio_constant imports the minimizer when called, from SciPy's module
+        import scipy.optimize.elementwise as elementwise
+
+        find_minimum = elementwise.find_minimum
+        monkeypatch.setattr(elementwise, "find_minimum",
                             lambda *args, **kw: find_minimum(*args, **kw, maxiter=1))
         with pytest.raises(RuntimeError, match="did not converge"):
             log_ratio_constant(np.array([0.0, 0.3]))
