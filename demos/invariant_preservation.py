@@ -24,7 +24,7 @@ report = invariant_measure_check(spec, taus)
 
 print("relative residual of the equilibrium variance under one step")
 print(f"{'tau':>10} {'modified (worst mode)':>22} {'standard (worst mode)':>22}")
-for i, tau in enumerate(report.tau_list):
+for i, tau in enumerate(taus):
     print(f"{tau:10.0e} {report.residual_modified[i].max():22.3e} "
           f"{report.residual_standard[i].max():22.3e}")
 

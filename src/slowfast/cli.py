@@ -31,6 +31,7 @@ from .harness import (
     FunctionalKind,
     FunctionalSpec,
     _config_at_dt,
+    _require_linear_in_y,
     ap_diagram,
     fit_rate,
     invariant_measure_check,
@@ -284,12 +285,17 @@ def _setup(v: dict):
 
     A run field the subcommand does not read keeps a stand-in that its harness
     call replaces: N = T/dt per dt, eps from eps_list; ap-test and
-    uniform-sweep measure the coupled modified scheme.
+    uniform-sweep measure the coupled modified scheme.  A noise-free run
+    (uniform-sweep, or n_samples 0) needs the moment oracle's coupling, checked
+    here so that the error names the key before any work.
     """
     spec = _spectrum(v)
     nl = {"LINEAR_IN_Y": LinearInY, "POINTWISE_SQUARE": PointwiseSquare,
           "SATURATING_SQUARE": saturating_square}[v["nonlinearity.variant"]](
               c=v["nonlinearity.params.c"])
+    if "phi.kind" in v and v.get("n_samples", 0) == 0:
+        with _naming("nonlinearity.variant"):
+            _require_linear_in_y(nl, "the moment oracle")
     pointwise = isinstance(nl, (PointwiseSquare, PointwiseGeneral))
     with _naming("collocation_points"):
         gt = GridTransform(spec.J, M=v.get("collocation_points")) if pointwise else None
@@ -391,7 +397,7 @@ def _cmd_invariant_test(v: dict):
     with _naming("tau_list"):
         report = invariant_measure_check(spec, v["tau_list"])
     rows = []
-    for i, tau in enumerate(report.tau_list):
+    for i, tau in enumerate(v["tau_list"]):
         for j in range(spec.J):
             rows.append((tau, j + 1, report.residual_modified[i, j], report.residual_standard[i, j]))
     worst = float(report.residual_modified.max())

@@ -13,8 +13,9 @@ averaged solution at T for the schemes without a fast state (LIMITING,
 AVERAGED).  Only Monte Carlo with a pointwise coupling in a coupled scheme,
 which has no exact truth, samples one: the exact-transition scheme at the
 finest step refined `refinement` times, with that reference's bias
-estimated by refinement doubling.  The uniform sweep measures every cell
-against the exact-transition scheme refined `SWEEP_REFINEMENT` times.
+estimated by refinement halving.  The uniform sweep measures the coupled
+modified scheme in every cell against the exact-transition scheme refined
+`SWEEP_REFINEMENT` times; no sweep reads a config field that it sets itself.
 """
 
 from __future__ import annotations
@@ -54,8 +55,11 @@ __all__ = [
     "uniform_sweep",
 ]
 
-# samples per Monte Carlo span: small enough that a span's working arrays stay
-# in cache and that the spans spread evenly over the worker threads
+# samples per Monte Carlo span, the unit of work of the worker threads: many
+# spans spread evenly over the threads, and a span of more than one collocation
+# block (at most 512 rows) keeps every sample's value the same for any span size.
+# It does not keep a span in cache: at J = 64 each (2048, 64) array is 1 MB, and
+# a step allocates its temporaries afresh (ROADMAP item 4)
 MC_SPAN = 2048
 
 # the uniform sweep's reference: the exact-transition scheme on each cell's
@@ -330,34 +334,40 @@ def weak_error_curve(
 ):
     """|E phi(scheme at dt) - truth| for each dt on a decreasing ladder.
 
-    dt_list must be strictly decreasing with T/dt an integer.  The scheme's
-    side is the moment oracle when n_samples = 0 and a Monte Carlo estimate
-    otherwise.  One truth, computed before the ladder, serves every point
-    (`_gap`).  Where an exact one exists, the stderr is the plain one (0 for
-    the oracle) and oracle_bias is 0: the continuous law at config.eps for
-    the linear-in-y coupling, and for LIMITING and AVERAGED, which have no
-    fast state and approximate the averaged equation, phi of its solution at T.
+    dt_list must be strictly decreasing with T/dt an integer, and refinement
+    even, whether or not a reference is sampled.  The scheme's side is the
+    moment oracle when n_samples = 0 (its ladder computed first, so a coupling
+    it cannot take fails before any truth is) and a Monte Carlo estimate
+    otherwise (each point sampled after the truth).  One truth serves every
+    point (`_gap`).  Where an exact one exists, the stderr is the plain one (0
+    for the oracle) and oracle_bias is 0: for LIMITING and AVERAGED, which
+    have no fast state and approximate the averaged equation, phi of its
+    solution at T, and else the continuous law at config.eps for the
+    linear-in-y coupling.
 
     Monte Carlo with a pointwise coupling in a coupled scheme has no exact
     truth: it samples, from the same seed, the exact-transition scheme at the
-    finest dt refined `refinement` times, and each stderr is that of the
-    per-sample differences.  Every oracle_bias is the one refinement-doubling
-    estimate of that reference's bias.
+    finest dt refined `refinement` (R) times, and each stderr is that of the
+    per-sample differences.  Every oracle_bias is the one refinement-halving
+    estimate of that reference's bias, |ref(R) - ref(R/2)|, which for a
+    first-order reference is about bias(R).
     """
+    if refinement < 2 or refinement % 2:
+        raise ValueError(f"argument 'refinement' = {refinement!r} must be an even integer >= 2")
     ladder = _ladder(config, dt_list)
+    estimates = _phi_values([cfg for _, cfg in ladder], phi, spec, nl, gt, n_samples,
+                            master_seed, n_threads)
     bias = 0.0
     if not config.scheme.coupled:
         xbar = solve_averaged_reference(spec, nl, config.x0, config.T, gt)
         truth = float(evaluate_functional(phi, xbar))
-    elif n_samples == 0 or isinstance(nl, LinearInY):
+    elif isinstance(nl, LinearInY):
         truth = continuous_weak_value(config, phi, spec, nl)
     else:
         ref_cfg = _reference_config(ladder[-1][1], refinement)
-        truth, ref2 = _phi_values([ref_cfg, replace(ref_cfg, N=2 * ref_cfg.N)], phi, spec, nl,
+        truth, half = _phi_values([ref_cfg, replace(ref_cfg, N=ref_cfg.N // 2)], phi, spec, nl,
                                   gt, n_samples, master_seed, n_threads)
-        bias = abs(float(np.mean(ref2)) - float(np.mean(truth)))
-    estimates = _phi_values([cfg for _, cfg in ladder], phi, spec, nl, gt, n_samples,
-                            master_seed, n_threads)
+        bias = abs(float(np.mean(half)) - float(np.mean(truth)))
     return [WeakErrorPoint(dt, *_gap(est, truth), oracle_bias=bias)
             for (dt, _), est in zip(ladder, estimates)]
 
@@ -437,7 +447,7 @@ def ap_diagram(
     Returns a list of (eps, gap, stderr) rows, each the `_gap` of the coupled
     values against the limiting ones.
     """
-    configs = [replace(config, eps=1.0, scheme=SchemeKind.LIMITING)]
+    configs = [replace(config, scheme=SchemeKind.LIMITING)]
     configs += [replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED) for eps in eps_list]
     values = _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads)
     lim = next(values)
@@ -471,14 +481,13 @@ class InvariantCheckReport:
     """Fixed-point residuals of the one-step variance maps, per (tau, mode).
 
     residual_modified[i, j]: relative residual |map(1/lam_j)*lam_j - 1| of the
-    modified update at tau_list[i]; must vanish to rounding for every tau.
+    modified update at the i-th tau; must vanish to rounding for every tau.
     residual_standard[i, j]: same for the plain semi-implicit update, which
     does not preserve the equilibrium (at tau*lam = 1 the relative residual
     is exactly 1/4).
     standard_at_unit[j]: the standard map's residual at tau = 1/lam_j.
     """
 
-    tau_list: tuple
     residual_modified: np.ndarray
     residual_standard: np.ndarray
     standard_at_unit: np.ndarray
@@ -513,12 +522,8 @@ def invariant_measure_check(spec: SpectrumSpec, tau_list: Sequence[float]) -> In
         res_std[i] = _variance_map_residual(tr.a, 2.0 * tau * tr.a * tr.a, lam)
     a1 = np.full(spec.J, 0.5)  # a at tau*lam = 1
     std_unit = _variance_map_residual(a1, (2.0 / lam) * a1 * a1, lam)
-    return InvariantCheckReport(
-        tau_list=tuple(taus),
-        residual_modified=res_mod,
-        residual_standard=res_std,
-        standard_at_unit=std_unit,
-    )
+    return InvariantCheckReport(residual_modified=res_mod, residual_standard=res_std,
+                                standard_at_unit=std_unit)
 
 
 @dataclass(frozen=True)
@@ -539,20 +544,21 @@ def uniform_sweep(
 ) -> UniformSweepResult:
     """Weak error of the coupled modified scheme over an (eps, dt) grid.
 
-    Every expectation comes from the moment recursions (noise-free,
-    linear-in-y coupling required): each error is measured against the
-    exact-transition scheme on a grid refined `SWEEP_REFINEMENT` (512) times,
-    and the reference bias against the continuous law is exact.  All cells
-    and references go through one `oracle_weak_values` call, so the grid
-    costs one matrix power per step count (at most 2 per dt), not one per
-    cell.  Rows follow dt_list and columns eps_list; the fit is over the
-    max-over-eps error per dt.
+    config's scheme, N and eps are not read.  Every expectation comes from the
+    moment recursions (noise-free, linear-in-y coupling required): each error
+    is measured against the exact-transition scheme on a grid refined
+    `SWEEP_REFINEMENT` (512) times, and the reference bias against the
+    continuous law is exact.  All cells and references go through one
+    `oracle_weak_values` call, so the grid costs one matrix power per step
+    count (at most 2 per dt), not one per cell.  Rows follow dt_list and
+    columns eps_list; the fit is over the max-over-eps error per dt.
     """
     epss = [float(e) for e in eps_list]
     dts = list(dt_list)
     truth = np.array([continuous_weak_value(replace(config, eps=eps), phi, spec, nl)
                       for eps in epss])
-    cells = [replace(cfg, eps=eps) for _, cfg in _ladder(config, dts) for eps in epss]
+    cells = [replace(cfg, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
+             for _, cfg in _ladder(config, dts) for eps in epss]
     values = oracle_weak_values(
         cells + [_reference_config(cfg, SWEEP_REFINEMENT) for cfg in cells], phi, spec, nl)
     est, ref = np.reshape(values, (2, len(dts), len(epss)))

@@ -117,9 +117,7 @@ def log_ratio_constant(alpha) -> np.ndarray:
 class EigenvalueBoundReport:
     """Per-mode gaps of the modified eigenvalues and their claimed bounds."""
 
-    tau: float
-    alpha: float
-    c_alpha: float
+    c_alpha: float            # log_ratio_constant(alpha)
     lambda_gap: np.ndarray    # lambda_j - lambda_tau_j
     q_gap: np.ndarray         # 1 - q_tau_j
     lambda_bound: np.ndarray  # c_alpha * tau^alpha * lambda_j^(1+alpha)
@@ -157,5 +155,5 @@ def eigenvalue_error_bounds(spec: SpectrumSpec, tau: float, alpha: float) -> Eig
         and np.all(q_gap <= q_bound * slack)
     ):
         raise AssertionError(f"eigenvalue gap bounds violated at tau={tau}, alpha={alpha}")
-    return EigenvalueBoundReport(tau=tau, alpha=alpha, c_alpha=c_alpha, lambda_gap=lam_gap,
-                                 q_gap=q_gap, lambda_bound=lam_bound, q_bound=q_bound)
+    return EigenvalueBoundReport(c_alpha=c_alpha, lambda_gap=lam_gap, q_gap=q_gap,
+                                 lambda_bound=lam_bound, q_bound=q_bound)

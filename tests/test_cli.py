@@ -499,6 +499,13 @@ class TestFailureModes:
         ("weak-error", {"dt_list": [0.3]}, "dt_list"),
         ("weak-error", {"dt_list": [0.3, 0.2, 0.1]}, "dt_list"),
         ("uniform-sweep", {"dt_list": [0.25, 0.125]}, "dt_list"),
+        ("weak-error", {"refinement": 3}, "refinement"),
+        ("uniform-sweep", {"nonlinearity": {"variant": "POINTWISE_SQUARE"}},
+         "nonlinearity.variant"),
+        ("weak-error", {"n_samples": 0, "scheme": "LIMITING",
+                        "nonlinearity": {"variant": "SATURATING_SQUARE"}}, "nonlinearity.variant"),
+        ("ap-test", {"n_samples": 0, "nonlinearity": {"variant": "POINTWISE_SQUARE"}},
+         "nonlinearity.variant"),
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
@@ -518,7 +525,8 @@ class TestFailureModes:
             "removed_affine_params", "removed_affine_variant", "negative_T", "negative_eps",
             "zero_eps_limiting", "zero_in_eps_list", "negative_in_tau_list",
             "negative_in_dt_list", "unordered_dt_list", "one_entry_dt_list",
-            "non_dividing_dt_list", "two_point_sweep"])
+            "non_dividing_dt_list", "two_point_sweep", "odd_refinement", "pointwise_sweep",
+            "pointwise_moment_oracle_curve", "pointwise_moment_oracle_ap_test"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)
@@ -595,6 +603,23 @@ def nested(dotted, value):
     return value
 
 
+def leaves(cfg, where=""):
+    """(dotted key, value) of every leaf of a config."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from leaves(value, where + key + ".")
+        else:
+            yield where + key, value
+
+
+def merge(a, b):
+    """The config holding the keys of both a and b (no leaf in both)."""
+    out = dict(a)
+    for key, value in b.items():
+        out[key] = merge(out[key], value) if key in out else value
+    return out
+
+
 # the subcommands that read each key
 READERS = {row[0]: {c for other in SCHEMA if other[0] == row[0] for c in other[3]} for row in SCHEMA}
 # keys that are also sections: an object there is read as its sub-keys
@@ -608,7 +633,7 @@ def shared_config(x0, y0, h):
     return {
         "spectrum": {"kind": "explicit", "J": 3, "lambdas": [1.0, 4.0, 9.0]},
         "nonlinearity": {"variant": "LINEAR_IN_Y", "params": {"c": 0.5}},
-        "collocation_points": 12, "scheme": "COUPLED_MODIFIED", "T": 0.5, "N": 8, "eps": 0.5,
+        "collocation_points": 12, "scheme": "COUPLED_EXPO", "T": 0.5, "N": 8, "eps": 0.5,
         "x0": x0, "y0": y0, "phi": {"kind": "LINEAR", "h": h},
         "dt_list": [0.125, 0.0625, 0.03125], "eps_list": [1.0, 0.1], "tau_list": [1.0],
         "n_samples": 0, "refinement": 4, "master_seed": 3,
@@ -676,14 +701,28 @@ class TestSchema:
         assert (out / "summary.json").exists()
 
     def test_shared_configs_hold_every_key(self):
-        def leaves(cfg, where=""):
-            for key, value in cfg.items():
-                if isinstance(value, dict):
-                    yield from leaves(value, where + key + ".")
-                else:
-                    yield where + key
-        held = {key for cfg in SHARED_CONFIGS.values() for key in leaves(cfg)}
+        held = {key for cfg in SHARED_CONFIGS.values() for key, _ in leaves(cfg)}
         assert held == set(READERS)
+
+    @pytest.mark.parametrize("form", sorted(SHARED_CONFIGS))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_keys_a_subcommand_does_not_read_change_nothing(self, tmp_path, command, form):
+        # every shared key the subcommand does not read, most of them off their defaults
+        unread = {}
+        for key, value in leaves(SHARED_CONFIGS[form]):
+            if command not in READERS[key]:
+                unread = merge(unread, nested(key, value))
+        assert unread
+        path = write_config(tmp_path, "c.json", unread)
+        assert run_cli([command, "--config", path, "--output-dir", str(tmp_path / "unread")]) == 0
+        assert run_cli([command, "--output-dir", str(tmp_path / "default")]) == 0
+        files = output_files(tmp_path / "default")
+        assert sorted(output_files(tmp_path / "unread")) == sorted(files)
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                assert read(tmp_path / "unread" / name) == content, name
+        assert (parse_output(tmp_path / "unread" / "summary.json")
+                == parse_output(tmp_path / "default" / "summary.json"))
 
     def test_readme_table_matches_schema(self):
         lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from slowfast import (
     oracle_weak_values,
     quadratic_spectrum,
     run_trajectory_batch,
+    saturating_square,
     solve_averaged_reference,
     trajectory,
     uniform_sweep,
@@ -229,7 +231,7 @@ class TestWeakErrorCurve:
                              refinement=16)
         for pa, pb in zip(a, b):
             assert abs(pa.error - pb.error) < 3 * (pa.stderr + pb.stderr)
-            assert pa.oracle_bias > 0.0  # the refinement-doubling estimate
+            assert pa.oracle_bias > 0.0  # the refinement-halving estimate
 
     @pytest.mark.parametrize("scheme", [SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO])
     def test_linear_in_y_monte_carlo_is_measured_against_the_continuous_law(self, scheme):
@@ -272,18 +274,18 @@ class TestWeakErrorCurve:
         cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_EXPO,
                         x0=np.ones(4), y0=np.ones(4))
         (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl, gt, n_samples=4000,
-                                    master_seed=0, refinement=2)
+                                    master_seed=0, refinement=4)
         est = mc_estimate(cfg, PHI_EXP, 4000, 0, spec, nl, gt)
-        ref = mc_estimate(replace(cfg, N=8), PHI_EXP, 4000, 0, spec, nl, gt)
-        ref2 = mc_estimate(replace(cfg, N=16), PHI_EXP, 4000, 0, spec, nl, gt)
+        ref = mc_estimate(replace(cfg, N=16), PHI_EXP, 4000, 0, spec, nl, gt)
+        half = mc_estimate(replace(cfg, N=8), PHI_EXP, 4000, 0, spec, nl, gt)
         assert point.error == abs(est.mean - ref.mean)
-        assert point.oracle_bias == abs(ref2.mean - ref.mean)
+        assert point.oracle_bias == abs(half.mean - ref.mean)
         assert 0.0 < point.stderr < math.hypot(est.stderr, ref.stderr)
 
     def test_one_sampled_reference_at_the_finest_step(self, monkeypatch):
         # a pointwise coupling in a coupled scheme samples one truth for the
         # whole ladder: the exact-transition scheme at the finest dt refined R
-        # times, and again at 2R for the bias, so K step sizes sample K + 2
+        # times, and again at R/2 for the bias, so K step sizes sample K + 2
         # configs, and every point shares the one bias estimate
         spec, gt, nl = dirichlet_spectrum(4), GridTransform(4), PointwiseSquare(c=1.0)
         cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
@@ -306,11 +308,34 @@ class TestWeakErrorCurve:
                                 1)
 
         ref = samples(SchemeKind.COUPLED_EXPO, 4 * R)  # the finest dt has N = 4
-        ref2 = samples(SchemeKind.COUPLED_EXPO, 8 * R)
+        half = samples(SchemeKind.COUPLED_EXPO, 2 * R)
         for p in points:
             est = samples(SchemeKind.COUPLED_MODIFIED, round(cfg.T / p.dt))
             assert (p.error, p.stderr) == _gap(est, ref)
-            assert p.oracle_bias == abs(np.mean(ref2) - np.mean(ref))
+            assert p.oracle_bias == abs(np.mean(half) - np.mean(ref))
+
+    @pytest.mark.parametrize("refinement", [0, 1, 3])
+    @pytest.mark.parametrize("n_samples", [0, 100])
+    def test_odd_refinement_raises_before_any_work(self, monkeypatch, refinement, n_samples):
+        # the refinement-halving bias needs an even R, checked whether or not
+        # the curve samples a reference (here it does not: linear-in-y)
+        monkeypatch.setattr(harness, "_phi_values", None)
+        with pytest.raises(ValueError, match=r"^argument 'refinement' = "):
+            weak_error_curve(coupled_config(), [0.125, 0.0625], PHI_NORM, SPEC, NL,
+                             n_samples=n_samples, refinement=refinement)
+
+    def test_moment_oracle_gate_fires_before_the_averaged_solve(self, monkeypatch):
+        # n_samples = 0 with a pointwise coupling: the ladder's moment oracle
+        # refuses the coupling before the LIMITING truth's solve starts
+        def solve(*args):
+            raise AssertionError("the averaged solve ran")
+
+        monkeypatch.setattr(harness, "solve_averaged_reference", solve)
+        cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.LIMITING, x0=np.ones(4),
+                        y0=np.ones(4))
+        with pytest.raises(ValueError, match="the moment oracle needs the linear-in-y coupling"):
+            weak_error_curve(cfg, [0.125, 0.0625], PHI_EXP, dirichlet_spectrum(4),
+                             saturating_square(1.0), GridTransform(4))
 
 
 class TestFitRate:
@@ -525,3 +550,64 @@ class TestContinuousWeakValue:
                           ModeMoments(mean_x=cfg.x0, mean_y=cfg.y0))
         b = gaussian_expectation(PHI_NORM, mom.mean_x, mom.var_x)
         assert a == pytest.approx(b, abs=1e-8)
+
+
+def same(a, b) -> bool:
+    """a == b throughout: dataclasses field by field, arrays by array_equal, floats by ==."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+SWEEP_EPS = [1.0, 0.25, 0.0625]
+
+
+def sweep_dts(cfg):
+    return [cfg.T / 2, cfg.T / 4, cfg.T / 8]
+
+
+# each noise-free sweep, and the config fields it does not read: those it sets itself
+SWEEPS = {
+    "uniform_sweep": (lambda cfg, *args: uniform_sweep(cfg, SWEEP_EPS, sweep_dts(cfg), *args),
+                      ("N", "eps", "scheme")),
+    "ap_diagram": (lambda cfg, *args: ap_diagram(cfg, SWEEP_EPS, *args), ("eps", "scheme")),
+    "averaging_curve": (lambda cfg, *args: averaging_curve(SWEEP_EPS, cfg, *args),
+                        ("eps", "scheme")),
+    "continuous_weak_value": (continuous_weak_value, ("N", "scheme")),
+    "weak_error_curve": (lambda cfg, *args: weak_error_curve(cfg, sweep_dts(cfg), *args), ("N",)),
+}
+
+
+class TestUnreadFields:
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(J=st.integers(1, 4), quadratic=st.booleans(),
+           c=st.floats(0.25, 2.0), T=st.sampled_from([0.25, 0.5, 1.0]),
+           kind=st.sampled_from(list(FunctionalKind)),
+           schemes=st.lists(st.sampled_from(list(SchemeKind)), min_size=2, max_size=2),
+           Ns=st.lists(st.integers(1, 64), min_size=2, max_size=2),
+           log_eps=st.lists(st.floats(-4.0, 0.0), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32))
+    def test_changing_an_unread_field_leaves_the_result_equal(self, name, J, quadratic, c, T,
+                                                              kind, schemes, Ns, log_eps, seed):
+        # the moment-oracle path; weak_error_curve also leaves eps and y0 unread
+        # under the schemes without a fast state
+        draw = np.random.default_rng(seed)
+        spec = (quadratic_spectrum if quadratic else dirichlet_spectrum)(J)
+        phi = FunctionalSpec(kind=kind, h=draw.uniform(0.5, 1.5, J))
+        base = RunConfig(T=T, N=Ns[0], eps=10.0**log_eps[0], scheme=schemes[0],
+                         x0=draw.uniform(0.5, 1.5, J), y0=draw.uniform(-1.0, 1.0, J))
+        other = {"N": Ns[1], "eps": 10.0**log_eps[1], "scheme": schemes[1],
+                 "y0": draw.uniform(-1.0, 1.0, J)}
+        sweep, unread = SWEEPS[name]
+        if name == "weak_error_curve" and not base.scheme.coupled:
+            unread += ("eps", "y0")
+        result = sweep(base, phi, spec, LinearInY(c))
+        for field in unread:
+            changed = replace(base, **{field: other[field]})
+            assert same(sweep(changed, phi, spec, LinearInY(c)), result), field
