@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,12 +34,13 @@ from .harness import (
     _config_at_dt,
     _require_linear_in_y,
     ap_diagram,
+    continuous_weak_value,
     fit_rate,
     invariant_measure_check,
     uniform_sweep,
     weak_error_curve,
 )
-from .integrators import RunConfig, SchemeKind, trajectory
+from .integrators import RunConfig, SchemeKind, Transition, trajectory
 from .nonlinearity import (
     GridTransform,
     LinearInY,
@@ -307,7 +309,14 @@ def _setup(v: dict):
             _config_at_dt(config, dt)
     kind = v.get("phi.kind")
     h = _field(v, "phi.h", spec.J) if kind == FunctionalKind.LINEAR else None
-    return spec, nl, gt, config, FunctionalSpec(kind=kind, h=h) if kind else None
+    phi = FunctionalSpec(kind=kind, h=h) if kind else None
+    coarsest = v.get("dt_list", [config.dt])[0]
+    with _naming("eps_list"):  # a finite modified step at the coarsest dt; in uniform-sweep
+        for eps in v.get("eps_list", ()):  # (it reads dt_list) also a finite continuous law
+            Transition(SchemeKind.COUPLED_MODIFIED, spec.lambdas, coarsest, eps)
+            if "dt_list" in v:
+                continuous_weak_value(replace(config, eps=eps), phi, spec, nl)
+    return spec, nl, gt, config, phi
 
 
 def _write_outputs(output_dir: str, files: dict):

@@ -442,8 +442,9 @@ def ap_diagram(
     """Gap |E phi(coupled at eps) - E phi(limiting)| for each eps at fixed dt.
 
     n_samples = 0 requests the noise-free moment-oracle path (linear-in-y
-    only, stderr 0); otherwise both values are Monte Carlo estimates on the
-    same draws, and the stderr is that of the per-sample differences.
+    only, stderr 0); otherwise both legs are Monte Carlo estimates sharing
+    their `GAMMA_1` draw step by step, and the stderr is that of the
+    per-sample differences, which tend to 0 with eps.
     Returns a list of (eps, gap, stderr) rows, each the `_gap` of the coupled
     values against the limiting ones.
     """

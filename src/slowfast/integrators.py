@@ -10,9 +10,11 @@ with the nonlinearity explicit in the slow variable and implicit in the fast
 one (the freshly updated y' enters F).  The schemes differ only in how y' is
 produced:
 
-* COUPLED_MODIFIED  y' = a_tau y + sqrt(2 dt/eps) (B1 g1 + B2 g2), the
+* COUPLED_MODIFIED  y' = a_tau y + sqrt(2 dt/eps) (B1 Gamma1 + B2 Gamma2), the
   modified update whose one-step variance map has the equilibrium variance
-  1/lambda as an exact fixed point for every step size.
+  1/lambda as an exact fixed point for every step size.  Its increment is one
+  centred Gaussian of variance s2, so one normal field g drawn as sqrt(s2) g
+  has its law, which is all a weak error reads.
 * COUPLED_EXPO      exact Ornstein-Uhlenbeck transition, y' ~ N(e^(-dt lam/eps) y,
   (1 - e^(-2 dt lam/eps))/lam).
 * LIMITING          y' is a fresh equilibrium draw Lambda^(-1/2) Gamma; the
@@ -91,16 +93,17 @@ class Transition:
     """One step of a scheme at fixed (dt, eps), mode by mode.
 
     The fast update is y' = a*y + xi, where xi is centered with variance s2,
-    independent of the state, and built from one standard normal array per
-    stream tag in `tags`.  The slow update is x' = (x + dt*F(x, y'))/one_plus
-    with one_plus = 1 + dt*lam.  The moment recursions read (a, s2,
-    one_plus); the sampler calls `step`.
+    independent of the state, and built from one standard normal array g of
+    the stream `tag`.  The slow update is x' = (x + dt*F(x, y'))/one_plus with
+    one_plus = 1 + dt*lam.  The moment recursions read (a, s2, one_plus); the
+    sampler calls `step`.  Both coupled schemes draw xi = sd*g, sd = sqrt(s2).
 
-    COUPLED_MODIFIED  a = 1/(1 + tau*lam), xi = sqrt(2 tau) (b1 g1 + b2 g2),
-                      s2 = 2 tau (b1^2 + b2^2) = tau a (1 + a), which equals
-                      tau (2 + tau*lam) a^2 and stays finite for any finite
-                      tau*lam; tau = dt/eps, b1 = a/sqrt(2), b2 = sqrt(a/2)
-    COUPLED_EXPO      a = exp(-dt*lam/eps), xi = sd*g, s2 = sd^2 = (1 - a^2)/lam
+    COUPLED_MODIFIED  a = 1/(1 + tau*lam), tau = dt/eps; the paper's increment
+                      sqrt(2 tau) (B1 Gamma1 + B2 Gamma2), B1 = a/sqrt(2) and
+                      B2 = sqrt(a/2), is one centred Gaussian of variance
+                      s2 = 2 tau (B1^2 + B2^2) = tau a (1 + a), finite for any
+                      finite tau*lam
+    COUPLED_EXPO      a = exp(-dt*lam/eps), s2 = (1 - a^2)/lam
     LIMITING          y' = g/sqrt(lam), a fresh equilibrium draw: a = 0, s2 = 1/lam
     AVERAGED          no fast variable, a = s2 = 0; F is replaced by Fbar
     """
@@ -122,42 +125,32 @@ class Transition:
                 raise ValueError(f"argument 'eps' = {eps!r} is too small: tau*lam = dt*lam/eps "
                                  "is not finite")
             self.a = 1.0 / (1.0 + z)
-            self.b1 = self.a / np.sqrt(2.0)
-            self.b2 = np.sqrt(0.5 * self.a)
-            self.scale = np.sqrt(2.0 * dt / eps)
             self.s2 = tau * self.a * (1.0 + self.a)
-            self.tags = (StreamTag.GAMMA_1, StreamTag.GAMMA_2)
+            self.tag = StreamTag.GAMMA_1
         elif scheme == SchemeKind.COUPLED_EXPO:
-            z = dt * lam / eps
-            with np.errstate(under="ignore"):
+            with np.errstate(over="ignore", under="ignore"):  # z = inf: the stiff limit a = 0
+                z = dt * lam / eps
                 self.a = np.exp(-z)
                 self.s2 = -np.expm1(-2.0 * z) / lam
-            self.sd = np.sqrt(self.s2)
-            self.tags = (StreamTag.OU_EXACT,)
+            self.tag = StreamTag.OU_EXACT
         elif scheme == SchemeKind.LIMITING:
             self.a = np.zeros_like(lam)
             self.s2 = 1.0 / lam
             self.sqrt_lam = np.sqrt(lam)
-            self.tags = (StreamTag.GAMMA_1,)
-        elif scheme == SchemeKind.AVERAGED:
+            self.tag = StreamTag.GAMMA_1
+        else:  # AVERAGED
             self.a = np.zeros_like(lam)
             self.s2 = np.zeros_like(lam)
-            self.tags = ()
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+            self.tag = None
+        self.sd = np.sqrt(self.s2)
 
-    def step(self, x, y, draws, force):
-        """(x', y') from (x, y) and one draw per tag.
-
-        force(x, y') is F(x, y') (Fbar(x) for AVERAGED).  y and y' are None
-        for the schemes without a fast state.
-        """
-        if self.scheme == SchemeKind.COUPLED_MODIFIED:
-            y = self.a * y + self.scale * (self.b1 * draws[0] + self.b2 * draws[1])
-        elif self.scheme == SchemeKind.COUPLED_EXPO:
-            y = self.a * y + self.sd * draws[0]
+    def step(self, x, y, g, force):
+        """(x', y') from (x, y) and the draw g of the stream `tag`; force(x, y') is F(x, y')
+        (Fbar(x) for AVERAGED).  y and y' are None without a fast state, g without a tag."""
+        if self.scheme.coupled:
+            y = self.a * y + self.sd * g
         elif self.scheme == SchemeKind.LIMITING:
-            y = draws[0] / self.sqrt_lam
+            y = g / self.sqrt_lam
         x = (x + self.dt * force(x, y)) / self.one_plus
         return x, (y if self.scheme.coupled else None)
 
@@ -192,8 +185,9 @@ def trajectory(
     y = ones * check_field(spec, config.y0)[None, :] if config.scheme.coupled else None
     yield x, y
     for n in range(config.N):
-        x, y = tr.step(x, y, [sample_cylindrical_batch(spec, master_seed, tag, n, first_sample, count)
-                              for tag in tr.tags], force)
+        g = (None if tr.tag is None
+             else sample_cylindrical_batch(spec, master_seed, tr.tag, n, first_sample, count))
+        x, y = tr.step(x, y, g, force)
         yield x, y
 
 

@@ -25,16 +25,9 @@ __all__ = ["StreamTag", "sample_cylindrical_batch"]
 
 
 class StreamTag(IntEnum):
+    # the values key the streams: a value that changes moves every draw of its tag
     GAMMA_1 = 1
-    GAMMA_2 = 2
     OU_EXACT = 3
-    INITIAL = 4
-
-
-def _words_per_sample(J: int) -> int:
-    # Philox emits 4 uint64 words per counter block; pad so every sample
-    # starts on a block boundary.
-    return 4 * ((J + 3) // 4)
 
 
 def _stream(master_seed: int, tag: StreamTag, step: int, first_block: int) -> Generator:
@@ -61,7 +54,8 @@ def sample_cylindrical_batch(
     """
     if count < 0 or first_sample < 0:
         raise ValueError("sample range must be nonnegative")
-    wps = _words_per_sample(spec.J)
+    # Philox emits 4 uint64 words per counter block; pad so every sample starts on one
+    wps = 4 * ((spec.J + 3) // 4)
     gen = _stream(master_seed, tag, step_index, first_sample * (wps // 4))
     # the words of the first J modes; the whole block when J is a multiple of 4
     u = gen.random((count, wps))[:, : spec.J]

@@ -68,8 +68,12 @@ def test_02_operator_identities_and_eigenvalue_bounds():
     for tau in TAU_LADDER:
         # the modified transition at tau = dt/eps; tau*lambda_tau = log(1 + tau*lambda)
         tr = Transition(SchemeKind.COUPLED_MODIFIED, spec.lambdas, tau, 1.0)
+        # the paper's noise operators B1 = a/sqrt(2) and B2 = sqrt(a/2) split the
+        # one-step variance s2 = 2 tau (B1^2 + B2^2) = tau a (1 + a)
+        b1, b2 = tr.a / np.sqrt(2.0), np.sqrt(0.5 * tr.a)
         rhs = 0.5 * (tr.a**2 + tr.a)
-        worst_split = max(worst_split, float(np.max(np.abs(tr.b1**2 + tr.b2**2 - rhs) / rhs)))
+        worst_split = max(worst_split, float(np.max(np.abs(b1**2 + b2**2 - rhs) / rhs)),
+                          float(np.max(np.abs(2.0 * tau * (b1**2 + b2**2) - tr.s2) / tr.s2)))
         with np.errstate(under="ignore"):
             expo = np.exp(-np.log1p(tau * spec.lambdas))
         worst_expo = max(worst_expo, float(np.max(np.abs(tr.a - expo) / tr.a)))

@@ -311,6 +311,15 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
         assert np.isfinite(json.loads((out / "summary.json").read_text())["final_norm_x"])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_expo_rate_without_warning(self, tmp_path, capsys):
+        # dt*lam/eps overflows: the exact transition is its stiff limit, a fresh equilibrium draw
+        cfg = write_config(tmp_path, "c.json", {"eps": 1e-320, "scheme": "COUPLED_EXPO", "N": 4,
+                                                "spectrum": {"J": 2}})
+        out = tmp_path / "o"
+        assert run_cli(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_averaged_scheme_runs(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "spectrum": {"J": 4}, "scheme": "AVERAGED",
@@ -493,6 +502,9 @@ class TestFailureModes:
         ("simulate", {"eps": -1.0}, "eps"),
         ("simulate", {"eps": 0.0, "scheme": "LIMITING"}, "eps"),
         ("ap-test", {"eps_list": [0.0]}, "eps_list"),
+        ("ap-test", {"eps_list": [1e-320]}, "eps_list"),
+        ("uniform-sweep", {"eps_list": [1.0, 0.5, 1e-320]}, "eps_list"),
+        ("uniform-sweep", {"eps_list": [1.0, 5e-306]}, "eps_list"),
         ("invariant-test", {"tau_list": [-1.0]}, "tau_list"),
         ("weak-error", {"dt_list": [-0.5, 0.25]}, "dt_list"),
         ("weak-error", {"dt_list": [0.25, 0.5, 0.125]}, "dt_list"),
@@ -523,7 +535,8 @@ class TestFailureModes:
             "infinity_in_ignored_field", "too_few_collocation_points", "decreasing_lambdas",
             "negative_lambda", "removed_scale_negative", "removed_scale",
             "removed_affine_params", "removed_affine_variant", "negative_T", "negative_eps",
-            "zero_eps_limiting", "zero_in_eps_list", "negative_in_tau_list",
+            "zero_eps_limiting", "zero_in_eps_list", "subnormal_in_eps_list_ap_test",
+            "subnormal_in_eps_list_sweep", "infinite_lam_over_eps_in_sweep", "negative_in_tau_list",
             "negative_in_dt_list", "unordered_dt_list", "one_entry_dt_list",
             "non_dividing_dt_list", "two_point_sweep", "odd_refinement", "pointwise_sweep",
             "pointwise_moment_oracle_curve", "pointwise_moment_oracle_ap_test"])

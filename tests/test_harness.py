@@ -416,6 +416,20 @@ class TestApDiagram:
             assert gap == abs(np.mean(mod) - np.mean(lim))
             assert se == np.std(mod - lim, ddof=1) / math.sqrt(n)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_legs_share_their_draw(self, seed):
+        # the modified leg draws the limiting leg's GAMMA_1 field at every step, so
+        # its paired difference, and the stderr with it, vanishes as eps -> 0
+        spec = dirichlet_spectrum(4)
+        cfg = RunConfig(T=0.25, N=16, eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED,
+                        x0=np.ones(4), y0=np.ones(4))
+        eps_list = [1.0, 1e-2, 1e-4]
+        rows = ap_diagram(cfg, eps_list, PHI_EXP, spec, NL, n_samples=2000, master_seed=seed)
+        exact = ap_diagram(cfg, eps_list, PHI_EXP, spec, NL)
+        assert rows[-1][2] <= 1e-2 * rows[0][2]
+        for (_, gap, se), (_, exact_gap, _) in zip(rows, exact):
+            assert abs(gap - exact_gap) <= 4.0 * se
+
     def test_stiff_limit_fast_variance(self):
         # one-step fast variance at tau = dt/eps with eps = 1e-8 sits at
         # 1/lambda to within 1e-6 relative

@@ -36,10 +36,15 @@ SPEC = dirichlet_spectrum(8)
 ZERO_F = LinearInY(c=0.0)
 
 
-def one_step(scheme, spec, dt, eps, nl, x, y, draws):
-    """(x', y') of one step of the scheme's Transition, F evaluated by eval_F."""
+def one_step(scheme, spec, dt, eps, nl, x, y, g):
+    """(x', y') of one step of the scheme's Transition from the draw g, F evaluated by eval_F."""
     tr = Transition(scheme, spec.lambdas, dt, eps)
-    return tr.step(x, y, draws, lambda x, y: eval_F(nl, None, x, y))
+    return tr.step(x, y, g, lambda x, y: eval_F(nl, None, x, y))
+
+
+def paper_noise_operators(tr):
+    """(B1, B2) of the paper's modified update, sqrt(2 tau) (B1 Gamma1 + B2 Gamma2)."""
+    return tr.a / np.sqrt(2.0), np.sqrt(0.5 * tr.a)
 
 
 def final_state(scheme, nl, x0, dt, N, gt=None, seed=0):
@@ -52,23 +57,21 @@ class TestCoupledModifiedStep:
     def test_pure_resolvent_when_uncoupled(self):
         spec = dirichlet_spectrum(1)
         x, _ = one_step(SchemeKind.COUPLED_MODIFIED, spec, 1.0, 1.0, ZERO_F, np.array([1.0]),
-                        np.array([0.0]), (np.zeros(1), np.zeros(1)))
+                        np.array([0.0]), np.zeros(1))
         assert x[0] == pytest.approx(1.0 / (1.0 + spec.lambdas[0]), rel=1e-15)
 
     def test_zero_noise_keeps_zero_fast_state(self):
         _, y = one_step(SchemeKind.COUPLED_MODIFIED, SPEC, 0.1, 0.2, ZERO_F,
-                        rng.standard_normal(8), np.zeros(8), (np.zeros(8), np.zeros(8)))
+                        rng.standard_normal(8), np.zeros(8), np.zeros(8))
         assert np.all(y == 0.0)
 
     def test_one_step_variance_at_stationarity(self):
         # sampled one-step variance of y stays at 1/lambda
         n = 200_000
         dt, eps = 0.1, 0.07
-        y0 = sample_cylindrical_batch(SPEC, 5, StreamTag.INITIAL, 0, 0, n) / np.sqrt(SPEC.lambdas)
-        g1 = sample_cylindrical_batch(SPEC, 5, StreamTag.GAMMA_1, 0, 0, n)
-        g2 = sample_cylindrical_batch(SPEC, 5, StreamTag.GAMMA_2, 0, 0, n)
-        _, y = one_step(SchemeKind.COUPLED_MODIFIED, SPEC, dt, eps, ZERO_F, np.zeros((n, 8)), y0,
-                        (g1, g2))
+        y0 = sample_cylindrical_batch(SPEC, 5, StreamTag.OU_EXACT, 0, 0, n) / np.sqrt(SPEC.lambdas)
+        g = sample_cylindrical_batch(SPEC, 5, StreamTag.GAMMA_1, 0, 0, n)
+        _, y = one_step(SchemeKind.COUPLED_MODIFIED, SPEC, dt, eps, ZERO_F, np.zeros((n, 8)), y0, g)
         v = np.var(y, axis=0)
         # chi-square concentration: relative 4-sigma band is 4*sqrt(2/n)
         assert np.max(np.abs(v * SPEC.lambdas - 1.0)) < 4 * np.sqrt(2.0 / n)
@@ -87,20 +90,31 @@ class TestCoupledModifiedStep:
         assert np.max(np.abs(np.mean(y * y, axis=0) / exact - 1.0)) < 4 * np.sqrt(2.0 / count)
 
     def test_combined_noise_variance_identity(self):
-        # the two noise coefficients combine to the closed-form variance
-        # b1^2 + b2^2 = (2+z)/(2 (1+z)^2), z = tau*lam, tau = dt/eps
+        # the paper's two noise operators combine to the closed-form variance
+        # B1^2 + B2^2 = (2+z)/(2 (1+z)^2), z = tau*lam, tau = dt/eps
         tr = Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 3.7, 1.0)
         z = 3.7 * SPEC.lambdas
-        lhs = tr.b1**2 + tr.b2**2
+        b1, b2 = paper_noise_operators(tr)
+        lhs = b1**2 + b2**2
         assert np.max(np.abs(lhs - (2.0 + z) / (2.0 * (1.0 + z) ** 2)) / lhs) < 1e-12
 
     @pytest.mark.parametrize("tau", [3.7, 1e200, 1e300])
     def test_noise_variance_is_that_of_the_draws_at_any_tau(self, tau):
-        # s2 = 2 tau (b1^2 + b2^2) stays finite as tau*lam passes 1e154, tending to 1/lam
+        # s2 = 2 tau (B1^2 + B2^2) stays finite as tau*lam passes 1e154, tending to 1/lam
         tr = Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, tau, 1.0)
-        assert np.allclose(tr.s2, 2.0 * tau * (tr.b1**2 + tr.b2**2), rtol=1e-14, atol=0.0)
+        b1, b2 = paper_noise_operators(tr)
+        assert np.allclose(tr.s2, 2.0 * tau * (b1**2 + b2**2), rtol=1e-14, atol=0.0)
         if tau > 1e100:
             assert np.allclose(tr.s2 * SPEC.lambdas, 1.0, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [0.07, 1e-300])
+    def test_fast_update_is_one_gaussian_draw(self, eps):
+        # y' = a*y + sqrt(s2)*g: the law of the paper's two-field increment from one field
+        tr = Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 0.1, eps)
+        y, g = rng.standard_normal((2, 3, 8))
+        _, out = tr.step(np.zeros((3, 8)), y, g, lambda x, y: 0.0)
+        assert tr.tag == StreamTag.GAMMA_1
+        assert np.array_equal(out, tr.a * y + np.sqrt(tr.s2) * g)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -115,24 +129,31 @@ class TestCoupledExpoStep:
         spec = dirichlet_spectrum(1)
         spec = type(spec)(J=1, lambdas=np.array([1.0]))
         args = (SchemeKind.COUPLED_EXPO, spec, np.log(2.0), 1.0, ZERO_F, np.zeros(1), np.array([2.0]))
-        _, y0 = one_step(*args, (np.zeros(1),))
+        _, y0 = one_step(*args, np.zeros(1))
         assert y0[0] == pytest.approx(1.0, rel=1e-14)
-        _, y1 = one_step(*args, (np.ones(1),))
+        _, y1 = one_step(*args, np.ones(1))
         sd = y1[0] - y0[0]
         assert sd**2 == pytest.approx(0.75, rel=1e-13)
 
     def test_stationary_variance_in_stiff_limit(self):
         _, y = one_step(SchemeKind.COUPLED_EXPO, SPEC, 1.0, 1e-12, ZERO_F, np.zeros(8), np.ones(8),
-                        (np.ones(8),))
+                        np.ones(8))
         assert np.allclose(y**2 * SPEC.lambdas, 1.0, rtol=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_rate_is_the_stiff_limit(self):
+        # dt*lam/eps = inf: a fresh equilibrium draw, a = 0 and s2 = 1/lam, without a warning
+        tr = Transition(SchemeKind.COUPLED_EXPO, SPEC.lambdas, 0.25, 1e-320)
+        assert np.all(tr.a == 0.0)
+        assert np.array_equal(tr.s2, 1.0 / SPEC.lambdas)
 
     def test_identity_in_smooth_limit(self):
         # deterministic part tends to the identity and the noise scale to 0
         y = rng.standard_normal(8)
         args = (SchemeKind.COUPLED_EXPO, SPEC, 1e-16, 1.0, ZERO_F, np.zeros(8), y)
-        _, quiet = one_step(*args, (np.zeros(8),))
+        _, quiet = one_step(*args, np.zeros(8))
         assert np.allclose(quiet, y, rtol=1e-12)
-        _, noisy = one_step(*args, (np.ones(8),))
+        _, noisy = one_step(*args, np.ones(8))
         assert np.max(np.abs(noisy - quiet)) < np.sqrt(2e-16) * 1.01
 
 
@@ -140,7 +161,7 @@ class TestLimitingAndAveragedSteps:
     def test_limiting_without_coupling_is_resolvent(self):
         x = rng.standard_normal(8)
         out, y = one_step(SchemeKind.LIMITING, SPEC, 0.25, 1.0, ZERO_F, x, None,
-                          (rng.standard_normal(8),))
+                          rng.standard_normal(8))
         assert np.allclose(out, x / (1.0 + 0.25 * SPEC.lambdas), rtol=1e-15)
         assert y is None  # the fresh draw is not carried to the next step
 
@@ -148,7 +169,7 @@ class TestLimitingAndAveragedSteps:
         n = 100_000
         x = np.broadcast_to(1.0 / SPEC.lambdas, (n, 8))
         g = sample_cylindrical_batch(SPEC, 77, StreamTag.GAMMA_1, 0, 0, n)
-        out, _ = one_step(SchemeKind.LIMITING, SPEC, 0.1, 1.0, LinearInY(c=2.0), x, None, (g,))
+        out, _ = one_step(SchemeKind.LIMITING, SPEC, 0.1, 1.0, LinearInY(c=2.0), x, None, g)
         target = (1.0 / SPEC.lambdas) / (1.0 + 0.1 * SPEC.lambdas)
         se = np.std(out, axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(np.mean(out, axis=0) - target) <= 4 * se)
@@ -192,10 +213,9 @@ class TestRunTrajectory:
         cfg = RunConfig(T=0.125, N=1, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
                         x0=np.ones(8), y0=np.ones(8))
         *_, (out_x, out_y) = trajectory(cfg, SPEC, LinearInY(1.0), None, 3, 2, 1)
-        g1 = sample_cylindrical_batch(SPEC, 3, StreamTag.GAMMA_1, 0, 2, 1)[0]
-        g2 = sample_cylindrical_batch(SPEC, 3, StreamTag.GAMMA_2, 0, 2, 1)[0]
-        x, y = one_step(cfg.scheme, SPEC, cfg.dt, cfg.eps, LinearInY(1.0), np.ones(8), np.ones(8),
-                        (g1, g2))
+        # the modified step's one draw is sample 2's GAMMA_1 field at step 0
+        g = sample_cylindrical_batch(SPEC, 3, StreamTag.GAMMA_1, 0, 2, 1)[0]
+        x, y = one_step(cfg.scheme, SPEC, cfg.dt, cfg.eps, LinearInY(1.0), np.ones(8), np.ones(8), g)
         assert np.array_equal(out_x[0], x)
         assert np.array_equal(out_y[0], y)
         assert np.array_equal(run_trajectory_batch(cfg, SPEC, LinearInY(1.0), None, 3, 2, 1), out_x)
@@ -223,7 +243,7 @@ class TestRunTrajectory:
         x, y = np.ones(8), np.full(8, 0.3)
         zero = np.zeros(8)
         for _ in range(N):
-            x, y = one_step(SchemeKind.COUPLED_MODIFIED, SPEC, dt, eps, nl, x, y, (zero, zero))
+            x, y = one_step(SchemeKind.COUPLED_MODIFIED, SPEC, dt, eps, nl, x, y, zero)
         start = ModeMoments(mean_x=np.ones(8), mean_y=np.full(8, 0.3))
         loop = loop_moments(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, nl.c, eps, dt, N, start).mean_x
         assert np.array_equal(x, loop)

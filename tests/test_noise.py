@@ -18,14 +18,14 @@ def draw(master_seed, sample_index=0, step_index=0, stream_tag=StreamTag.GAMMA_1
 
 def invariant_draws(master_seed, count):
     """Draws from the fast equilibrium N(0, Lambda^-1)."""
-    g = sample_cylindrical_batch(SPEC, master_seed, StreamTag.INITIAL, 0, 0, count)
+    g = sample_cylindrical_batch(SPEC, master_seed, StreamTag.OU_EXACT, 0, 0, count)
     return g / np.sqrt(SPEC.lambdas)
 
 
 class TestDeterminism:
     def test_same_context_bit_identical(self):
-        a = draw(12345, sample_index=7, step_index=3, stream_tag=StreamTag.GAMMA_2)
-        b = draw(12345, sample_index=7, step_index=3, stream_tag=StreamTag.GAMMA_2)
+        a = draw(12345, sample_index=7, step_index=3, stream_tag=StreamTag.OU_EXACT)
+        b = draw(12345, sample_index=7, step_index=3, stream_tag=StreamTag.OU_EXACT)
         assert np.array_equal(a, b)
 
     def test_batch_matches_single_draws(self):
@@ -69,7 +69,7 @@ class TestDeterminism:
             dict(base, master_seed=2),
             dict(base, sample_index=1),
             dict(base, step_index=1),
-            dict(base, stream_tag=StreamTag.GAMMA_2),
+            dict(base, stream_tag=StreamTag.OU_EXACT),
         ):
             assert not np.array_equal(ref, draw(**change))
 
@@ -107,7 +107,7 @@ class TestDistribution:
     def test_tag_independence(self):
         n = 100_000
         a = sample_cylindrical_batch(SPEC, 5, StreamTag.GAMMA_1, 0, 0, n)
-        b = sample_cylindrical_batch(SPEC, 5, StreamTag.GAMMA_2, 0, 0, n)
+        b = sample_cylindrical_batch(SPEC, 5, StreamTag.OU_EXACT, 0, 0, n)
         cov = np.mean(a * b, axis=0) - np.mean(a, axis=0) * np.mean(b, axis=0)
         assert np.max(np.abs(cov)) < 4.0 / np.sqrt(n)
 

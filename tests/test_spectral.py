@@ -64,7 +64,7 @@ class TestSpectrumSpec:
 
 def one_step_without_force(lam, dt, x):
     """x' of one AVERAGED step with Fbar = 0: the resolvent (I + dt*Lambda)^(-1) x."""
-    return Transition(SchemeKind.AVERAGED, lam, dt, 1.0).step(x, None, (), lambda x, y: 0.0)[0]
+    return Transition(SchemeKind.AVERAGED, lam, dt, 1.0).step(x, None, None, lambda x, y: 0.0)[0]
 
 
 def semigroup(spec, t, x):
@@ -75,6 +75,11 @@ def semigroup(spec, t, x):
 def modified(lam, tau):
     """The modified-scheme transition at tau = dt/eps (eps = 1)."""
     return Transition(SchemeKind.COUPLED_MODIFIED, lam, tau, 1.0)
+
+
+def paper_noise_operators(tr):
+    """(B1, B2) of the paper's modified update, sqrt(2 tau) (B1 Gamma1 + B2 Gamma2)."""
+    return tr.a / np.sqrt(2.0), np.sqrt(0.5 * tr.a)
 
 
 class TestResolvent:
@@ -145,7 +150,8 @@ class TestSemigroup:
 
 
 class TestModifiedOperators:
-    """a_tau, b1 and b2 as the modified transition holds them; lambda_tau and q_tau through their gaps."""
+    """a_tau and s2 as the modified transition holds them, against the paper's noise operators
+    B1 = a/sqrt(2) and B2 = sqrt(a/2); lambda_tau and q_tau through their gaps."""
 
     def test_lambda_tau_unit_example(self):
         # lambda_tau = log(1 + tau*lam)/tau = 1 and q_tau = 1/(e-1) at lam = e-1, tau = 1
@@ -154,17 +160,19 @@ class TestModifiedOperators:
         assert rep.q_gap[0] == pytest.approx(1.0 - 1.0 / (np.e - 1.0), rel=1e-14)
 
     def test_combined_noise_at_unit_taulambda(self):
-        # b1^2 + b2^2 = (2+z)/(2 (1+z)^2) at z = 1 evaluates to 3/8
+        # B1^2 + B2^2 = (2+z)/(2 (1+z)^2) at z = 1 evaluates to 3/8
         tr = modified(np.array([2.0]), 0.5)
-        assert tr.b1[0] ** 2 + tr.b2[0] ** 2 == pytest.approx(0.375, rel=1e-14)
+        b1, b2 = paper_noise_operators(tr)
+        assert b1[0] ** 2 + b2[0] ** 2 == pytest.approx(0.375, rel=1e-14)
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_noise_splitting_identity(self, tau):
         tr = modified(dirichlet_spectrum(64).lambdas, tau)
-        lhs = tr.b1**2 + tr.b2**2
+        b1, b2 = paper_noise_operators(tr)
+        lhs = b1**2 + b2**2
         rhs = 0.5 * (tr.a**2 + tr.a)
         assert np.max(np.abs(lhs - rhs) / rhs) < 1e-12
-        # the one-step variance the moment recursions read is 2*tau*(b1^2 + b2^2)
+        # the one-step variance the sampler and the moment recursions read is 2*tau*(B1^2 + B2^2)
         assert np.max(np.abs(tr.s2 - 2.0 * tau * rhs) / tr.s2) < 1e-12
 
     @pytest.mark.parametrize("tau", TAUS)
