@@ -17,7 +17,7 @@ from .spectral import (
     eigenvalue_error_bounds,
     log_ratio_constant,
 )
-from .noise import StreamTag, sample_cylindrical_batch
+from .noise import sample_cylindrical_batch
 from .nonlinearity import (
     GridTransform,
     LinearInY,

@@ -118,10 +118,11 @@ def _integer(value) -> int:
 
 
 def _at_least(low: int):
+    """A count or size: an integer from `low` up to, not including, 2^63."""
     def cast(value) -> int:
         n = _integer(value)
-        if n < low:
-            raise ValueError(f"expected an integer >= {low}")
+        if not low <= n < 2**63:
+            raise ValueError(f"expected an integer in [{low}, 2**63)")
         return n
     return cast
 
@@ -494,7 +495,7 @@ def run_cli(argv=None) -> int:
         files["summary.json"] = json.dumps({"config": cfg, **files["summary.json"]}, indent=2,
                                            sort_keys=True, allow_nan=False) + "\n"
         line = json.dumps({"command": args.command, **info}, allow_nan=False)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # a size that passed its cast but cannot be held
         print(f"error: {exc}", file=sys.stderr)
         return 2
     output_dir = args.output_dir or v["output_dir"]

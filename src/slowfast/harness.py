@@ -302,7 +302,7 @@ def _stderr(values: np.ndarray) -> float:
 def _gap(values: np.ndarray, truth) -> tuple:
     """(|mean(values) - mean(truth)|, stderr): the plain stderr against an exact (float)
     truth, and that of the per-sample differences against sampled truth values, which
-    share their draws with values sample by sample."""
+    share their draws with values sample by sample, whatever the two legs' schemes."""
     diff = values if np.ndim(truth) == 0 else values - truth
     return abs(float(np.mean(values)) - float(np.mean(truth))), _stderr(diff)
 
@@ -443,8 +443,8 @@ def ap_diagram(
 
     n_samples = 0 requests the noise-free moment-oracle path (linear-in-y
     only, stderr 0); otherwise both legs are Monte Carlo estimates sharing
-    their `GAMMA_1` draw step by step, and the stderr is that of the
-    per-sample differences, which tend to 0 with eps.
+    their draw step by step, and the stderr is that of the per-sample
+    differences, which tend to 0 with eps.
     Returns a list of (eps, gap, stderr) rows, each the `_gap` of the coupled
     values against the limiting ones.
     """

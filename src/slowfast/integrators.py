@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .noise import StreamTag, sample_cylindrical_batch
+from .noise import sample_cylindrical_batch
 from .nonlinearity import (
     GridTransform, LinearInY, Nonlinearity, PointwiseSquare, averaged_force, eval_F,
 )
@@ -93,10 +93,11 @@ class Transition:
     """One step of a scheme at fixed (dt, eps), mode by mode.
 
     The fast update is y' = a*y + xi, where xi is centered with variance s2,
-    independent of the state, and built from one standard normal array g of
-    the stream `tag`.  The slow update is x' = (x + dt*F(x, y'))/one_plus with
-    one_plus = 1 + dt*lam.  The moment recursions read (a, s2, one_plus); the
-    sampler calls `step`.  Both coupled schemes draw xi = sd*g, sd = sqrt(s2).
+    independent of the state, and built from one standard normal array g, the
+    field every scheme that draws takes.  The slow update is
+    x' = (x + dt*F(x, y'))/one_plus with one_plus = 1 + dt*lam.  The moment
+    recursions read (a, s2, one_plus); the sampler calls `step`.  Both coupled
+    schemes draw xi = sd*g, sd = sqrt(s2).
 
     COUPLED_MODIFIED  a = 1/(1 + tau*lam), tau = dt/eps; the paper's increment
                       sqrt(2 tau) (B1 Gamma1 + B2 Gamma2), B1 = a/sqrt(2) and
@@ -126,27 +127,23 @@ class Transition:
                                  "is not finite")
             self.a = 1.0 / (1.0 + z)
             self.s2 = tau * self.a * (1.0 + self.a)
-            self.tag = StreamTag.GAMMA_1
         elif scheme == SchemeKind.COUPLED_EXPO:
             with np.errstate(over="ignore", under="ignore"):  # z = inf: the stiff limit a = 0
                 z = dt * lam / eps
                 self.a = np.exp(-z)
                 self.s2 = -np.expm1(-2.0 * z) / lam
-            self.tag = StreamTag.OU_EXACT
         elif scheme == SchemeKind.LIMITING:
             self.a = np.zeros_like(lam)
             self.s2 = 1.0 / lam
             self.sqrt_lam = np.sqrt(lam)
-            self.tag = StreamTag.GAMMA_1
         else:  # AVERAGED
             self.a = np.zeros_like(lam)
             self.s2 = np.zeros_like(lam)
-            self.tag = None
         self.sd = np.sqrt(self.s2)
 
     def step(self, x, y, g, force):
-        """(x', y') from (x, y) and the draw g of the stream `tag`; force(x, y') is F(x, y')
-        (Fbar(x) for AVERAGED).  y and y' are None without a fast state, g without a tag."""
+        """(x', y') from (x, y) and the normal field g; force(x, y') is F(x, y') (Fbar(x) for
+        AVERAGED).  y and y' are None without a fast state, g for AVERAGED, which draws none."""
         if self.scheme.coupled:
             y = self.a * y + self.sd * g
         elif self.scheme == SchemeKind.LIMITING:
@@ -166,9 +163,10 @@ def trajectory(
 ):
     """Yield (x, y) at steps 0..N for samples first_sample..first_sample+count-1.
 
-    x and y are (count, J) arrays; y is None for LIMITING/AVERAGED.  The
-    noise draw of sample i at step n depends only on (master_seed, i, n,
-    tag), whatever the batch partition.
+    x and y are (count, J) arrays; y is None for LIMITING/AVERAGED.  Every
+    scheme but AVERAGED draws one normal field per step, and the draw of
+    sample i at step n depends only on (master_seed, i, n), whatever the
+    scheme and the batch partition.
     """
     tr = Transition(config.scheme, spec.lambdas, config.dt, config.eps)
     if config.scheme == SchemeKind.AVERAGED:
@@ -185,8 +183,8 @@ def trajectory(
     y = ones * check_field(spec, config.y0)[None, :] if config.scheme.coupled else None
     yield x, y
     for n in range(config.N):
-        g = (None if tr.tag is None
-             else sample_cylindrical_batch(spec, master_seed, tr.tag, n, first_sample, count))
+        g = (None if config.scheme == SchemeKind.AVERAGED
+             else sample_cylindrical_batch(spec, master_seed, n, first_sample, count))
         x, y = tr.step(x, y, g, force)
         yield x, y
 

@@ -518,6 +518,14 @@ class TestFailureModes:
                         "nonlinearity": {"variant": "SATURATING_SQUARE"}}, "nonlinearity.variant"),
         ("ap-test", {"n_samples": 0, "nonlinearity": {"variant": "POINTWISE_SQUARE"}},
          "nonlinearity.variant"),
+        ("simulate", {"N": 10**399}, "N"),
+        ("ap-test", {"N": 10**399}, "N"),
+        ("simulate", {"N": 2**63}, "N"),
+        ("simulate", {"spectrum": {"J": 10**399}}, "spectrum.J"),
+        ("weak-error", {"n_samples": 10**399}, "n_samples"),
+        ("ap-test", {"n_samples": 10**399}, "n_samples"),
+        ("weak-error", {"refinement": 10**399}, "refinement"),
+        ("weak-error", {"n_threads": 10**399}, "n_threads"),
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
@@ -539,7 +547,10 @@ class TestFailureModes:
             "subnormal_in_eps_list_sweep", "infinite_lam_over_eps_in_sweep", "negative_in_tau_list",
             "negative_in_dt_list", "unordered_dt_list", "one_entry_dt_list",
             "non_dividing_dt_list", "two_point_sweep", "odd_refinement", "pointwise_sweep",
-            "pointwise_moment_oracle_curve", "pointwise_moment_oracle_ap_test"])
+            "pointwise_moment_oracle_curve", "pointwise_moment_oracle_ap_test",
+            "400_digit_N_simulate", "400_digit_N_ap_test", "N_at_2_63", "400_digit_J",
+            "400_digit_n_samples_weak_error", "400_digit_n_samples_ap_test",
+            "400_digit_refinement", "400_digit_threads"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)
@@ -549,6 +560,19 @@ class TestFailureModes:
         assert f"'{key}'" in err
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("command, bad", [
+        ("simulate", {"spectrum": {"J": 2**40}}),
+        ("weak-error", {"n_samples": 2**40}),
+        ("ap-test", {"n_samples": 2**40}),
+    ], ids=["J_simulate", "n_samples_weak_error", "n_samples_ap_test"])
+    def test_unallocatable_size_exits_2_without_traceback(self, tmp_path, capsys, command, bad):
+        # 2^40 float64 values are 8 TiB: the first array of that size fails to allocate at once
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "c.json", bad)
+        assert run_cli([command, "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists() or os.listdir(out) == []
 
     def test_threads_flag_below_one_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"

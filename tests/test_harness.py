@@ -265,22 +265,23 @@ class TestWeakErrorCurve:
         assert point.stderr == est.stderr and point.oracle_bias == 0.0
 
     def test_refined_reference_stderr_is_paired(self):
-        # under COUPLED_EXPO the measured leg and the reference draw the same
-        # stream at steps 0..N-1 from one seed, so their phi values correlate
-        # and the stderr of the per-sample differences is below the
-        # independent-legs hypot; the error and the bias are differences of
-        # plain MC means
+        # whatever the coupled scheme, the measured leg and the COUPLED_EXPO
+        # reference draw the same field at steps 0..N-1 from one seed, so their
+        # phi values correlate and the stderr of the per-sample differences is
+        # below the independent-legs hypot; the error and the bias are
+        # differences of plain MC means
         spec, gt, nl = dirichlet_spectrum(4), GridTransform(4), PointwiseSquare(c=1.0)
-        cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_EXPO,
-                        x0=np.ones(4), y0=np.ones(4))
-        (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl, gt, n_samples=4000,
-                                    master_seed=0, refinement=4)
-        est = mc_estimate(cfg, PHI_EXP, 4000, 0, spec, nl, gt)
-        ref = mc_estimate(replace(cfg, N=16), PHI_EXP, 4000, 0, spec, nl, gt)
-        half = mc_estimate(replace(cfg, N=8), PHI_EXP, 4000, 0, spec, nl, gt)
-        assert point.error == abs(est.mean - ref.mean)
-        assert point.oracle_bias == abs(half.mean - ref.mean)
-        assert 0.0 < point.stderr < math.hypot(est.stderr, ref.stderr)
+        for scheme in (SchemeKind.COUPLED_EXPO, SchemeKind.COUPLED_MODIFIED):
+            cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=scheme, x0=np.ones(4), y0=np.ones(4))
+            (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl, gt, n_samples=4000,
+                                        master_seed=0, refinement=4)
+            est = mc_estimate(cfg, PHI_EXP, 4000, 0, spec, nl, gt)
+            ref_cfg = replace(cfg, scheme=SchemeKind.COUPLED_EXPO)
+            ref = mc_estimate(replace(ref_cfg, N=16), PHI_EXP, 4000, 0, spec, nl, gt)
+            half = mc_estimate(replace(ref_cfg, N=8), PHI_EXP, 4000, 0, spec, nl, gt)
+            assert point.error == abs(est.mean - ref.mean)
+            assert point.oracle_bias == abs(half.mean - ref.mean)
+            assert 0.0 < point.stderr < math.hypot(est.stderr, ref.stderr)
 
     def test_one_sampled_reference_at_the_finest_step(self, monkeypatch):
         # a pointwise coupling in a coupled scheme samples one truth for the
@@ -418,7 +419,7 @@ class TestApDiagram:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_legs_share_their_draw(self, seed):
-        # the modified leg draws the limiting leg's GAMMA_1 field at every step, so
+        # the modified leg draws the limiting leg's field at every step, so
         # its paired difference, and the stderr with it, vanishes as eps -> 0
         spec = dirichlet_spectrum(4)
         cfg = RunConfig(T=0.25, N=16, eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED,

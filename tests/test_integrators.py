@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from moment_loop import loop_moments
 
+import slowfast.integrators as integrators
 from slowfast import (
     FunctionalKind,
     FunctionalSpec,
@@ -16,7 +17,6 @@ from slowfast import (
     PointwiseSquare,
     RunConfig,
     SchemeKind,
-    StreamTag,
     Transition,
     averaged_force,
     dirichlet_spectrum,
@@ -69,8 +69,9 @@ class TestCoupledModifiedStep:
         # sampled one-step variance of y stays at 1/lambda
         n = 200_000
         dt, eps = 0.1, 0.07
-        y0 = sample_cylindrical_batch(SPEC, 5, StreamTag.OU_EXACT, 0, 0, n) / np.sqrt(SPEC.lambdas)
-        g = sample_cylindrical_batch(SPEC, 5, StreamTag.GAMMA_1, 0, 0, n)
+        # y0 and g at two steps: one seed and step address one field
+        y0 = sample_cylindrical_batch(SPEC, 5, 1, 0, n) / np.sqrt(SPEC.lambdas)
+        g = sample_cylindrical_batch(SPEC, 5, 0, 0, n)
         _, y = one_step(SchemeKind.COUPLED_MODIFIED, SPEC, dt, eps, ZERO_F, np.zeros((n, 8)), y0, g)
         v = np.var(y, axis=0)
         # chi-square concentration: relative 4-sigma band is 4*sqrt(2/n)
@@ -113,7 +114,6 @@ class TestCoupledModifiedStep:
         tr = Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 0.1, eps)
         y, g = rng.standard_normal((2, 3, 8))
         _, out = tr.step(np.zeros((3, 8)), y, g, lambda x, y: 0.0)
-        assert tr.tag == StreamTag.GAMMA_1
         assert np.array_equal(out, tr.a * y + np.sqrt(tr.s2) * g)
 
     def test_rejects_bad_steps(self):
@@ -168,7 +168,7 @@ class TestLimitingAndAveragedSteps:
     def test_limiting_mean_is_centered(self):
         n = 100_000
         x = np.broadcast_to(1.0 / SPEC.lambdas, (n, 8))
-        g = sample_cylindrical_batch(SPEC, 77, StreamTag.GAMMA_1, 0, 0, n)
+        g = sample_cylindrical_batch(SPEC, 77, 0, 0, n)
         out, _ = one_step(SchemeKind.LIMITING, SPEC, 0.1, 1.0, LinearInY(c=2.0), x, None, g)
         target = (1.0 / SPEC.lambdas) / (1.0 + 0.1 * SPEC.lambdas)
         se = np.std(out, axis=0, ddof=1) / np.sqrt(n)
@@ -213,12 +213,32 @@ class TestRunTrajectory:
         cfg = RunConfig(T=0.125, N=1, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
                         x0=np.ones(8), y0=np.ones(8))
         *_, (out_x, out_y) = trajectory(cfg, SPEC, LinearInY(1.0), None, 3, 2, 1)
-        # the modified step's one draw is sample 2's GAMMA_1 field at step 0
-        g = sample_cylindrical_batch(SPEC, 3, StreamTag.GAMMA_1, 0, 2, 1)[0]
+        # the modified step's one draw is sample 2's field at step 0
+        g = sample_cylindrical_batch(SPEC, 3, 0, 2, 1)[0]
         x, y = one_step(cfg.scheme, SPEC, cfg.dt, cfg.eps, LinearInY(1.0), np.ones(8), np.ones(8), g)
         assert np.array_equal(out_x[0], x)
         assert np.array_equal(out_y[0], y)
         assert np.array_equal(run_trajectory_batch(cfg, SPEC, LinearInY(1.0), None, 3, 2, 1), out_x)
+
+    def test_one_shared_field_per_step(self, monkeypatch):
+        # from y0 = 0 one step leaves y = sd*g: both coupled schemes read the one field
+        # the sampler addresses by (seed, step 0, sample); every scheme but AVERAGED draws it
+        g = sample_cylindrical_batch(SPEC, 9, 0, 3, 5)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return sample_cylindrical_batch(*args)
+
+        monkeypatch.setattr(integrators, "sample_cylindrical_batch", spy)
+        for scheme in SchemeKind:
+            calls.clear()
+            cfg = RunConfig(T=0.1, N=1, eps=0.3, scheme=scheme, x0=np.ones(8), y0=np.zeros(8))
+            *_, (_, y) = trajectory(cfg, SPEC, ZERO_F, None, 9, 3, 5)
+            assert len(calls) == (scheme != SchemeKind.AVERAGED)
+            if scheme.coupled:
+                sd = Transition(scheme, SPEC.lambdas, cfg.dt, cfg.eps).sd
+                assert np.allclose(y / sd, g, rtol=1e-15, atol=0.0)
 
     def test_averaged_is_seed_independent(self):
         cfg = RunConfig(T=0.5, N=16, eps=1.0, scheme=SchemeKind.AVERAGED,

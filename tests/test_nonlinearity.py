@@ -10,7 +10,6 @@ from slowfast import (
     LinearInY,
     PointwiseGeneral,
     PointwiseSquare,
-    StreamTag,
     averaged_force,
     dirichlet_spectrum,
     eval_F,
@@ -259,7 +258,7 @@ class TestStatisticalProperties:
         # Monte Carlo average of F(x, Y) over Y ~ N(0, Lambda^-1) must match
         # Fbar(x) within 4 standard errors per coefficient
         x = rng.standard_normal(16) * 0.5
-        y = sample_cylindrical_batch(SPEC, 4242, StreamTag.OU_EXACT, 0, 0, self.N_DRAWS)
+        y = sample_cylindrical_batch(SPEC, 4242, 0, 0, self.N_DRAWS)
         y = y / np.sqrt(SPEC.lambdas)
         vals = eval_F(nl, GT, np.broadcast_to(x, y.shape), y)
         mc = np.mean(vals, axis=0)
