@@ -58,8 +58,9 @@ __all__ = [
 # samples per Monte Carlo span, the unit of work of the worker threads: many
 # spans spread evenly over the threads, and a span of more than one collocation
 # block (at most 512 rows) keeps every sample's value the same for any span size.
-# It does not keep a span in cache: at J = 64 each (2048, 64) array is 1 MB, and
-# a step allocates its temporaries afresh (ROADMAP item 4)
+# At J = 64 a (2048, 64) array is 1 MB and leaves the cache; spans of 2^15/J rows
+# ran faster on one thread but scaled worse on two, and at J > 16 a partial last
+# span shorter than one collocation block could round differently
 MC_SPAN = 2048
 
 # the uniform sweep's reference: the exact-transition scheme on each cell's
@@ -90,7 +91,10 @@ class FunctionalSpec:
         if self.kind == FunctionalKind.LINEAR:
             if self.h is None:
                 raise ValueError("LINEAR functional needs a weight field h")
-            object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
+            h = np.asarray(self.h, dtype=float)
+            if h.ndim != 1:
+                raise ValueError(f"LINEAR functional needs a 1-D weight field h, got shape {h.shape}")
+            object.__setattr__(self, "h", h)
 
     @property
     def oracle_only(self) -> bool:
@@ -101,6 +105,7 @@ def evaluate_functional(phi: FunctionalSpec, x: np.ndarray) -> np.ndarray:
     """Apply phi to states of shape (..., J); returns shape (...)."""
     x = np.asarray(x, dtype=float)
     if phi.kind == FunctionalKind.LINEAR:
+        _check_weights(phi, x.shape[-1])
         # not x @ h: a matrix-vector product rounds a row differently
         # depending on how many rows it is computed with
         return np.sum(x * phi.h, axis=-1)
@@ -108,6 +113,13 @@ def evaluate_functional(phi: FunctionalSpec, x: np.ndarray) -> np.ndarray:
     if phi.kind == FunctionalKind.NORM_SQUARED:
         return s
     return np.exp(-s)
+
+
+def _check_weights(phi: FunctionalSpec, J: int):
+    """A LINEAR phi's h must have one weight per mode: numpy would broadcast any other length."""
+    if len(phi.h) != J:
+        raise ValueError(f"LINEAR functional's weight field h has {len(phi.h)} entries, "
+                         f"the state has {J} modes")
 
 
 def gaussian_expectation(phi: FunctionalSpec, mean: np.ndarray, var: np.ndarray) -> float:
@@ -119,6 +131,7 @@ def gaussian_expectation(phi: FunctionalSpec, mean: np.ndarray, var: np.ndarray)
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
     if phi.kind == FunctionalKind.LINEAR:
+        _check_weights(phi, mean.shape[-1])
         return float(np.sum(phi.h * mean))
     if phi.kind == FunctionalKind.NORM_SQUARED:
         return float(np.sum(var + mean * mean))

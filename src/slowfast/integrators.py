@@ -143,12 +143,22 @@ class Transition:
 
     def step(self, x, y, g, force):
         """(x', y') from (x, y) and the normal field g; force(x, y') is F(x, y') (Fbar(x) for
-        AVERAGED).  y and y' are None without a fast state, g for AVERAGED, which draws none."""
+        AVERAGED).  y and y' are None without a fast state, g for AVERAGED, which draws none.
+
+        The step works in place: x' is x and y' is y, and g is scratch (LIMITING's y' is g).
+        force must return an array the step may overwrite.  Each operation is the one of
+        a*y + sd*g and (x + dt*F)/one_plus on the same operands, so the bits are theirs.
+        """
         if self.scheme.coupled:
-            y = self.a * y + self.sd * g
+            y *= self.a
+            g *= self.sd
+            y += g
         elif self.scheme == SchemeKind.LIMITING:
-            y = g / self.sqrt_lam
-        x = (x + self.dt * force(x, y)) / self.one_plus
+            y = np.divide(g, self.sqrt_lam, out=g)
+        f = force(x, y)
+        f *= self.dt
+        x += f
+        x /= self.one_plus
         return x, (y if self.scheme.coupled else None)
 
 
@@ -167,6 +177,10 @@ def trajectory(
     scheme but AVERAGED draws one normal field per step, and the draw of
     sample i at step n depends only on (master_seed, i, n), whatever the
     scheme and the batch partition.
+
+    The generator yields its own two buffers, x and y, at every step, and
+    the next step overwrites them in place: a caller that keeps a state past
+    the next step must copy it.
     """
     tr = Transition(config.scheme, spec.lambdas, config.dt, config.eps)
     if config.scheme == SchemeKind.AVERAGED:

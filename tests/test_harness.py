@@ -72,6 +72,16 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             FunctionalSpec(kind=FunctionalKind.LINEAR)
 
+    def test_linear_weights_of_the_wrong_shape_raise(self):
+        # numpy would broadcast a length-1 h over every mode and return the sum of all modes
+        with pytest.raises(ValueError, match="1-D"):
+            FunctionalSpec(kind=FunctionalKind.LINEAR, h=np.ones((1, 16)))
+        phi = FunctionalSpec(kind=FunctionalKind.LINEAR, h=[1.0])
+        with pytest.raises(ValueError, match="weight field h has 1 entries"):
+            evaluate_functional(phi, np.ones((2, 16)))
+        with pytest.raises(ValueError, match="weight field h has 1 entries"):
+            gaussian_expectation(phi, np.ones(16), np.ones(16))
+
     def test_gaussian_expectation_against_quadrature(self):
         mean = rng.standard_normal(4) * 0.5
         var = rng.uniform(0.01, 0.5, 4)
@@ -142,7 +152,7 @@ class TestMcEstimate:
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError) as info:
                 mc_estimate(cfg, phi, 64, 3, spec, nl, gt, batch=16)
-            states = [x for x, _ in trajectory(cfg, spec, nl, gt, 3, 0, 1)]
+            states = [x.copy() for x, _ in trajectory(cfg, spec, nl, gt, 3, 0, 1)]
         finite = [bool(np.isfinite(x).all()) for x in states]
         step = finite.index(False)
         assert "(master_seed, sample) = (3, 0)" in str(info.value)

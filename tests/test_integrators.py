@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from moment_loop import loop_moments
+from step_loop import loop_states
 
 import slowfast.integrators as integrators
 from slowfast import (
@@ -37,8 +38,11 @@ ZERO_F = LinearInY(c=0.0)
 
 
 def one_step(scheme, spec, dt, eps, nl, x, y, g):
-    """(x', y') of one step of the scheme's Transition from the draw g, F evaluated by eval_F."""
+    """(x', y') of one step of the scheme's Transition from the draw g, F evaluated by eval_F.
+
+    The step works in place, so it is given copies: the caller's arrays stay as they were."""
     tr = Transition(scheme, spec.lambdas, dt, eps)
+    x, y, g = (None if v is None else np.array(v, dtype=float) for v in (x, y, g))
     return tr.step(x, y, g, lambda x, y: eval_F(nl, None, x, y))
 
 
@@ -113,7 +117,7 @@ class TestCoupledModifiedStep:
         # y' = a*y + sqrt(s2)*g: the law of the paper's two-field increment from one field
         tr = Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 0.1, eps)
         y, g = rng.standard_normal((2, 3, 8))
-        _, out = tr.step(np.zeros((3, 8)), y, g, lambda x, y: 0.0)
+        _, out = tr.step(np.zeros((3, 8)), y.copy(), g.copy(), lambda x, y: 0.0)
         assert np.array_equal(out, tr.a * y + np.sqrt(tr.s2) * g)
 
     def test_rejects_bad_steps(self):
@@ -439,3 +443,32 @@ class TestAveragedReference:
         out = solve_averaged_reference(SPEC, nl, x0, T, gt)
         decay = np.exp(-T * SPEC.lambdas)
         assert np.max(np.abs(out - (decay * x0 + (1 - decay) * g / SPEC.lambdas))) <= 1e-9
+
+
+class TestInPlaceSampler:
+    """The sampler steps its own buffers in place, with the bits of the out-of-place algebra."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(scheme=st.sampled_from(list(SchemeKind)),
+           nl=st.sampled_from([LinearInY(c=1.3), PointwiseSquare(c=0.7), saturating_square(1.5)]),
+           J=st.integers(1, 9), count=st.integers(1, 1100), N=st.integers(1, 6),
+           first=st.sampled_from([0, 1, 511, 4097, 2**40 + 3]), seed=st.integers(0, 2**32))
+    def test_states_match_the_out_of_place_loop(self, scheme, nl, J, count, N, first, seed):
+        # count falls on both sides of GridTransform.rows_per_block, 512 for J <= 9
+        spec = dirichlet_spectrum(J)
+        gt = None if isinstance(nl, LinearInY) else GridTransform(J)
+        x0 = np.linspace(-1.0, 2.0, J)
+        cfg = RunConfig(T=0.3, N=N, eps=0.2, scheme=scheme, x0=x0, y0=np.cos(x0))
+        expected = loop_states(cfg, spec, nl, gt, seed, first, count)
+        states, buffers = [], set()
+        for x, y in trajectory(cfg, spec, nl, gt, seed, first, count):
+            states.append((x.copy(), None if y is None else y.copy()))
+            buffers.add((id(x), id(y)))
+        assert len(buffers) == 1  # one x and one y object at every step
+        assert len(states) == N + 1
+        for (x, y), (ex, ey) in zip(states, expected):
+            assert np.array_equal(x, ex)
+            assert (y is None) == (ey is None) == (not scheme.coupled)
+            assert y is None or np.array_equal(y, ey)
+        assert np.array_equal(run_trajectory_batch(cfg, spec, nl, gt, seed, first, count),
+                              expected[-1][0])
