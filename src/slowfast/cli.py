@@ -9,8 +9,12 @@ Subcommands:
 
 All floating-point output is written with 17 significant digits, '.' decimal
 separator, fixed column order, so repeated runs with the same config and
-seed produce byte-identical files.  Output files are only written after a
-run completes, so a failing run leaves no partial outputs.
+seed produce byte-identical files, whatever `--threads` and `--output-dir`
+say: the config holds only values that can change a result, and those two
+flags are not config keys.  `summary.json` is the config plus the
+subcommand's result fields, and the stdout line is the subcommand's name plus
+the same fields.  Output files are only written after a run completes, so a
+failing run leaves no partial outputs.
 """
 
 from __future__ import annotations
@@ -73,12 +77,6 @@ def _numbers(value) -> list:
     if not isinstance(value, list) or not value:
         raise TypeError("expected a non-empty list of numbers")
     return [_real(v) for v in value]
-
-
-def _path(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("expected a string")
-    return value or "."
 
 
 def _real(value) -> float:
@@ -194,9 +192,7 @@ SCHEMA = (
     ("n_samples", _sample_count, 0, ("weak-error", "ap-test")),
     ("refinement", _at_least(1), 64, ("weak-error",)),
     ("master_seed", _uint64, 0, ("simulate", "weak-error", "ap-test")),
-    ("n_threads", _at_least(1), 1, ("weak-error", "ap-test")),
     ("sample_index", _uint64, 0, ("simulate",)),
-    ("output_dir", _path, ".", _ALL),
 )
 
 # key paths as tuples, so that a literal "spectrum.J" key names no row
@@ -352,8 +348,9 @@ def _warn_if_poor_fit(fit):
               f"(slope {fit.slope:.3g}); the dt ladder may not be asymptotic", file=sys.stderr)
 
 
-# Each command takes its config values and returns (files, info): its CSV
-# texts plus the fields of summary.json, and the fields of the stdout line.
+# Each command takes its config values, plus "n_threads" from --threads, and
+# returns (files, results): its CSV texts by file name, and its result fields,
+# which both summary.json and the stdout line hold.
 
 def _cmd_simulate(v: dict):
     spec, nl, gt, config, _ = _setup(v)
@@ -362,11 +359,8 @@ def _cmd_simulate(v: dict):
     for n, (x, y) in enumerate(steps):
         for j in range(spec.J):
             state_rows.append((n, j + 1, x[0, j], 0.0 if y is None else y[0, j]))
-    files = {
-        "trajectory.csv": _csv(("step", "mode", "x", "y"), state_rows),
-        "summary.json": {"final_norm_x": float(np.sqrt(np.sum(x * x)))},
-    }
-    return files, {"steps": config.N}
+    files = {"trajectory.csv": _csv(("step", "mode", "x", "y"), state_rows)}
+    return files, {"final_norm_x": float(np.sqrt(np.sum(x * x)))}
 
 
 def _cmd_weak_error(v: dict):
@@ -376,17 +370,14 @@ def _cmd_weak_error(v: dict):
                               n_threads=v["n_threads"])
     fit = fit_rate(points)
     _warn_if_poor_fit(fit)
-    files = {
-        "curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),
-                          [(p.dt, p.error, p.stderr, p.oracle_bias) for p in points]),
-        "summary.json": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r2": fit.r_squared,
-            "oracle_functional": phi.oracle_only,
-        },
+    files = {"curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),
+                               [(p.dt, p.error, p.stderr, p.oracle_bias) for p in points])}
+    return files, {
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "r2": fit.r_squared,
+        "oracle_functional": phi.oracle_only,
     }
-    return files, {"slope": fit.slope, "r2": fit.r_squared}
 
 
 def _cmd_ap_test(v: dict):
@@ -395,11 +386,8 @@ def _cmd_ap_test(v: dict):
                       master_seed=v["master_seed"], n_threads=v["n_threads"])
     # null when the last gap is 0: JSON has no Infinity
     ratio = rows[0][1] / rows[-1][1] if rows[-1][1] > 0 else None
-    files = {
-        "ap_gaps.csv": _csv(("eps", "gap", "stderr"), rows),
-        "summary.json": {"first_to_last_gap_ratio": ratio},
-    }
-    return files, {"gap_ratio": ratio}
+    files = {"ap_gaps.csv": _csv(("eps", "gap", "stderr"), rows)}
+    return files, {"first_to_last_gap_ratio": ratio}
 
 
 def _cmd_invariant_test(v: dict):
@@ -410,15 +398,12 @@ def _cmd_invariant_test(v: dict):
     for i, tau in enumerate(v["tau_list"]):
         for j in range(spec.J):
             rows.append((tau, j + 1, report.residual_modified[i, j], report.residual_standard[i, j]))
-    worst = float(report.residual_modified.max())
-    files = {
-        "residuals.csv": _csv(("tau", "mode", "residual_modified", "residual_standard"), rows),
-        "summary.json": {
-            "worst_modified_residual": worst,
-            "standard_residual_at_unit_taulambda": float(report.standard_at_unit.min()),
-        },
+    header = ("tau", "mode", "residual_modified", "residual_standard")
+    files = {"residuals.csv": _csv(header, rows)}
+    return files, {
+        "worst_modified_residual": float(report.residual_modified.max()),
+        "standard_residual_at_unit_taulambda": float(report.standard_at_unit.min()),
     }
-    return files, {"worst_modified_residual": worst}
 
 
 def _cmd_uniform_sweep(v: dict):
@@ -432,16 +417,15 @@ def _cmd_uniform_sweep(v: dict):
     files = {
         "sweep.csv": _csv(("dt", "eps", "error", "oracle_bias"), grid_rows),
         "max_curve.csv": _csv(("dt", "max_error"), list(zip(v["dt_list"], result.max_errors))),
-        "summary.json": {
-            "slope": result.fit.slope,
-            "intercept": result.fit.intercept,
-            "r2": result.fit.r_squared,
-            "refinement": SWEEP_REFINEMENT,
-            "max_reference_bias": float(result.reference_bias.max()),
-            "oracle_functional": phi.oracle_only,
-        },
     }
-    return files, {"slope": result.fit.slope}
+    return files, {
+        "slope": result.fit.slope,
+        "intercept": result.fit.intercept,
+        "r2": result.fit.r_squared,
+        "refinement": SWEEP_REFINEMENT,
+        "max_reference_bias": float(result.reference_bias.max()),
+        "oracle_functional": phi.oracle_only,
+    }
 
 
 _COMMANDS = {
@@ -467,11 +451,11 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=False, default=None,
                        help="JSON experiment config (defaults used when omitted)")
         p.add_argument("--output-dir", default=None,
-                       help="where to write CSV/JSON outputs (overrides config)")
+                       help="where to write CSV/JSON outputs (default: the current directory)")
         p.add_argument("--master-seed", type=int, default=None,
                        help="override the config master seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="override the config thread count")
+        p.add_argument("--threads", type=int, default=1,
+                       help="Monte Carlo worker threads (default 1); no output depends on it")
     return parser
 
 
@@ -482,23 +466,26 @@ def run_cli(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
+        n_threads = _at_least(1)(args.threads)
+    except ValueError as exc:
+        print(f"error: flag '--threads': {exc} (got {args.threads})", file=sys.stderr)
+        return 2
+    try:
         cfg = load_config(args.config) if args.config else {}
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
         if args.master_seed is not None:
             cfg["master_seed"] = args.master_seed
-        if args.threads is not None:
-            cfg["n_threads"] = args.threads
-        v = _config_values(cfg, args.command)
-        files, info = _COMMANDS[args.command](v)
+        v = dict(_config_values(cfg, args.command), n_threads=n_threads)
+        files, results = _COMMANDS[args.command](v)
         # strict JSON: a non-finite value exits 2 instead of writing NaN or Infinity
-        files["summary.json"] = json.dumps({"config": cfg, **files["summary.json"]}, indent=2,
+        files["summary.json"] = json.dumps({"config": cfg, **results}, indent=2,
                                            sort_keys=True, allow_nan=False) + "\n"
-        line = json.dumps({"command": args.command, **info}, allow_nan=False)
+        line = json.dumps({"command": args.command, **results}, allow_nan=False)
     except (ValueError, MemoryError) as exc:  # a size that passed its cast but cannot be held
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    output_dir = args.output_dir or v["output_dir"]
+    output_dir = args.output_dir or "."
     try:
         _write_outputs(output_dir, files)
     except OSError as exc:

@@ -116,6 +116,40 @@ class TestParserReuse:
             assert (proc.stdout, output_files(fresh)) == in_process, argv
 
 
+class TestExecutionFlags:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_threads_and_output_dir_change_no_byte(self, tmp_path, capsys, command):
+        # the thread count and the output directory are flags, not config keys,
+        # so neither reaches summary.json or the stdout line
+        runs = []
+        for i, flags in enumerate([[], ["--threads", "1"], ["--threads", "2"]]):
+            out = tmp_path / f"o{i}"
+            assert run_cli([command, "--output-dir", str(out), *flags]) == 0
+            runs.append((capsys.readouterr().out, output_files(out)))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_summary_config_replays_the_run(self, tmp_path, capsys):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli(["simulate", "--master-seed", "7", "--output-dir", str(first)]) == 0
+        cfg = json.loads((first / "summary.json").read_text())["config"]
+        assert cfg == {"master_seed": 7}
+        assert run_cli(["simulate", "--config", write_config(tmp_path, "c.json", cfg),
+                        "--output-dir", str(again)]) == 0
+        assert output_files(again) == output_files(first)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == lines[0]
+
+    def test_empty_output_dir_writes_to_the_working_directory(self, tmp_path, monkeypatch):
+        cwd, named = tmp_path / "cwd", tmp_path / "named"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run_cli(["invariant-test", "--output-dir", ""]) == 0
+        assert run_cli(["invariant-test", "--output-dir", str(named)]) == 0
+        assert sorted(output_files(cwd)) == ["residuals.csv", "summary.json"]
+        assert output_files(cwd) == output_files(named)
+
+
 class TestInvariantTest:
     def test_default_run(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -483,6 +517,7 @@ class TestFailureModes:
         ("simulate", {"spectrum": {"kind": "cubic"}}, "spectrum.kind"),
         ("simulate", {"nonlinearity": {"variant": "CUBIC"}}, "nonlinearity.variant"),
         ("simulate", {"nonlinearity": {"params": 1.0}}, "nonlinearity.params"),
+        # --threads sets the thread count and n_threads is no config key: any value exits 2
         ("ap-test", {"n_threads": 0}, "n_threads"),
         ("weak-error", {"n_threads": -3}, "n_threads"),
         ("invariant-test", {"eps": float("nan")}, "eps"),
@@ -525,7 +560,7 @@ class TestFailureModes:
         ("weak-error", {"n_samples": 10**399}, "n_samples"),
         ("ap-test", {"n_samples": 10**399}, "n_samples"),
         ("weak-error", {"refinement": 10**399}, "refinement"),
-        ("weak-error", {"n_threads": 10**399}, "n_threads"),
+        ("weak-error", {"n_threads": 10**399}, "n_threads"),  # no config key, as above
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
@@ -577,7 +612,7 @@ class TestFailureModes:
     def test_threads_flag_below_one_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run_cli(["weak-error", "--threads", "-3", "--output-dir", str(out)]) == 2
-        assert "'n_threads'" in capsys.readouterr().err
+        assert "'--threads'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_root_must_be_an_object(self, tmp_path, capsys):
@@ -588,10 +623,15 @@ class TestFailureModes:
         assert err == "error: config root must be a JSON object\n"
         assert not out.exists()
 
-    def test_non_string_output_dir(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "c.json", {"output_dir": 5})
-        assert run_cli(["simulate", "--config", cfg]) == 2
-        assert "'output_dir'" in capsys.readouterr().err
+    def test_non_string_output_dir(self, tmp_path, capsys, monkeypatch):
+        # --output-dir sets the output directory and output_dir is no config key:
+        # a string exits 2 as a number does, and nothing lands in the working directory
+        monkeypatch.chdir(tmp_path)
+        for value in (5, "o"):
+            cfg = write_config(tmp_path, "c.json", {"output_dir": value})
+            assert run_cli(["simulate", "--config", cfg]) == 2
+            assert "'output_dir'" in capsys.readouterr().err
+            assert os.listdir(tmp_path) == ["c.json"]
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, below):
@@ -630,7 +670,7 @@ class TestStrictJson:
         gaps = [row[1] for row in parse_output(out / "ap_gaps.csv")]
         assert gaps == [0.0] * len(gaps)
         assert strict_json((out / "summary.json").read_text())["first_to_last_gap_ratio"] is None
-        assert strict_json(capsys.readouterr().out)["gap_ratio"] is None
+        assert strict_json(capsys.readouterr().out)["first_to_last_gap_ratio"] is None
 
 
 def nested(dotted, value):
@@ -673,8 +713,7 @@ def shared_config(x0, y0, h):
         "collocation_points": 12, "scheme": "COUPLED_EXPO", "T": 0.5, "N": 8, "eps": 0.5,
         "x0": x0, "y0": y0, "phi": {"kind": "LINEAR", "h": h},
         "dt_list": [0.125, 0.0625, 0.03125], "eps_list": [1.0, 0.1], "tau_list": [1.0],
-        "n_samples": 0, "refinement": 4, "master_seed": 3,
-        "n_threads": 1, "sample_index": 2, "output_dir": "unused",
+        "n_samples": 0, "refinement": 4, "master_seed": 3, "sample_index": 2,
     }
 
 
@@ -719,8 +758,10 @@ class TestSchema:
         ({"phi": {"kind": "LINEAR", "hh": [1.0]}}, "phi.hh"),
         ({"x0": {"preset": "mode", "kk": 2}}, "x0.kk"),
         ({"phi": {"h": {"amplitude": 2.0, "pp": 1.0}}}, "phi.h.pp"),
+        ({"n_threads": 2}, "n_threads"),
+        ({"output_dir": "o"}, "output_dir"),
     ], ids=["top_level", "spectrum", "dotted_literal", "params", "phi", "field_preset",
-            "phi_field_preset"])
+            "phi_field_preset", "n_threads", "output_dir"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, command, cfg, key):
         out = tmp_path / "o"
         path = write_config(tmp_path, "c.json", cfg)

@@ -138,6 +138,19 @@ class TestEvalF:
         with pytest.raises(ValueError):
             eval_F(PointwiseSquare(1.0), GT, np.ones(8), np.ones(8))
 
+    @pytest.mark.parametrize("n", [3, 512, 519, 1541])
+    def test_broadcast_x_matches_repeated_rows(self, n):
+        # one x against n rows of y: below, at and above one block (512 rows
+        # at J = 8) and beyond three blocks
+        gt = GridTransform(8)
+        assert gt.rows_per_block == 512
+        nl = PointwiseGeneral(f=lambda u, v: np.tanh(u) * v + v * v)
+        x = rng.standard_normal(8)
+        y = rng.standard_normal((n, 8))
+        expected = eval_F(nl, gt, np.tile(x, (n, 1)), y)
+        for shape in [(8,), (1, 8)]:
+            assert np.array_equal(eval_F(nl, gt, x.reshape(shape), y), expected)
+
     def test_pointwise_needs_grid(self):
         with pytest.raises(ValueError):
             eval_F(PointwiseSquare(1.0), None, np.ones(16), np.ones(16))
