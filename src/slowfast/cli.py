@@ -20,6 +20,7 @@ failing run leaves no partial outputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -190,7 +191,6 @@ SCHEMA = (
      ("ap-test", "uniform-sweep")),
     ("tau_list", _positive(_numbers), (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
     ("n_samples", _sample_count, 0, ("weak-error", "ap-test")),
-    ("refinement", _at_least(1), 64, ("weak-error",)),
     ("master_seed", _uint64, 0, ("simulate", "weak-error", "ap-test")),
     ("sample_index", _uint64, 0, ("simulate",)),
 )
@@ -317,16 +317,17 @@ def _setup(v: dict):
 
 
 def _write_outputs(output_dir: str, files: dict):
-    """Write all output files, or none: stage in a temp dir, then move."""
+    """Write all output files, or none: stage in a temp dir, check every target, then move."""
     os.makedirs(output_dir, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=output_dir) as staging:
-        staged = []
         for name, content in files.items():
-            p = os.path.join(staging, name)
-            with open(p, "w", newline="") as f:
+            with open(os.path.join(staging, name), "w", newline="") as f:
                 f.write(content)
-            staged.append(name)
-        for name in staged:
+        for name in files:  # a file cannot replace a directory
+            target = os.path.join(output_dir, name)
+            if os.path.isdir(target) and not os.path.islink(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        for name in files:
             os.replace(os.path.join(staging, name), os.path.join(output_dir, name))
 
 
@@ -366,8 +367,7 @@ def _cmd_simulate(v: dict):
 def _cmd_weak_error(v: dict):
     spec, nl, gt, config, phi = _setup(v)
     points = weak_error_curve(config, v["dt_list"], phi, spec, nl, gt, n_samples=v["n_samples"],
-                              master_seed=v["master_seed"], refinement=v["refinement"],
-                              n_threads=v["n_threads"])
+                              master_seed=v["master_seed"], n_threads=v["n_threads"])
     fit = fit_rate(points)
     _warn_if_poor_fit(fit)
     files = {"curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),

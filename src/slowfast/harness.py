@@ -12,10 +12,14 @@ ladder: the continuous law for the linear-in-y coupling, and phi of the
 averaged solution at T for the schemes without a fast state (LIMITING,
 AVERAGED).  Only Monte Carlo with a pointwise coupling in a coupled scheme,
 which has no exact truth, samples one: the exact-transition scheme at the
-finest step refined `refinement` times, with that reference's bias
+finest step refined `REFERENCE_REFINEMENT` times, with that reference's bias
 estimated by refinement halving.  The uniform sweep measures the coupled
 modified scheme in every cell against the exact-transition scheme refined
-`SWEEP_REFINEMENT` times; no sweep reads a config field that it sets itself.
+`SWEEP_REFINEMENT` times, and the averaging curve stands in for the
+continuous law with the exact-transition scheme at `AVERAGING_STEPS` steps.
+These resolutions belong to the measurement, not to the experiment, so they
+are constants here rather than config fields, and no sweep reads a config
+field that it sets itself.
 """
 
 from __future__ import annotations
@@ -64,8 +68,17 @@ __all__ = [
 MC_SPAN = 2048
 
 # the uniform sweep's reference: the exact-transition scheme on each cell's
-# grid refined this many times
+# grid refined this many times; the moment oracle's cost grows with log2 of it
 SWEEP_REFINEMENT = 512
+
+# a sampled weak-error reference: the exact-transition scheme at the finest dt
+# refined this many times (and half as many for its bias); every sample pays
+# for its steps, so it is refined less than the sweep's noise-free reference
+REFERENCE_REFINEMENT = 64
+
+# the averaging curve's stand-in for the continuous law: the exact-transition
+# scheme over [0, T] in this many steps, one matrix power for the whole eps ladder
+AVERAGING_STEPS = 2**12
 
 
 class FunctionalKind(Enum):
@@ -342,31 +355,27 @@ def weak_error_curve(
     gt: Optional[GridTransform] = None,
     n_samples: int = 0,
     master_seed: int = 0,
-    refinement: int = 64,
     n_threads: int = 1,
 ):
     """|E phi(scheme at dt) - truth| for each dt on a decreasing ladder.
 
-    dt_list must be strictly decreasing with T/dt an integer, and refinement
-    even, whether or not a reference is sampled.  The scheme's side is the
-    moment oracle when n_samples = 0 (its ladder computed first, so a coupling
-    it cannot take fails before any truth is) and a Monte Carlo estimate
-    otherwise (each point sampled after the truth).  One truth serves every
-    point (`_gap`).  Where an exact one exists, the stderr is the plain one (0
-    for the oracle) and oracle_bias is 0: for LIMITING and AVERAGED, which
-    have no fast state and approximate the averaged equation, phi of its
+    dt_list must be strictly decreasing with T/dt an integer.  The scheme's
+    side is the moment oracle when n_samples = 0 (its ladder computed first,
+    so a coupling it cannot take fails before any truth is) and a Monte Carlo
+    estimate otherwise (each point sampled after the truth).  One truth serves
+    every point (`_gap`).  Where an exact one exists, the stderr is the plain
+    one (0 for the oracle) and oracle_bias is 0: for LIMITING and AVERAGED,
+    which have no fast state and approximate the averaged equation, phi of its
     solution at T, and else the continuous law at config.eps for the
     linear-in-y coupling.
 
     Monte Carlo with a pointwise coupling in a coupled scheme has no exact
     truth: it samples, from the same seed, the exact-transition scheme at the
-    finest dt refined `refinement` (R) times, and each stderr is that of the
-    per-sample differences.  Every oracle_bias is the one refinement-halving
-    estimate of that reference's bias, |ref(R) - ref(R/2)|, which for a
-    first-order reference is about bias(R).
+    finest dt refined `REFERENCE_REFINEMENT` (R) times, and each stderr is
+    that of the per-sample differences.  Every oracle_bias is the one
+    refinement-halving estimate of that reference's bias, |ref(R) - ref(R/2)|,
+    which for a first-order reference is about bias(R).
     """
-    if refinement < 2 or refinement % 2:
-        raise ValueError(f"argument 'refinement' = {refinement!r} must be an even integer >= 2")
     ladder = _ladder(config, dt_list)
     estimates = _phi_values([cfg for _, cfg in ladder], phi, spec, nl, gt, n_samples,
                             master_seed, n_threads)
@@ -377,7 +386,7 @@ def weak_error_curve(
     elif isinstance(nl, LinearInY):
         truth = continuous_weak_value(config, phi, spec, nl)
     else:
-        ref_cfg = _reference_config(ladder[-1][1], refinement)
+        ref_cfg = _reference_config(ladder[-1][1], REFERENCE_REFINEMENT)
         truth, half = _phi_values([ref_cfg, replace(ref_cfg, N=ref_cfg.N // 2)], phi, spec, nl,
                                   gt, n_samples, master_seed, n_threads)
         bias = abs(float(np.mean(half)) - float(np.mean(truth)))
@@ -477,15 +486,16 @@ def averaging_curve(
 ):
     """|E phi(X^eps(T)) - phi(averaged solution at T)| over an eps ladder.
 
-    E phi(X^eps(T)) is approximated by the exact-transition scheme at the
-    (fine) resolution carried by config.N, evaluated through the moment
-    recursions (one matrix power for the whole ladder, which shares N), so
-    the curve is noise-free.  Returns (eps, gap) rows.
+    E phi(X^eps(T)) is approximated by the exact-transition scheme in
+    `AVERAGING_STEPS` steps, evaluated through the moment recursions (one
+    matrix power for the whole ladder), so the curve is noise-free.
+    config's scheme, N and eps are not read.  Returns (eps, gap) rows.
     """
     _require_linear_in_y(nl, "the averaging curve")
     xbar = solve_averaged_reference(spec, nl, config.x0, config.T)
     target = float(evaluate_functional(phi, xbar))
-    values = oracle_weak_values([replace(config, eps=eps, scheme=SchemeKind.COUPLED_EXPO)
+    values = oracle_weak_values([replace(config, N=AVERAGING_STEPS, eps=eps,
+                                         scheme=SchemeKind.COUPLED_EXPO)
                                  for eps in eps_list], phi, spec, nl)
     return [(float(eps), abs(value - target)) for eps, value in zip(eps_list, values)]
 
@@ -524,8 +534,8 @@ def invariant_measure_check(spec: SpectrumSpec, tau_list: Sequence[float]) -> In
     """
     lam = spec.lambdas
     taus = [float(t) for t in tau_list]
-    if any(t <= 0 for t in taus):
-        raise ValueError("tau values must be positive")
+    if not all(0 < t < np.inf for t in taus):  # NaN fails
+        raise ValueError(f"argument 'tau_list' = {taus!r}: tau values must be positive and finite")
     if not math.isfinite(max(taus) * float(np.max(lam))):
         raise ValueError(f"tau*lam = {max(taus)!r} * {float(np.max(lam))!r} is not finite")
     res_mod = np.empty((len(taus), spec.J))

@@ -75,12 +75,14 @@ class RunConfig:
     y0: np.ndarray
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        # each check is written so that NaN fails it
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"argument 'T' = {self.T!r} must be positive and finite")
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        if self.scheme.coupled and self.eps <= 0:
-            raise ValueError("eps must be positive for coupled schemes")
+        if self.scheme.coupled and not 0 < self.eps < np.inf:
+            raise ValueError(f"argument 'eps' = {self.eps!r} must be positive and finite "
+                             "for coupled schemes")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
 
@@ -111,10 +113,11 @@ class Transition:
 
     def __init__(self, scheme: SchemeKind, lam, dt: float, eps: float):
         lam = np.asarray(lam, dtype=float)
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if scheme.coupled and eps <= 0:
-            raise ValueError("eps must be positive for coupled schemes")
+        if not 0 < dt < np.inf:
+            raise ValueError(f"argument 'dt' = {dt!r} must be positive and finite")
+        if scheme.coupled and not 0 < eps < np.inf:
+            raise ValueError(f"argument 'eps' = {eps!r} must be positive and finite "
+                             "for coupled schemes")
         self.scheme = scheme
         self.dt = dt
         self.one_plus = 1.0 + dt * lam
@@ -237,8 +240,8 @@ def solve_averaged_reference(
     1e-12, with the constants of Fbar computed once.
     """
     x0 = check_field(spec, x0)
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not 0 <= T < np.inf:
+        raise ValueError(f"argument 'T' = {T!r} must be nonnegative and finite")
     fbar = averaged_force(nl, gt, spec)
     if isinstance(nl, (LinearInY, PointwiseSquare)):
         with np.errstate(under="ignore"):

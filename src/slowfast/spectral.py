@@ -100,8 +100,8 @@ def log_ratio_constant(alpha) -> np.ndarray:
     from scipy.optimize.elementwise import bracket_minimum, find_minimum
 
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
+    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):  # NaN fails
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     exact = alpha < 1e-12
     a = np.where(exact, 0.5, alpha)  # a stand-in where the maximizer runs off to infinity
     bracket = bracket_minimum(_neg_log_ratio, 0.0, xmin=np.log(1e-12), xmax=np.log(1e19),
@@ -133,8 +133,8 @@ def eigenvalue_error_bounds(spec: SpectrumSpec, tau: float, alpha: float) -> Eig
     exceeds its bound (with a 1e-9 relative slack on the numerically
     maximized constant).
     """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:  # NaN fails
+        raise ValueError(f"argument 'tau' = {tau!r} must be positive and finite")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     lam = spec.lambdas

@@ -235,27 +235,39 @@ class TestWeakError:
         assert np.all(np.isfinite(errors))
         assert np.isfinite(json.loads((out / "summary.json").read_text())["slope"])
 
-    @pytest.mark.parametrize("variant", ["LINEAR_IN_Y", "SATURATING_SQUARE"])
-    def test_byte_identical_reruns_and_threads(self, tmp_path, variant):
-        # 4500 samples run in three spans of MC_SPAN, so 8 threads split them;
-        # the saturating square also samples the refined reference
+    @pytest.mark.parametrize("variant, J, scheme", [
+        ("LINEAR_IN_Y", 8, "COUPLED_MODIFIED"),
+        ("SATURATING_SQUARE", 8, "COUPLED_MODIFIED"),
+        ("LINEAR_IN_Y", 6, "COUPLED_MODIFIED"),
+        ("LINEAR_IN_Y", 64, "COUPLED_MODIFIED"),
+        ("SATURATING_SQUARE", 8, "LIMITING"),
+    ], ids=["LINEAR_IN_Y", "SATURATING_SQUARE", "LINEAR_IN_Y_J6", "LINEAR_IN_Y_J64",
+            "SATURATING_SQUARE_LIMITING"])
+    def test_byte_identical_reruns_and_threads(self, tmp_path, capsys, variant, J, scheme):
+        # 4500 samples run in three spans of MC_SPAN, so 8 threads split them.
+        # The linear-in-y curves are measured against the continuous law, at
+        # J = 6 with padded Philox words and at J = 64 with 1 MB states stepped
+        # in place; the coupled saturating square samples the refined
+        # reference, and the limiting one is measured against the averaged
+        # equation solved by LSODA
         cfg = write_config(tmp_path, "c.json", {
-            "spectrum": {"kind": "dirichlet", "J": 8},
+            "spectrum": {"kind": "dirichlet", "J": J},
             "nonlinearity": {"variant": variant, "params": {"c": 1.0}},
-            "T": 0.25, "N": 4, "eps": 0.5,
+            "scheme": scheme, "T": 0.25, "N": 4, "eps": 0.5,
             "x0": {"preset": "ones"}, "y0": {"preset": "ones"},
             "phi": {"kind": "BOUNDED_EXP"},
-            "n_samples": 4500, "refinement": 16, "master_seed": 42,
+            "n_samples": 4500, "master_seed": 42,
             "dt_list": [2**-2, 2**-3, 2**-4],
         })
-        outs = []
+        runs = []
         for i, threads in enumerate(("1", "8", "1")):
             out = tmp_path / f"o{i}"
             rc = run_cli(["weak-error", "--config", cfg, "--output-dir", str(out),
                           "--threads", threads])
             assert rc == 0
-            outs.append(read(out / "curve.csv"))
-        assert outs[0] == outs[1] == outs[2]
+            runs.append((capsys.readouterr().out, output_files(out)))
+        assert sorted(runs[0][1]) == ["curve.csv", "summary.json"]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_poor_fit_warns_on_stderr(self, tmp_path, capsys):
         # eps = 2 from ones: the signed errors are not monotone in dt, so the
@@ -425,15 +437,6 @@ class TestApAndSweep:
         summary = json.loads((out / "summary.json").read_text())
         assert "slope" in summary and summary["refinement"] == 512
 
-    def test_sweep_ignores_weak_error_refinement(self, tmp_path):
-        # refinement is weak-error's key: a shared config must not weaken the sweep
-        cfg = write_config(tmp_path, "c.json", {"refinement": 16})
-        assert run_cli(["uniform-sweep", "--config", cfg, "--output-dir",
-                        str(tmp_path / "shared")]) == 0
-        assert run_cli(["uniform-sweep", "--output-dir", str(tmp_path / "default")]) == 0
-        for name in ("sweep.csv", "max_curve.csv"):
-            assert read(tmp_path / "shared" / name) == read(tmp_path / "default" / name)
-
 
 class TestFailureModes:
     def test_malformed_json_leaves_no_outputs(self, tmp_path):
@@ -491,7 +494,6 @@ class TestFailureModes:
         ("simulate", {"spectrum": {"J": 4.5}}, "spectrum.J"),
         ("weak-error", {"n_samples": 1000.5}, "n_samples"),
         ("simulate", {"sample_index": True}, "sample_index"),
-        ("weak-error", {"refinement": "64"}, "refinement"),
         ("weak-error", {"drop_coarsest": "false"}, "drop_coarsest"),
         ("weak-error", {"drop_coarsest": 0}, "drop_coarsest"),
         ("weak-error", {"drop_coarsest": True}, "drop_coarsest"),
@@ -506,7 +508,6 @@ class TestFailureModes:
         ("invariant-test", {"tau_list": [True]}, "tau_list"),
         ("simulate", {"eps": 1e-320, "N": 4}, "eps"),
         ("weak-error", {"eps": 1e-320, "N": 4}, "eps"),
-        ("weak-error", {"refinement": 0}, "refinement"),
         ("simulate", {"sample_index": -1}, "sample_index"),
         ("simulate", {"sample_index": 2**64}, "sample_index"),
         ("weak-error", {"n_samples": 1}, "n_samples"),
@@ -546,7 +547,6 @@ class TestFailureModes:
         ("weak-error", {"dt_list": [0.3]}, "dt_list"),
         ("weak-error", {"dt_list": [0.3, 0.2, 0.1]}, "dt_list"),
         ("uniform-sweep", {"dt_list": [0.25, 0.125]}, "dt_list"),
-        ("weak-error", {"refinement": 3}, "refinement"),
         ("uniform-sweep", {"nonlinearity": {"variant": "POINTWISE_SQUARE"}},
          "nonlinearity.variant"),
         ("weak-error", {"n_samples": 0, "scheme": "LIMITING",
@@ -559,19 +559,18 @@ class TestFailureModes:
         ("simulate", {"spectrum": {"J": 10**399}}, "spectrum.J"),
         ("weak-error", {"n_samples": 10**399}, "n_samples"),
         ("ap-test", {"n_samples": 10**399}, "n_samples"),
-        ("weak-error", {"refinement": 10**399}, "refinement"),
         ("weak-error", {"n_threads": 10**399}, "n_threads"),  # no config key, as above
     ], ids=["explicit_spectrum_without_lambdas", "null_step_count", "null_T", "null_eps",
             "null_master_seed", "null_n_samples", "null_J", "null_mode_index", "null_coefficient",
             "scalar_dt_list", "null_in_tau_list", "scalar_spectrum", "string_phi",
             "empty_eps_list", "fractional_master_seed", "fractional_J", "fractional_n_samples",
-            "boolean_sample_index", "string_refinement", "removed_drop_coarsest_string",
+            "boolean_sample_index", "removed_drop_coarsest_string",
             "removed_drop_coarsest_numeric", "removed_drop_coarsest", "removed_oracle",
             "negative_master_seed",
             "master_seed_past_64_bits", "nan_T", "nan_coefficient", "infinite_eps", "boolean_T",
             "string_eps", "boolean_in_tau_list", "subnormal_eps_simulate",
             "subnormal_eps_weak_error",
-            "zero_refinement", "negative_sample_index", "sample_index_past_64_bits", "one_sample",
+            "negative_sample_index", "sample_index_past_64_bits", "one_sample",
             "negative_n_samples", "mode_index_past_J", "short_field_list", "null_field",
             "unknown_spectrum_kind", "unknown_variant", "scalar_params", "zero_threads",
             "negative_threads", "nan_in_ignored_key", "infinity_in_ignored_list",
@@ -581,11 +580,11 @@ class TestFailureModes:
             "zero_eps_limiting", "zero_in_eps_list", "subnormal_in_eps_list_ap_test",
             "subnormal_in_eps_list_sweep", "infinite_lam_over_eps_in_sweep", "negative_in_tau_list",
             "negative_in_dt_list", "unordered_dt_list", "one_entry_dt_list",
-            "non_dividing_dt_list", "two_point_sweep", "odd_refinement", "pointwise_sweep",
+            "non_dividing_dt_list", "two_point_sweep", "pointwise_sweep",
             "pointwise_moment_oracle_curve", "pointwise_moment_oracle_ap_test",
             "400_digit_N_simulate", "400_digit_N_ap_test", "N_at_2_63", "400_digit_J",
             "400_digit_n_samples_weak_error", "400_digit_n_samples_ap_test",
-            "400_digit_refinement", "400_digit_threads"])
+            "400_digit_threads"])
     def test_config_error_exits_2_without_traceback(self, tmp_path, capsys, command, bad, key):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", bad)
@@ -643,6 +642,17 @@ class TestFailureModes:
         assert err.startswith(f"error: cannot write outputs to {str(out)!r}")
         assert "Traceback" not in err
         assert blocker.read_text() == "a regular file\n"
+
+    def test_unreplaceable_target_leaves_no_outputs(self, tmp_path, capsys):
+        # a file cannot replace a directory named summary.json: the run exits 2
+        # before it moves residuals.csv in
+        out = tmp_path / "o"
+        (out / "summary.json").mkdir(parents=True)
+        assert run_cli(["invariant-test", "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to {str(out)!r}")
+        assert os.listdir(out) == ["summary.json"]
+        assert os.listdir(out / "summary.json") == []
 
     def test_non_finite_summary_exits_2(self, tmp_path):
         # eps is weak-error's key, so invariant-test ignores it, but its
@@ -713,7 +723,7 @@ def shared_config(x0, y0, h):
         "collocation_points": 12, "scheme": "COUPLED_EXPO", "T": 0.5, "N": 8, "eps": 0.5,
         "x0": x0, "y0": y0, "phi": {"kind": "LINEAR", "h": h},
         "dt_list": [0.125, 0.0625, 0.03125], "eps_list": [1.0, 0.1], "tau_list": [1.0],
-        "n_samples": 0, "refinement": 4, "master_seed": 3, "sample_index": 2,
+        "n_samples": 0, "master_seed": 3, "sample_index": 2,
     }
 
 
@@ -760,8 +770,10 @@ class TestSchema:
         ({"phi": {"h": {"amplitude": 2.0, "pp": 1.0}}}, "phi.h.pp"),
         ({"n_threads": 2}, "n_threads"),
         ({"output_dir": "o"}, "output_dir"),
+        # the sampled reference's refinement is harness.REFERENCE_REFINEMENT
+        ({"refinement": 16}, "refinement"),
     ], ids=["top_level", "spectrum", "dotted_literal", "params", "phi", "field_preset",
-            "phi_field_preset", "n_threads", "output_dir"])
+            "phi_field_preset", "n_threads", "output_dir", "refinement"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, command, cfg, key):
         out = tmp_path / "o"
         path = write_config(tmp_path, "c.json", cfg)

@@ -40,7 +40,9 @@ from slowfast import (
     weak_error_curve,
 )
 from slowfast import harness
-from slowfast.harness import SWEEP_REFINEMENT, WeakErrorPoint, _gap, _phi_samples, _replay
+from slowfast.harness import (
+    AVERAGING_STEPS, SWEEP_REFINEMENT, WeakErrorPoint, _gap, _phi_samples, _replay,
+)
 
 rng = np.random.default_rng(5150)
 
@@ -235,10 +237,8 @@ class TestWeakErrorCurve:
         cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.COUPLED_MODIFIED,
                         x0=np.ones(4), y0=np.ones(4))
         dts = [2.0**-3, 2.0**-4]
-        a = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=2000, master_seed=0,
-                             refinement=16)
-        b = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=4000, master_seed=0,
-                             refinement=16)
+        a = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=2000, master_seed=0)
+        b = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=4000, master_seed=0)
         for pa, pb in zip(a, b):
             assert abs(pa.error - pb.error) < 3 * (pa.stderr + pb.stderr)
             assert pa.oracle_bias > 0.0  # the refinement-halving estimate
@@ -251,8 +251,7 @@ class TestWeakErrorCurve:
         cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=scheme, x0=np.ones(4), y0=np.ones(4))
         dts = [2.0**-2, 2.0**-3, 2.0**-4]
         truth = continuous_weak_value(cfg, PHI_EXP, spec, nl)
-        mc = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, n_samples=2000, master_seed=0,
-                              refinement=16)
+        mc = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, n_samples=2000, master_seed=0)
         exact = weak_error_curve(cfg, dts, PHI_EXP, spec, nl)
         for p, q in zip(mc, exact):
             est = mc_estimate(replace(cfg, N=round(cfg.T / p.dt)), PHI_EXP, 2000, 0, spec, nl)
@@ -274,17 +273,18 @@ class TestWeakErrorCurve:
         assert point.error == abs(est.mean - truth)
         assert point.stderr == est.stderr and point.oracle_bias == 0.0
 
-    def test_refined_reference_stderr_is_paired(self):
+    def test_refined_reference_stderr_is_paired(self, monkeypatch):
         # whatever the coupled scheme, the measured leg and the COUPLED_EXPO
         # reference draw the same field at steps 0..N-1 from one seed, so their
         # phi values correlate and the stderr of the per-sample differences is
         # below the independent-legs hypot; the error and the bias are
         # differences of plain MC means
+        monkeypatch.setattr(harness, "REFERENCE_REFINEMENT", 4)
         spec, gt, nl = dirichlet_spectrum(4), GridTransform(4), PointwiseSquare(c=1.0)
         for scheme in (SchemeKind.COUPLED_EXPO, SchemeKind.COUPLED_MODIFIED):
             cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=scheme, x0=np.ones(4), y0=np.ones(4))
             (point,) = weak_error_curve(cfg, [0.0625], PHI_EXP, spec, nl, gt, n_samples=4000,
-                                        master_seed=0, refinement=4)
+                                        master_seed=0)
             est = mc_estimate(cfg, PHI_EXP, 4000, 0, spec, nl, gt)
             ref_cfg = replace(cfg, scheme=SchemeKind.COUPLED_EXPO)
             ref = mc_estimate(replace(ref_cfg, N=16), PHI_EXP, 4000, 0, spec, nl, gt)
@@ -309,8 +309,9 @@ class TestWeakErrorCurve:
             return _phi_samples(config, *args, **kwargs)
 
         monkeypatch.setattr(harness, "_phi_samples", counting)
+        monkeypatch.setattr(harness, "REFERENCE_REFINEMENT", R)
         points = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=n,
-                                  master_seed=seed, refinement=R)
+                                  master_seed=seed)
         monkeypatch.undo()
         assert len(sampled) == len(dts) + 2
 
@@ -324,16 +325,6 @@ class TestWeakErrorCurve:
             est = samples(SchemeKind.COUPLED_MODIFIED, round(cfg.T / p.dt))
             assert (p.error, p.stderr) == _gap(est, ref)
             assert p.oracle_bias == abs(np.mean(half) - np.mean(ref))
-
-    @pytest.mark.parametrize("refinement", [0, 1, 3])
-    @pytest.mark.parametrize("n_samples", [0, 100])
-    def test_odd_refinement_raises_before_any_work(self, monkeypatch, refinement, n_samples):
-        # the refinement-halving bias needs an even R, checked whether or not
-        # the curve samples a reference (here it does not: linear-in-y)
-        monkeypatch.setattr(harness, "_phi_values", None)
-        with pytest.raises(ValueError, match=r"^argument 'refinement' = "):
-            weak_error_curve(coupled_config(), [0.125, 0.0625], PHI_NORM, SPEC, NL,
-                             n_samples=n_samples, refinement=refinement)
 
     def test_moment_oracle_gate_fires_before_the_averaged_solve(self, monkeypatch):
         # n_samples = 0 with a pointwise coupling: the ladder's moment oracle
@@ -488,6 +479,12 @@ class TestInvariantCheck:
         with pytest.raises(ValueError):
             invariant_measure_check(SPEC, [1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_tau_by_name(self, bad):
+        # NaN passes `tau <= 0` and used to fail in Transition under the name 'eps'
+        with pytest.raises(ValueError, match="^argument 'tau_list' = .* positive and finite"):
+            invariant_measure_check(SPEC, [1.0, bad])
+
 
 class TestUniformSweep:
     def test_small_sweep_shape_and_determinism(self):
@@ -550,8 +547,8 @@ class TestOracleWeakValues:
         target = float(evaluate_functional(PHI_EXP, solve_averaged_reference(SPEC, NL, cfg.x0,
                                                                              cfg.T)))
         for eps, gap in averaging_curve(epss, cfg, PHI_EXP, SPEC, NL):
-            exact = oracle_weak_value(replace(cfg, eps=eps, scheme=SchemeKind.COUPLED_EXPO),
-                                      PHI_EXP, SPEC, NL)
+            exact = oracle_weak_value(replace(cfg, N=AVERAGING_STEPS, eps=eps,
+                                              scheme=SchemeKind.COUPLED_EXPO), PHI_EXP, SPEC, NL)
             assert gap == abs(exact - target)
 
         lim = oracle_weak_value(replace(cfg, eps=1.0, scheme=SchemeKind.LIMITING), PHI_EXP,
@@ -602,7 +599,7 @@ SWEEPS = {
                       ("N", "eps", "scheme")),
     "ap_diagram": (lambda cfg, *args: ap_diagram(cfg, SWEEP_EPS, *args), ("eps", "scheme")),
     "averaging_curve": (lambda cfg, *args: averaging_curve(SWEEP_EPS, cfg, *args),
-                        ("eps", "scheme")),
+                        ("N", "eps", "scheme")),
     "continuous_weak_value": (continuous_weak_value, ("N", "scheme")),
     "weak_error_curve": (lambda cfg, *args: weak_error_curve(cfg, sweep_dts(cfg), *args), ("N",)),
 }

@@ -126,6 +126,15 @@ class TestCoupledModifiedStep:
         with pytest.raises(ValueError):
             Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 0.1, 0.0)
 
+    @pytest.mark.parametrize("scheme", [SchemeKind.COUPLED_MODIFIED, SchemeKind.COUPLED_EXPO])
+    @pytest.mark.parametrize("name, dt, eps", [
+        ("dt", np.nan, 1.0), ("dt", np.inf, 1.0), ("eps", 0.1, np.nan), ("eps", 0.1, np.inf),
+    ])
+    def test_rejects_non_finite_arguments_by_name(self, scheme, name, dt, eps):
+        # NaN passes a `<= 0` check; each check must fail it and name its argument
+        with pytest.raises(ValueError, match=f"^argument '{name}' = .* must be positive and finite"):
+            Transition(scheme, SPEC.lambdas, dt, eps)
+
 
 class TestCoupledExpoStep:
     def test_decay_and_noise_scale(self):
@@ -291,6 +300,14 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             RunConfig(T=1.0, N=4, eps=0.0, scheme=SchemeKind.COUPLED_EXPO, x0=np.ones(8), y0=np.ones(8))
 
+    @pytest.mark.parametrize("name, T, eps", [
+        ("T", np.nan, 1.0), ("T", np.inf, 1.0), ("eps", 1.0, np.nan), ("eps", 1.0, np.inf),
+    ])
+    def test_validation_rejects_non_finite_by_name(self, name, T, eps):
+        with pytest.raises(ValueError, match=f"^argument '{name}' = .* must be positive and finite"):
+            RunConfig(T=T, N=4, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED, x0=np.ones(8),
+                      y0=np.ones(8))
+
 
 # Couplings evaluated without collocation, which keep the contract for any
 # partition.
@@ -431,6 +448,11 @@ class TestAveragedReference:
         out = solve_averaged_reference(SPEC, nl, x0, T, gt)
         decay = np.exp(-T * SPEC.lambdas)
         assert np.allclose(out, decay * x0 + (1 - decay) * g / SPEC.lambdas, rtol=1e-13)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_horizon_by_name(self, T):
+        with pytest.raises(ValueError, match="^argument 'T' = .* must be nonnegative and finite"):
+            solve_averaged_reference(SPEC, LinearInY(1.0), np.ones(8), T)
 
     def test_general_solver_matches_variation_of_constants(self):
         # f(u, v) = v^2/(1 + v^2) does not depend on u, so Fbar is the constant

@@ -63,7 +63,9 @@ class TestContinuousMean:
         base = continuous_mean(lam, 1.0, 1e-12, 1.0, 1.0, 5.0)[0]
         assert base == pytest.approx(np.exp(-2.0), rel=1e-10)
 
-    @pytest.mark.parametrize("eps, T", [(0.0, 1.0), (-0.5, 1.0), (0.5, -1.0)])
+    # NaN passes `eps <= 0` and `T < 0`; eps and T must also be finite
+    @pytest.mark.parametrize("eps, T", [(0.0, 1.0), (-0.5, 1.0), (0.5, -1.0), (np.nan, 1.0),
+                                        (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)])
     def test_rejects_nonpositive_eps_or_negative_T(self, eps, T):
         with pytest.raises(ValueError, match="need eps > 0 and T >= 0"):
             continuous_mean(np.array([2.0]), 1.0, eps, T, 1.0, 1.0)
@@ -216,7 +218,9 @@ class TestSecondMomentRecursion:
 
 
 class TestContinuousSecondMoment:
-    @pytest.mark.parametrize("eps, T", [(0.0, 1.0), (-0.5, 1.0), (0.5, -1.0)])
+    # NaN passes `eps <= 0` and `T < 0`; eps and T must also be finite
+    @pytest.mark.parametrize("eps, T", [(0.0, 1.0), (-0.5, 1.0), (0.5, -1.0), (np.nan, 1.0),
+                                        (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)])
     def test_rejects_nonpositive_eps_or_negative_T(self, eps, T):
         with pytest.raises(ValueError, match="need eps > 0 and T >= 0"):
             continuous_second_moment(np.array([2.0]), 1.0, eps, T, ModeMoments())

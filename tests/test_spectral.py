@@ -235,7 +235,7 @@ class TestEigenvalueBounds:
             assert np.max(z ** (-alpha) * defect) <= c * (1 + 1e-9)
             assert np.max(z_small ** (-alpha) * defect_small) <= c * (1 + 1e-9)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.1, [0.5, 2.0]])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, [0.5, 2.0], np.nan, [0.5, np.nan]])
     def test_constant_rejects_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
             log_ratio_constant(alpha)
@@ -260,6 +260,12 @@ class TestEigenvalueBounds:
             eigenvalue_error_bounds(spec, -1.0, 0.5)
         with pytest.raises(ValueError):
             eigenvalue_error_bounds(spec, 1.0, 1.5)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau_by_name(self, tau):
+        # NaN and infinity pass `tau <= 0` and used to fail later as a violated bound
+        with pytest.raises(ValueError, match="^argument 'tau' = .* must be positive and finite"):
+            eigenvalue_error_bounds(dirichlet_spectrum(2), tau, 0.5)
 
     def test_violated_bound_raises(self, monkeypatch):
         # an explicit raise, so the check also runs under python -O
