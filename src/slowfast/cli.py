@@ -37,9 +37,9 @@ from .harness import (
     FunctionalKind,
     FunctionalSpec,
     _config_at_dt,
-    _require_linear_in_y,
     ap_diagram,
     continuous_weak_value,
+    exact_truth,
     fit_rate,
     invariant_measure_check,
     uniform_sweep,
@@ -285,21 +285,21 @@ def _setup(v: dict):
     A run field the subcommand does not read keeps a stand-in that its harness
     call replaces: N = T/dt per dt, eps from eps_list; ap-test and
     uniform-sweep measure the coupled modified scheme.  A noise-free run
-    (uniform-sweep, or n_samples 0) needs the moment oracle's coupling, checked
-    here so that the error names the key before any work.
+    (uniform-sweep, or n_samples 0) needs a `harness.EXACT_TRUTHS` row for its
+    coupling and that scheme, checked here so the error names the key first.
     """
     spec = _spectrum(v)
     nl = {"LINEAR_IN_Y": LinearInY, "POINTWISE_SQUARE": PointwiseSquare,
           "SATURATING_SQUARE": saturating_square}[v["nonlinearity.variant"]](
               c=v["nonlinearity.params.c"])
-    if "phi.kind" in v and v.get("n_samples", 0) == 0:
-        with _naming("nonlinearity.variant"):
-            _require_linear_in_y(nl, "the moment oracle")
+    run = {"N": 1, "eps": 1.0, "scheme": SchemeKind.COUPLED_MODIFIED}
+    run.update((name, v[name]) for name in ("N", "eps", "scheme") if name in v)
+    if "phi.kind" in v and v.get("n_samples", 0) == 0 and exact_truth(nl, run["scheme"])[0] is None:
+        raise ConfigError(f"config key 'nonlinearity.variant': no exact truth covers "
+                          f"{v['nonlinearity.variant']} under {run['scheme'].value}")
     pointwise = isinstance(nl, (PointwiseSquare, PointwiseGeneral))
     with _naming("collocation_points"):
         gt = GridTransform(spec.J, M=v.get("collocation_points")) if pointwise else None
-    run = {"N": 1, "eps": 1.0, "scheme": SchemeKind.COUPLED_MODIFIED}
-    run.update((name, v[name]) for name in ("N", "eps", "scheme") if name in v)
     config = RunConfig(T=v["T"], x0=_field(v, "x0", spec.J), y0=_field(v, "y0", spec.J), **run)
     with _naming("dt_list"):  # the cast checks the ladder itself; whole step counts need T
         for dt in v.get("dt_list", ()):

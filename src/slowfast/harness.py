@@ -3,23 +3,22 @@ asymptotic-preserving and invariant-measure diagnostics.
 
 One switch, n_samples, picks how a scheme's expectation is measured:
 
-* n_samples = 0     the moment oracle (linear-in-y coupling only): exact
-  moment recursions, so curves are noise-free and bit-reproducible.
+* n_samples = 0     exact, from the `EXACT_TRUTHS` row of the coupling and
+  scheme, so curves are noise-free and bit-reproducible.
 * n_samples >= 2    Monte Carlo; works for any catalog nonlinearity.
 
 A weak-error curve has one truth for its whole ladder, computed before the
-ladder: the continuous law for the linear-in-y coupling, and phi of the
-averaged solution at T for the schemes without a fast state (LIMITING,
-AVERAGED).  Only Monte Carlo with a pointwise coupling in a coupled scheme,
-which has no exact truth, samples one: the exact-transition scheme at the
-finest step refined `REFERENCE_REFINEMENT` times, with that reference's bias
-estimated by refinement halving.  The uniform sweep measures the coupled
-modified scheme in every cell against the exact-transition scheme refined
-`SWEEP_REFINEMENT` times, and the averaging curve stands in for the
-continuous law with the exact-transition scheme at `AVERAGING_STEPS` steps.
-These resolutions belong to the measurement, not to the experiment, so they
-are constants here rather than config fields, and no sweep reads a config
-field that it sets itself.
+ladder: phi of the averaged solution at T for the schemes without a fast
+state (LIMITING, AVERAGED), else the continuous law of the scheme's row.
+Only Monte Carlo where the row has no such law samples one: the
+exact-transition scheme at the finest step refined `REFERENCE_REFINEMENT`
+times, with that reference's bias estimated by refinement halving.  The
+uniform sweep measures the coupled modified scheme in every cell against the
+exact-transition scheme refined `SWEEP_REFINEMENT` times, and the averaging
+curve stands in for the continuous law with the exact-transition scheme at
+`AVERAGING_STEPS` steps.  These resolutions belong to the measurement, not to
+the experiment, so they are constants here rather than config fields, and no
+sweep reads a config field that it sets itself.
 """
 
 from __future__ import annotations
@@ -256,13 +255,39 @@ def _first_nonfinite_step(states) -> Optional[int]:
     return None
 
 
-def _require_linear_in_y(nl: Nonlinearity, what: str):
-    if not isinstance(nl, LinearInY):
-        raise ValueError(f"{what} needs the linear-in-y coupling, got {type(nl).__name__}")
+def _moment_values(configs, phi, spec, nl, gt) -> list:
+    """E phi(x_N) of configs that share N: one stacked `second_moment_recursions` power."""
+    start = ModeMoments(mean_x=np.array([check_field(spec, cfg.x0) for cfg in configs]),
+                        mean_y=np.array([check_field(spec, cfg.y0) for cfg in configs]))
+    steps = [Transition(cfg.scheme, spec.lambdas, cfg.dt, cfg.eps) for cfg in configs]
+    mom = second_moment_recursions(steps, nl.c, configs[0].N, start)
+    return [gaussian_expectation(phi, mean, var) for mean, var in zip(mom.mean_x, mom.var_x)]
 
 
-def _start_moments(config: RunConfig, spec: SpectrumSpec) -> ModeMoments:
-    return ModeMoments(mean_x=check_field(spec, config.x0), mean_y=check_field(spec, config.y0))
+def _averaged_values(configs, phi, spec, nl, gt) -> list:
+    """phi of one run's x_N per config: the AVERAGED scheme draws no noise."""
+    return [float(evaluate_functional(phi, run_trajectory_batch(cfg, spec, nl, gt, 0, 0, 1))[0])
+            for cfg in configs]
+
+
+def _continuous_law(config, phi, spec, nl) -> float:
+    start = ModeMoments(mean_x=check_field(spec, config.x0), mean_y=check_field(spec, config.y0))
+    mom = continuous_second_moment(spec.lambdas, nl.c, config.eps, config.T, start)
+    return gaussian_expectation(phi, mom.mean_x, mom.var_x)
+
+
+# Exact truths, first matching row wins: (coupling type, schemes, E phi(x_N) of
+# configs that share N, E phi(X(T)) of the continuous law or None)
+EXACT_TRUTHS = (
+    (LinearInY, tuple(SchemeKind), _moment_values, _continuous_law),
+    (Nonlinearity, (SchemeKind.AVERAGED,), _averaged_values, None),
+)
+
+
+def exact_truth(nl: Nonlinearity, scheme: SchemeKind) -> tuple:
+    """(values, law) of the first `EXACT_TRUTHS` row covering nl and scheme, else (None, None)."""
+    return next(((values, law) for coupling, schemes, values, law in EXACT_TRUTHS
+                 if isinstance(nl, coupling) and scheme in schemes), (None, None))
 
 
 def oracle_weak_value(
@@ -270,12 +295,10 @@ def oracle_weak_value(
     phi: FunctionalSpec,
     spec: SpectrumSpec,
     nl: Nonlinearity,
+    gt: Optional[GridTransform] = None,
 ) -> float:
-    """Exact E[phi(X_N)] of the scheme via the moment recursions (no sampling).
-
-    The one-config case of `oracle_weak_values`: one matrix power.
-    """
-    return oracle_weak_values([config], phi, spec, nl)[0]
+    """Exact E[phi(X_N)] of the scheme: the one-config case of `oracle_weak_values`."""
+    return oracle_weak_values([config], phi, spec, nl, gt)[0]
 
 
 def oracle_weak_values(
@@ -283,37 +306,34 @@ def oracle_weak_values(
     phi: FunctionalSpec,
     spec: SpectrumSpec,
     nl: Nonlinearity,
+    gt: Optional[GridTransform] = None,
 ) -> list:
-    """`oracle_weak_value` of each config, with one matrix power per step count.
+    """`oracle_weak_value` of each config, from its `EXACT_TRUTHS` row.
 
-    The configs are grouped by N, and each group's step matrices, whatever
-    their schemes, step sizes and eps, are raised to the N-th power in one
-    stacked call (`second_moment_recursions`).  Each value is bit-identical
-    to the config's own `oracle_weak_value`.
+    The configs are grouped by row and N, and each group is one call of its
+    row: one stacked matrix power under the linear-in-y coupling, whatever the
+    schemes, and one run per config for AVERAGED (on the grid gt).  Each value
+    is bit-identical to the config's own `oracle_weak_value`.
     """
-    _require_linear_in_y(nl, "the moment oracle")
     groups = {}
     for i, cfg in enumerate(configs):
-        groups.setdefault(cfg.N, []).append(i)
-    values = [0.0] * len(configs)
-    for N, members in groups.items():
-        runs = [configs[i] for i in members]
-        start = ModeMoments(mean_x=np.array([check_field(spec, cfg.x0) for cfg in runs]),
-                            mean_y=np.array([check_field(spec, cfg.y0) for cfg in runs]))
-        mom = second_moment_recursions(
-            [Transition(cfg.scheme, spec.lambdas, cfg.dt, cfg.eps) for cfg in runs], nl.c, N,
-            start)
-        for i, mean_x, var_x in zip(members, mom.mean_x, mom.var_x):
-            values[i] = gaussian_expectation(phi, mean_x, var_x)
-    return values
+        row_values = exact_truth(nl, cfg.scheme)[0]
+        if row_values is None:
+            raise ValueError(f"the moment oracle needs the linear-in-y coupling under "
+                             f"{cfg.scheme.value}, got {type(nl).__name__}")
+        groups.setdefault((row_values, cfg.N), []).append(i)
+    values = {}
+    for (row_values, _), members in groups.items():
+        values.update(zip(members, row_values([configs[i] for i in members], phi, spec, nl, gt)))
+    return [values[i] for i in range(len(configs))]
 
 
 def _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads):
-    """An iterator over the configs' phi values: the moment oracle's E[phi(X_N)] as one
-    value each when n_samples == 0, all from one `oracle_weak_values` call; else every
-    sample's phi, each config sampled when its values are drawn."""
+    """An iterator over the configs' phi values: the exact E[phi(X_N)] as one value each
+    when n_samples == 0, all from one `oracle_weak_values` call; else every sample's phi,
+    each config sampled when its values are drawn."""
     if n_samples == 0:
-        return (np.array([v]) for v in oracle_weak_values(configs, phi, spec, nl))
+        return (np.array([v]) for v in oracle_weak_values(configs, phi, spec, nl, gt))
     return (_phi_samples(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
             for cfg in configs)
 
@@ -339,11 +359,11 @@ def continuous_weak_value(
     spec: SpectrumSpec,
     nl: Nonlinearity,
 ) -> float:
-    """Exact E[phi(X(T))] of the continuous dynamics (linear-in-y coupling)."""
-    _require_linear_in_y(nl, "the continuous oracle")
-    mom = continuous_second_moment(spec.lambdas, nl.c, config.eps, config.T,
-                                   _start_moments(config, spec))
-    return gaussian_expectation(phi, mom.mean_x, mom.var_x)
+    """Exact E[phi(X(T))] of the continuous dynamics: the law of config's `EXACT_TRUTHS` row."""
+    law = exact_truth(nl, config.scheme)[1]
+    if law is None:
+        raise ValueError(f"no continuous law covers the {type(nl).__name__} coupling")
+    return law(config, phi, spec, nl)
 
 
 def weak_error_curve(
@@ -360,19 +380,18 @@ def weak_error_curve(
     """|E phi(scheme at dt) - truth| for each dt on a decreasing ladder.
 
     dt_list must be strictly decreasing with T/dt an integer.  The scheme's
-    side is the moment oracle when n_samples = 0 (its ladder computed first,
-    so a coupling it cannot take fails before any truth is) and a Monte Carlo
+    side is exact when n_samples = 0 (`oracle_weak_values`, its ladder first,
+    so a case no row covers fails before any truth is) and a Monte Carlo
     estimate otherwise (each point sampled after the truth).  One truth serves
     every point (`_gap`).  Where an exact one exists, the stderr is the plain
-    one (0 for the oracle) and oracle_bias is 0: for LIMITING and AVERAGED,
+    one (0 for an exact side) and oracle_bias is 0: for LIMITING and AVERAGED,
     which have no fast state and approximate the averaged equation, phi of its
-    solution at T, and else the continuous law at config.eps for the
-    linear-in-y coupling.
+    solution at T, and else the continuous law at config.eps of its row.
 
-    Monte Carlo with a pointwise coupling in a coupled scheme has no exact
-    truth: it samples, from the same seed, the exact-transition scheme at the
-    finest dt refined `REFERENCE_REFINEMENT` (R) times, and each stderr is
-    that of the per-sample differences.  Every oracle_bias is the one
+    Monte Carlo where no row has that law (a pointwise coupling in a coupled
+    scheme) samples its truth, from the same seed: the exact-transition scheme
+    at the finest dt refined `REFERENCE_REFINEMENT` (R) times, and each stderr
+    is that of the per-sample differences.  Every oracle_bias is the one
     refinement-halving estimate of that reference's bias, |ref(R) - ref(R/2)|,
     which for a first-order reference is about bias(R).
     """
@@ -383,8 +402,8 @@ def weak_error_curve(
     if not config.scheme.coupled:
         xbar = solve_averaged_reference(spec, nl, config.x0, config.T, gt)
         truth = float(evaluate_functional(phi, xbar))
-    elif isinstance(nl, LinearInY):
-        truth = continuous_weak_value(config, phi, spec, nl)
+    elif (law := exact_truth(nl, config.scheme)[1]) is not None:
+        truth = law(config, phi, spec, nl)
     else:
         ref_cfg = _reference_config(ladder[-1][1], REFERENCE_REFINEMENT)
         truth, half = _phi_values([ref_cfg, replace(ref_cfg, N=ref_cfg.N // 2)], phi, spec, nl,
@@ -403,7 +422,9 @@ def _ladder(config: RunConfig, dt_list: Sequence[float]) -> list:
 
 
 def _config_at_dt(config: RunConfig, dt: float) -> RunConfig:
-    """config with N = T/dt; dt must divide T into an integer step count."""
+    """config with N = T/dt; dt must be positive, finite and divide T into whole steps."""
+    if not 0 < dt < np.inf:  # NaN fails
+        raise ValueError(f"argument 'dt' = {dt!r} must be positive and finite")
     n_float = config.T / dt
     N = int(round(n_float))
     if abs(n_float - N) > 1e-9 * max(1.0, n_float):
@@ -463,10 +484,10 @@ def ap_diagram(
 ):
     """Gap |E phi(coupled at eps) - E phi(limiting)| for each eps at fixed dt.
 
-    n_samples = 0 requests the noise-free moment-oracle path (linear-in-y
-    only, stderr 0); otherwise both legs are Monte Carlo estimates sharing
-    their draw step by step, and the stderr is that of the per-sample
-    differences, which tend to 0 with eps.
+    n_samples = 0 requests the noise-free exact path (both schemes need an
+    `EXACT_TRUTHS` row; stderr 0); otherwise both legs are Monte Carlo
+    estimates sharing their draw step by step, and the stderr is that of the
+    per-sample differences, which tend to 0 with eps.
     Returns a list of (eps, gap, stderr) rows, each the `_gap` of the coupled
     values against the limiting ones.
     """
@@ -491,12 +512,11 @@ def averaging_curve(
     matrix power for the whole ladder), so the curve is noise-free.
     config's scheme, N and eps are not read.  Returns (eps, gap) rows.
     """
-    _require_linear_in_y(nl, "the averaging curve")
-    xbar = solve_averaged_reference(spec, nl, config.x0, config.T)
-    target = float(evaluate_functional(phi, xbar))
     values = oracle_weak_values([replace(config, N=AVERAGING_STEPS, eps=eps,
                                          scheme=SchemeKind.COUPLED_EXPO)
                                  for eps in eps_list], phi, spec, nl)
+    xbar = solve_averaged_reference(spec, nl, config.x0, config.T)
+    target = float(evaluate_functional(phi, xbar))
     return [(float(eps), abs(value - target)) for eps, value in zip(eps_list, values)]
 
 
@@ -568,8 +588,8 @@ def uniform_sweep(
 ) -> UniformSweepResult:
     """Weak error of the coupled modified scheme over an (eps, dt) grid.
 
-    config's scheme, N and eps are not read.  Every expectation comes from the
-    moment recursions (noise-free, linear-in-y coupling required): each error
+    config's scheme, N and eps are not read.  Every expectation is exact (its
+    `EXACT_TRUTHS` row, the coupled schemes' law included): each error
     is measured against the exact-transition scheme on a grid refined
     `SWEEP_REFINEMENT` (512) times, and the reference bias against the
     continuous law is exact.  All cells and references go through one
@@ -579,12 +599,12 @@ def uniform_sweep(
     """
     epss = [float(e) for e in eps_list]
     dts = list(dt_list)
-    truth = np.array([continuous_weak_value(replace(config, eps=eps), phi, spec, nl)
-                      for eps in epss])
     cells = [replace(cfg, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
              for _, cfg in _ladder(config, dts) for eps in epss]
     values = oracle_weak_values(
         cells + [_reference_config(cfg, SWEEP_REFINEMENT) for cfg in cells], phi, spec, nl)
+    truth = np.array([continuous_weak_value(replace(config, eps=eps), phi, spec, nl)
+                      for eps in epss])
     est, ref = np.reshape(values, (2, len(dts), len(epss)))
     errors = np.abs(est - ref)
     max_errors = errors.max(axis=1)

@@ -66,8 +66,8 @@ class ModeMoments:
     cov_xy: ArrayLike = 0.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.var_x) < 0) or np.any(np.asarray(self.var_y) < 0):
-            raise ValueError("variances must be nonnegative")
+        if not (np.all(np.asarray(self.var_x) >= 0) and np.all(np.asarray(self.var_y) >= 0)):
+            raise ValueError("variances must be nonnegative, not NaN")
         c2 = np.asarray(self.cov_xy) ** 2
         bound = np.asarray(self.var_x) * np.asarray(self.var_y)
         if np.any(c2 > bound * (1 + 1e-12) + 1e-300):

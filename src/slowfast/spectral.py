@@ -38,8 +38,8 @@ class SpectrumSpec:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.shape != (self.J,):
             raise ValueError(f"expected {self.J} eigenvalues, got shape {lam.shape}")
-        if not np.all(lam > 0.0):
-            raise ValueError("eigenvalues must be strictly positive")
+        if not np.all((lam > 0.0) & (lam < np.inf)):  # NaN fails
+            raise ValueError("eigenvalues must be strictly positive and finite")
         if np.any(np.diff(lam) < 0.0):
             raise ValueError("eigenvalues must be non-decreasing")
         lam.setflags(write=False)

@@ -438,6 +438,49 @@ class TestApAndSweep:
         assert "slope" in summary and summary["refinement"] == 512
 
 
+VARIANTS = ("LINEAR_IN_Y", "POINTWISE_SQUARE", "SATURATING_SQUARE")
+
+# the noise-free runs that a row of harness.EXACT_TRUTHS covers, as (subcommand,
+# nonlinearity.variant, scheme); ap-test and uniform-sweep fix their own schemes
+EXACT_RUNS = {
+    ("weak-error", "LINEAR_IN_Y", "COUPLED_MODIFIED"),
+    ("weak-error", "LINEAR_IN_Y", "COUPLED_EXPO"),
+    ("weak-error", "LINEAR_IN_Y", "LIMITING"),
+    ("weak-error", "LINEAR_IN_Y", "AVERAGED"),
+    ("weak-error", "POINTWISE_SQUARE", "AVERAGED"),
+    ("weak-error", "SATURATING_SQUARE", "AVERAGED"),
+    ("ap-test", "LINEAR_IN_Y", None),
+    ("uniform-sweep", "LINEAR_IN_Y", None),
+}
+
+
+class TestExactTruthTable:
+    @pytest.mark.parametrize("command, variant, scheme", [
+        *[("weak-error", variant, scheme.value) for variant in VARIANTS for scheme in SchemeKind],
+        *[(command, variant, None) for command in ("ap-test", "uniform-sweep")
+          for variant in VARIANTS],
+    ])
+    def test_noise_free_run_exits_0_or_names_the_coupling(self, tmp_path, capsys, command,
+                                                           variant, scheme):
+        cfg = {"spectrum": {"J": 4}, "nonlinearity": {"variant": variant}, "n_samples": 0,
+               "x0": {"preset": "ones"}, "dt_list": [2**-2, 2**-3, 2**-4],
+               "eps_list": [1.0, 0.25]}
+        if scheme is not None:
+            cfg["scheme"] = scheme
+        out = tmp_path / "o"
+        code = run_cli([command, "--config", write_config(tmp_path, "c.json", cfg),
+                        "--output-dir", str(out)])
+        if (command, variant, scheme) in EXACT_RUNS:
+            assert code == 0
+            assert (out / "summary.json").exists()
+        else:
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert "'nonlinearity.variant'" in err
+            assert not out.exists() or os.listdir(out) == []
+
+
 class TestFailureModes:
     def test_malformed_json_leaves_no_outputs(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -224,6 +224,14 @@ class TestWeakErrorCurve:
         with pytest.raises(ValueError):
             weak_error_curve(cfg, [0.3, 0.1], PHI_NORM, SPEC, NL)
 
+    def test_rejects_non_finite_step_size_by_name(self):
+        # NaN passes the ladder's order check, and an infinite dt used to fail as
+        # "N must be a positive integer"
+        for dts, bad in (([0.5, math.nan, 0.25], "nan"), ([math.inf, 0.5, 0.25], "inf")):
+            message = f"^argument 'dt' = {bad} must be positive and finite$"
+            with pytest.raises(ValueError, match=message):
+                weak_error_curve(coupled_config(T=1.0), dts, PHI_NORM, SPEC, NL)
+
     def test_rejects_non_decreasing_ladder(self):
         cfg = coupled_config(T=1.0)
         with pytest.raises(ValueError):
@@ -325,6 +333,27 @@ class TestWeakErrorCurve:
             est = samples(SchemeKind.COUPLED_MODIFIED, round(cfg.T / p.dt))
             assert (p.error, p.stderr) == _gap(est, ref)
             assert p.oracle_bias == abs(np.mean(half) - np.mean(ref))
+
+    @pytest.mark.parametrize("nl", [saturating_square(1.0), PointwiseSquare(1.0)],
+                             ids=["saturating_square", "PointwiseSquare"])
+    def test_averaged_scheme_is_exact_under_any_coupling(self, nl):
+        # AVERAGED draws no noise, so at n_samples = 0 one run per step size is
+        # exact; 600 identical samples span two collocation blocks, whose
+        # products round differently from a one-row product and row by row,
+        # so the errors agree to rounding of the truth, not bit for bit, and
+        # the sampled stderr is rounding, not 0
+        spec, gt = dirichlet_spectrum(4), GridTransform(4)
+        cfg = RunConfig(T=0.25, N=4, eps=0.5, scheme=SchemeKind.AVERAGED,
+                        x0=np.linspace(1.0, 2.0, 4), y0=np.ones(4))
+        dts = [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]
+        xbar = solve_averaged_reference(spec, nl, cfg.x0, cfg.T, gt)
+        scale = abs(float(evaluate_functional(PHI_EXP, xbar)))
+        exact = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt)
+        sampled = weak_error_curve(cfg, dts, PHI_EXP, spec, nl, gt, n_samples=600)
+        for p, q in zip(exact, sampled):
+            assert abs(p.error - q.error) <= 1e-12 * scale
+            assert p.stderr == p.oracle_bias == q.oracle_bias == 0.0
+            assert q.stderr <= 1e-12 * scale
 
     def test_moment_oracle_gate_fires_before_the_averaged_solve(self, monkeypatch):
         # n_samples = 0 with a pointwise coupling: the ladder's moment oracle
@@ -602,6 +631,12 @@ SWEEPS = {
                         ("N", "eps", "scheme")),
     "continuous_weak_value": (continuous_weak_value, ("N", "scheme")),
     "weak_error_curve": (lambda cfg, *args: weak_error_curve(cfg, sweep_dts(cfg), *args), ("N",)),
+    # the AVERAGED row under a pointwise coupling: one noise-free run per step size
+    "averaged_pointwise_curve": (
+        lambda cfg, phi, spec, nl: weak_error_curve(
+            replace(cfg, scheme=SchemeKind.AVERAGED), sweep_dts(cfg), phi, spec,
+            PointwiseSquare(nl.c), GridTransform(spec.J)),
+        ("N", "eps", "y0")),
 }
 
 

@@ -215,6 +215,8 @@ class TestSecondMomentRecursion:
             ModeMoments(var_x=-1.0)
         with pytest.raises(ValueError):
             ModeMoments(var_x=1.0, var_y=1.0, cov_xy=2.0)
+        with pytest.raises(ValueError, match="variances must be nonnegative"):
+            ModeMoments(var_x=np.nan)  # NaN passes `var < 0`
 
 
 class TestContinuousSecondMoment:

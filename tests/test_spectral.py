@@ -55,6 +55,8 @@ class TestSpectrumSpec:
             SpectrumSpec(2, np.array([0.0, 1.0]))  # not strictly positive
         with pytest.raises(ValueError):
             SpectrumSpec(3, np.array([1.0, 2.0]))  # wrong length
+        with pytest.raises(ValueError):
+            SpectrumSpec(2, np.array([1.0, np.inf]))  # not finite
 
 
 # The resolvent and the semigroup have no helpers of their own: every
