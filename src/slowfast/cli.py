@@ -33,10 +33,11 @@ from dataclasses import replace
 import numpy as np
 
 from .harness import (
+    FIT_MIN_POINTS,
     SWEEP_REFINEMENT,
     FunctionalKind,
     FunctionalSpec,
-    _config_at_dt,
+    _ladder,
     ap_diagram,
     continuous_weak_value,
     exact_truth,
@@ -88,23 +89,6 @@ def _real(value) -> float:
     if not math.isfinite(value):
         raise ValueError("expected a finite number")
     return value
-
-
-def _positive(cast):
-    def positive(value):
-        value = cast(value)
-        if np.min(value) <= 0.0:
-            raise ValueError("expected positive numbers")
-        return value
-    return positive
-
-
-def _dt_ladder(value) -> list:
-    """The step sizes of a rate fit: at least 3, positive and strictly decreasing."""
-    dts = _positive(_numbers)(value)
-    if len(dts) < 3 or any(b >= a for a, b in zip(dts, dts[1:])):
-        raise ValueError("expected at least 3 step sizes, strictly decreasing")
-    return dts
 
 
 def _integer(value) -> int:
@@ -168,7 +152,8 @@ def _field_keys(name: str, preset: str, commands: tuple) -> list:
 # it); defaults are already cast, and a key with a default per subcommand has
 # a row per default.  A subcommand casts each of its keys that the config
 # gives, used by this run or not (spectrum.lambdas of a dirichlet spectrum); a
-# key only other subcommands read is ignored; any other key exits 2.
+# key only other subcommands read is ignored; any other key exits 2.  T, eps
+# and the ladders are cast to JSON types only: the library checks their range.
 SCHEMA = (
     ("spectrum.kind", _one_of("dirichlet", "quadratic", "explicit"), "dirichlet", _ALL),
     ("spectrum.J", _at_least(1), 16, _ALL),
@@ -178,18 +163,17 @@ SCHEMA = (
     ("nonlinearity.params.c", _real, 1.0, _RUNS),
     ("collocation_points", _integer, None, ("simulate", "weak-error", "ap-test")),
     ("scheme", SchemeKind, SchemeKind.COUPLED_MODIFIED, ("simulate", "weak-error")),
-    ("T", _positive(_real), 1.0, _RUNS),
+    ("T", _real, 1.0, _RUNS),
     ("N", _at_least(1), 64, ("simulate", "ap-test")),
-    ("eps", _positive(_real), 1.0, ("simulate", "weak-error")),
+    ("eps", _real, 1.0, ("simulate", "weak-error")),
     *_field_keys("x0", "zero", _RUNS),
     *_field_keys("y0", "zero", _RUNS),
     ("phi.kind", FunctionalKind, FunctionalKind.NORM_SQUARED, _PHI),
     *_field_keys("phi.h", "mode", _PHI),
-    ("dt_list", _dt_ladder, tuple(2.0**-k for k in range(4, 10)), ("weak-error",)),
-    ("dt_list", _dt_ladder, tuple(2.0**-k for k in range(4, 11)), ("uniform-sweep",)),
-    ("eps_list", _positive(_numbers), tuple(4.0**-k for k in range(0, 7)),
-     ("ap-test", "uniform-sweep")),
-    ("tau_list", _positive(_numbers), (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
+    ("dt_list", _numbers, tuple(2.0**-k for k in range(4, 10)), ("weak-error",)),
+    ("dt_list", _numbers, tuple(2.0**-k for k in range(4, 11)), ("uniform-sweep",)),
+    ("eps_list", _numbers, tuple(4.0**-k for k in range(0, 7)), ("ap-test", "uniform-sweep")),
+    ("tau_list", _numbers, (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
     ("n_samples", _sample_count, 0, ("weak-error", "ap-test")),
     ("master_seed", _uint64, 0, ("simulate", "weak-error", "ap-test")),
     ("sample_index", _uint64, 0, ("simulate",)),
@@ -301,9 +285,9 @@ def _setup(v: dict):
     with _naming("collocation_points"):
         gt = GridTransform(spec.J, M=v.get("collocation_points")) if pointwise else None
     config = RunConfig(T=v["T"], x0=_field(v, "x0", spec.J), y0=_field(v, "y0", spec.J), **run)
-    with _naming("dt_list"):  # the cast checks the ladder itself; whole step counts need T
-        for dt in v.get("dt_list", ()):
-            _config_at_dt(config, dt)
+    with _naming("dt_list"):  # T fixes the whole step counts
+        if "dt_list" in v and len(_ladder(config, v["dt_list"])) < FIT_MIN_POINTS:
+            raise ValueError(f"a rate fit needs at least {FIT_MIN_POINTS} step sizes")
     kind = v.get("phi.kind")
     h = _field(v, "phi.h", spec.J) if kind == FunctionalKind.LINEAR else None
     phi = FunctionalSpec(kind=kind, h=h) if kind else None

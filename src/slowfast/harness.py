@@ -5,7 +5,7 @@ One switch, n_samples, picks how a scheme's expectation is measured:
 
 * n_samples = 0     exact, from the `EXACT_TRUTHS` row of the coupling and
   scheme, so curves are noise-free and bit-reproducible.
-* n_samples >= 2    Monte Carlo; works for any catalog nonlinearity.
+* n_samples >= 2    Monte Carlo for any catalog nonlinearity; noise-free AVERAGED stays exact.
 
 A weak-error curve has one truth for its whole ladder, computed before the
 ladder: phi of the averaged solution at T for the schemes without a fast
@@ -36,7 +36,7 @@ from .integrators import (
 )
 from .moments import ModeMoments, continuous_second_moment, second_moment_recursions
 from .nonlinearity import GridTransform, LinearInY, Nonlinearity
-from .spectral import SpectrumSpec, check_field
+from .spectral import SpectrumSpec, check_field, check_positive
 
 __all__ = [
     "FunctionalKind",
@@ -78,6 +78,9 @@ REFERENCE_REFINEMENT = 64
 # the averaging curve's stand-in for the continuous law: the exact-transition
 # scheme over [0, T] in this many steps, one matrix power for the whole eps ladder
 AVERAGING_STEPS = 2**12
+
+# the fewest step sizes a rate fit takes; the CLI checks its dt ladders against it
+FIT_MIN_POINTS = 3
 
 
 class FunctionalKind(Enum):
@@ -330,9 +333,9 @@ def oracle_weak_values(
 
 def _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads):
     """An iterator over the configs' phi values: the exact E[phi(X_N)] as one value each
-    when n_samples == 0, all from one `oracle_weak_values` call; else every sample's phi,
-    each config sampled when its values are drawn."""
-    if n_samples == 0:
+    when n_samples == 0 or no config draws noise (all AVERAGED), all from one
+    `oracle_weak_values` call; else every sample's phi, each config sampled when drawn."""
+    if n_samples == 0 or all(cfg.scheme == SchemeKind.AVERAGED for cfg in configs):
         return (np.array([v]) for v in oracle_weak_values(configs, phi, spec, nl, gt))
     return (_phi_samples(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
             for cfg in configs)
@@ -380,13 +383,13 @@ def weak_error_curve(
     """|E phi(scheme at dt) - truth| for each dt on a decreasing ladder.
 
     dt_list must be strictly decreasing with T/dt an integer.  The scheme's
-    side is exact when n_samples = 0 (`oracle_weak_values`, its ladder first,
-    so a case no row covers fails before any truth is) and a Monte Carlo
-    estimate otherwise (each point sampled after the truth).  One truth serves
-    every point (`_gap`).  Where an exact one exists, the stderr is the plain
-    one (0 for an exact side) and oracle_bias is 0: for LIMITING and AVERAGED,
-    which have no fast state and approximate the averaged equation, phi of its
-    solution at T, and else the continuous law at config.eps of its row.
+    side is exact when n_samples = 0 or the scheme is AVERAGED (`oracle_weak_values`,
+    its ladder first, so a case no row covers fails before any truth is) and a
+    Monte Carlo estimate otherwise (each point sampled after the truth).  One
+    truth serves every point (`_gap`).  Where an exact one exists, the stderr is
+    the plain one (0 for an exact side) and oracle_bias is 0: for LIMITING and
+    AVERAGED, which have no fast state and approximate the averaged equation,
+    phi of its solution at T, and else the continuous law at config.eps of its row.
 
     Monte Carlo where no row has that law (a pointwise coupling in a coupled
     scheme) samples its truth, from the same seed: the exact-transition scheme
@@ -423,12 +426,10 @@ def _ladder(config: RunConfig, dt_list: Sequence[float]) -> list:
 
 def _config_at_dt(config: RunConfig, dt: float) -> RunConfig:
     """config with N = T/dt; dt must be positive, finite and divide T into whole steps."""
-    if not 0 < dt < np.inf:  # NaN fails
-        raise ValueError(f"argument 'dt' = {dt!r} must be positive and finite")
-    n_float = config.T / dt
+    n_float = config.T / check_positive("dt", dt)
     N = int(round(n_float))
-    if abs(n_float - N) > 1e-9 * max(1.0, n_float):
-        raise ValueError(f"dt={dt} does not divide T={config.T} into an integer step count")
+    if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, n_float):
+        raise ValueError(f"argument 'dt' = {dt!r} does not divide T = {config.T!r} into whole steps")
     return replace(config, N=N)
 
 
@@ -440,7 +441,8 @@ def _reference_config(config: RunConfig, refinement: int) -> RunConfig:
 def fit_rate(points) -> RateFit:
     """Least-squares slope of log(error) against log(dt).
 
-    points: iterable of (dt, error) pairs or WeakErrorPoint.  Zero or
+    points: iterable of at least `FIT_MIN_POINTS` (dt, error) pairs or
+    WeakErrorPoint, whose dt are positive, finite and not all equal.  Zero or
     negative errors are rejected: they signal a measurement at or below the
     noise floor, which a log fit cannot represent.  So is a Monte Carlo point
     whose error is below twice its stderr.
@@ -448,9 +450,10 @@ def fit_rate(points) -> RateFit:
     points = list(points)
     pts = [(p.dt, p.error) if isinstance(p, WeakErrorPoint) else (float(p[0]), float(p[1]))
            for p in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points to fit a rate")
-    dts = np.array([p[0] for p in pts])
+    dts = check_positive("dt", [p[0] for p in pts])
+    if len(pts) < FIT_MIN_POINTS or min(dts) == max(dts):
+        raise ValueError(f"need at least {FIT_MIN_POINTS} points at more than one dt to fit "
+                         f"a rate, got dt = {dts}")
     errs = np.array([p[1] for p in pts])
     if not np.all(np.isfinite(errs)):
         raise ValueError(f"errors must be finite for a log-log fit, got {errs.tolist()}")
@@ -553,9 +556,7 @@ def invariant_measure_check(spec: SpectrumSpec, tau_list: Sequence[float]) -> In
     (1 - a^(2n))/lam.
     """
     lam = spec.lambdas
-    taus = [float(t) for t in tau_list]
-    if not all(0 < t < np.inf for t in taus):  # NaN fails
-        raise ValueError(f"argument 'tau_list' = {taus!r}: tau values must be positive and finite")
+    taus = check_positive("tau_list", [float(t) for t in tau_list])
     if not math.isfinite(max(taus) * float(np.max(lam))):
         raise ValueError(f"tau*lam = {max(taus)!r} * {float(np.max(lam))!r} is not finite")
     res_mod = np.empty((len(taus), spec.J))
@@ -597,7 +598,7 @@ def uniform_sweep(
     count (at most 2 per dt), not one per cell.  Rows follow dt_list and
     columns eps_list; the fit is over the max-over-eps error per dt.
     """
-    epss = [float(e) for e in eps_list]
+    epss = check_positive("eps_list", [float(e) for e in eps_list])
     dts = list(dt_list)
     cells = [replace(cfg, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
              for _, cfg in _ladder(config, dts) for eps in epss]

@@ -39,7 +39,7 @@ from .noise import sample_cylindrical_batch
 from .nonlinearity import (
     GridTransform, LinearInY, Nonlinearity, PointwiseSquare, averaged_force, eval_F,
 )
-from .spectral import SpectrumSpec, check_field
+from .spectral import SpectrumSpec, check_field, check_positive
 
 __all__ = [
     "SchemeKind",
@@ -65,7 +65,8 @@ class SchemeKind(Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One time-integration setup; dt is derived as T/N, never stored."""
+    """One time-integration setup: T and eps positive and finite whatever the scheme
+    (only the coupled ones read eps), N >= 1; dt is derived as T/N, never stored."""
 
     T: float
     N: int
@@ -75,14 +76,10 @@ class RunConfig:
     y0: np.ndarray
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 0 < self.T < np.inf:
-            raise ValueError(f"argument 'T' = {self.T!r} must be positive and finite")
+        check_positive("T", self.T)
         if self.N < 1:
             raise ValueError("N must be a positive integer")
-        if self.scheme.coupled and not 0 < self.eps < np.inf:
-            raise ValueError(f"argument 'eps' = {self.eps!r} must be positive and finite "
-                             "for coupled schemes")
+        check_positive("eps", self.eps)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
 
@@ -113,11 +110,9 @@ class Transition:
 
     def __init__(self, scheme: SchemeKind, lam, dt: float, eps: float):
         lam = np.asarray(lam, dtype=float)
-        if not 0 < dt < np.inf:
-            raise ValueError(f"argument 'dt' = {dt!r} must be positive and finite")
-        if scheme.coupled and not 0 < eps < np.inf:
-            raise ValueError(f"argument 'eps' = {eps!r} must be positive and finite "
-                             "for coupled schemes")
+        check_positive("dt", dt)
+        if scheme.coupled:
+            check_positive("eps", eps)
         self.scheme = scheme
         self.dt = dt
         self.one_plus = 1.0 + dt * lam
@@ -240,8 +235,7 @@ def solve_averaged_reference(
     1e-12, with the constants of Fbar computed once.
     """
     x0 = check_field(spec, x0)
-    if not 0 <= T < np.inf:
-        raise ValueError(f"argument 'T' = {T!r} must be nonnegative and finite")
+    check_positive("T", T, allow_zero=True)
     fbar = averaged_force(nl, gt, spec)
     if isinstance(nl, (LinearInY, PointwiseSquare)):
         with np.errstate(under="ignore"):

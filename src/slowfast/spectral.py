@@ -17,6 +17,7 @@ __all__ = [
     "dirichlet_spectrum",
     "quadratic_spectrum",
     "check_field",
+    "check_positive",
     "EigenvalueBoundReport",
     "eigenvalue_error_bounds",
     "log_ratio_constant",
@@ -38,8 +39,7 @@ class SpectrumSpec:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.shape != (self.J,):
             raise ValueError(f"expected {self.J} eigenvalues, got shape {lam.shape}")
-        if not np.all((lam > 0.0) & (lam < np.inf)):  # NaN fails
-            raise ValueError("eigenvalues must be strictly positive and finite")
+        check_positive("lambdas", lam)
         if np.any(np.diff(lam) < 0.0):
             raise ValueError("eigenvalues must be non-decreasing")
         lam.setflags(write=False)
@@ -71,6 +71,22 @@ def check_field(spec: SpectrumSpec, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != spec.J:
         raise ValueError(f"field has {x.shape[-1]} modes, spectrum has J={spec.J}")
     return x
+
+
+def check_positive(name: str, value, allow_zero: bool = False):
+    """value, if it holds at least one number and each is finite and positive
+    (nonnegative with allow_zero), else a ValueError naming the argument; NaN fails.
+    A scalar is compared as it is, with no array: configs and steps check theirs
+    on every construction."""
+    if isinstance(value, (int, float)):
+        ok = (0.0 <= value if allow_zero else 0.0 < value) and value < np.inf
+    else:
+        x = np.asarray(value, dtype=float)
+        ok = x.size > 0 and bool(np.all(((x >= 0.0) if allow_zero else (x > 0.0)) & (x < np.inf)))
+    if not ok:
+        raise ValueError(f"argument {name!r} = {value!r} must be "
+                         f"{'nonnegative' if allow_zero else 'positive'} and finite")
+    return value
 
 
 def _log_ratio_defect(z: np.ndarray) -> np.ndarray:
@@ -133,8 +149,7 @@ def eigenvalue_error_bounds(spec: SpectrumSpec, tau: float, alpha: float) -> Eig
     exceeds its bound (with a 1e-9 relative slack on the numerically
     maximized constant).
     """
-    if not 0.0 < tau < np.inf:  # NaN fails
-        raise ValueError(f"argument 'tau' = {tau!r} must be positive and finite")
+    check_positive("tau", tau)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     lam = spec.lambdas

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast import (
     GridTransform,
+    LinearInY,
     RunConfig,
     SchemeKind,
     dirichlet_spectrum,
@@ -18,7 +24,7 @@ from slowfast import (
     saturating_square,
     trajectory,
 )
-from slowfast import cli
+from slowfast import cli, harness
 from slowfast.cli import SCHEMA
 
 COMMANDS = ("simulate", "weak-error", "ap-test", "invariant-test", "uniform-sweep")
@@ -305,6 +311,19 @@ class TestWeakError:
         out = tmp_path / "o"
         assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["slope"] >= 0.85
+
+    def test_averaged_scheme_is_exact_at_any_sample_count(self, tmp_path, capsys):
+        # AVERAGED draws no noise, so n_samples 2000 takes the exact path that
+        # n_samples 0 takes, instead of 2000 identical runs
+        files = []
+        for n_samples in (0, 2000):
+            cfg = write_config(tmp_path, f"c{n_samples}.json", {
+                "scheme": "AVERAGED", "nonlinearity": {"variant": "SATURATING_SQUARE"},
+                "n_samples": n_samples})
+            out = tmp_path / f"o{n_samples}"
+            assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 0
+            files.append(read(out / "curve.csv"))
+        assert files[0] == files[1]
 
 
 class TestSimulate:
@@ -909,3 +928,93 @@ class TestFloatFormat:
         tau_str = row.split(",")[0]
         assert tau_str == format(1.0 / 3.0, ".17g")
         assert float(tau_str) == 1.0 / 3.0  # round trips exactly
+
+
+def run_quietly(argv):
+    """(exit code, stderr, files written) of one run_cli call in a fresh output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli([*argv, "--output-dir", str(out)])
+        return code, err.getvalue(), sorted(os.listdir(out)) if out.exists() else []
+
+
+def library_rejects(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+# a valid value or one of each kind of invalid one: zero, negative, subnormal-small
+def argument(valid):
+    return st.one_of(st.just(valid), st.sampled_from([0.5, 0.0, -1.0, 1e-300]))
+
+
+def edit_ladder(how, i, step):
+    """[0.5, 0.25, 0.125] with step i replaced, swapped with its predecessor, or dropped."""
+    dts = [0.5, 0.25, 0.125]
+    if how == "replace":
+        dts[i] = step
+    elif how == "swap":
+        dts[i - 1], dts[i] = dts[i], dts[i - 1]
+    elif how == "drop":
+        del dts[i]
+    return dts
+
+
+# a ladder's steps out of order, too few, or not dividing T (0.3 divides no T drawn, 0.2 only
+# T = 1)
+LADDERS = st.builds(edit_ladder, st.sampled_from(["keep", "replace", "swap", "drop"]),
+                    st.integers(0, 2), st.sampled_from([0.3, 0.2, 0.0625, 0.0, -0.25, 1e-300]))
+TAU_LISTS = st.lists(st.one_of(st.just(1.0), st.sampled_from([1e4, 0.0, -1.0, 1e-300])),
+                     max_size=3)
+
+
+class TestArgumentRule:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(T=argument(1.0), eps=argument(1.0), dts=LADDERS, taus=TAU_LISTS)
+    def test_the_cli_has_no_range_rule_of_its_own(self, T, eps, dts, taus):
+        # each run exits 2 naming one of its keys exactly when the library
+        # rejects that key's value (a ladder judged at T where T passes), and
+        # else ends as the library's own run ends: the CLI only casts these
+        # keys' JSON types.  A run in range can still fail, as the rate fit
+        # over the zero error at eps = dt = 1e-300 does
+        x0, spec = np.zeros(2), dirichlet_spectrum(2)
+
+        def config(T=1.0, eps=1.0):
+            return RunConfig(T=T, N=1, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED, x0=x0, y0=x0)
+
+        def ladder():
+            at = config(T=1.0 if library_rejects(lambda: config(T=T)) else T)
+            if len(harness._ladder(at, dts)) < harness.FIT_MIN_POINTS:
+                raise ValueError("too few steps for a rate fit")
+
+        def weak_error():
+            phi = harness.FunctionalSpec(kind=harness.FunctionalKind.NORM_SQUARED)
+            harness.fit_rate(harness.weak_error_curve(config(T, eps), dts, phi, spec,
+                                                      LinearInY(1.0)))
+
+        runs = [("weak-error", {"T": T, "eps": eps, "dt_list": dts},
+                 {"T": lambda: config(T=T), "eps": lambda: config(eps=eps), "dt_list": ladder},
+                 weak_error),
+                ("invariant-test", {"tau_list": taus},
+                 {"tau_list": lambda: harness.invariant_measure_check(spec, taus)}, lambda: None)]
+        with tempfile.TemporaryDirectory() as tmp:
+            for command, cfg, checks, run in runs:
+                bad = [key for key, check in checks.items() if library_rejects(check)]
+                path = write_config(Path(tmp), "c.json", {"spectrum": {"J": 2}, **cfg})
+                code, err, files = run_quietly([command, "--config", path])
+                if bad:
+                    assert code == 2 and files == [], (command, cfg)
+                    assert err.startswith("error: ") and "Traceback" not in err
+                    assert any(f"'{key}'" in err for key in bad), (command, cfg, err)
+                    continue
+                try:
+                    run()
+                except ValueError as exc:
+                    assert (code, err, files) == (2, f"error: {exc}\n", []), (command, cfg)
+                else:
+                    assert code == 0 and "summary.json" in files, (command, cfg, err)

@@ -278,6 +278,12 @@ class TestWeakErrorCurve:
         (point,) = weak_error_curve(cfg, [0.0625], phi, spec, nl, gt, n_samples=500,
                                     master_seed=3)
         est = mc_estimate(cfg, phi, 500, 3, spec, nl, gt)
+        if scheme == SchemeKind.AVERAGED:
+            # draws no noise, so its side is exact at any n_samples: its 500
+            # identical samples would only add rounding
+            exact = oracle_weak_value(cfg, phi, spec, nl, gt)
+            assert abs(est.mean - exact) <= 1e-15 and est.stderr <= 1e-15
+            est = harness.McEstimate(mean=exact, stderr=0.0, n_samples=1)
         assert point.error == abs(est.mean - truth)
         assert point.stderr == est.stderr and point.oracle_bias == 0.0
 
@@ -668,3 +674,28 @@ class TestUnreadFields:
         for field in unread:
             changed = replace(base, **{field: other[field]})
             assert same(sweep(changed, phi, spec, LinearInY(c)), result), field
+
+
+class TestArgumentRule:
+    # each call fails its argument check before any work, naming the argument
+    # (fit_rate lists its dt values)
+    @pytest.mark.parametrize("call, message", [
+        (lambda: fit_rate([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]),
+         r"^argument 'dt' = \[0\.0, 1\.0, 2\.0\] must be positive and finite$"),
+        (lambda: fit_rate([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]), r"dt = \[0\.5, 0\.5, 0\.5\]$"),
+        (lambda: weak_error_curve(coupled_config(T=1.0), [1e10, 0.5, 0.25], PHI_NORM, SPEC, NL),
+         r"^argument 'dt' = 10000000000\.0 does not divide T = 1\.0"),
+        (lambda: invariant_measure_check(SPEC, []),
+         r"^argument 'tau_list' = \[\] must be positive and finite$"),
+        (lambda: uniform_sweep(coupled_config(T=1.0), [], [0.5, 0.25, 0.125], PHI_NORM, SPEC, NL),
+         r"^argument 'eps_list' = \[\] must be positive and finite$"),
+        *[(lambda eps=eps, scheme=scheme: coupled_config(eps=eps, scheme=scheme),
+           rf"^argument 'eps' = {eps!r} must be positive and finite$")
+          for scheme in (SchemeKind.LIMITING, SchemeKind.AVERAGED) for eps in (0.0, -3.0)],
+    ], ids=["fit_rate_zero_dt", "fit_rate_one_dt", "weak_error_curve_dt_past_T",
+            "invariant_measure_check_no_tau", "uniform_sweep_no_eps",
+            "limiting_zero_eps", "limiting_negative_eps", "averaged_zero_eps",
+            "averaged_negative_eps"])
+    def test_rejects_by_name(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -18,6 +18,7 @@ from slowfast import (
     run_trajectory_batch,
     solve_averaged_reference,
 )
+from slowfast.spectral import check_positive
 
 rng = np.random.default_rng(20240517)
 
@@ -301,3 +302,22 @@ def test_package_has_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [1e-300, 3, np.float64(2.0), [1.0, 2.0], np.ones((2, 2))])
+    def test_returns_its_argument(self, value):
+        assert check_positive("x", value) is value
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, [], [1.0, np.nan],
+                                       np.array([1.0, -0.0]), [np.inf]])
+    def test_rejects_by_name(self, value):
+        with pytest.raises(ValueError, match=r"^argument 'x' = .* must be positive and finite$"):
+            check_positive("x", value)
+
+    def test_zero_passes_where_allowed(self):
+        assert check_positive("T", 0.0, allow_zero=True) == 0.0
+        assert check_positive("T", [0.0, 1.0], allow_zero=True) == [0.0, 1.0]
+        for value in (-1e-300, np.nan, [], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="^argument 'T' = .* must be nonnegative and finite$"):
+                check_positive("T", value, allow_zero=True)
