@@ -27,8 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,24 +35,20 @@ from .harness import (
     SWEEP_REFINEMENT,
     FunctionalKind,
     FunctionalSpec,
-    _ladder,
     ap_diagram,
-    continuous_weak_value,
-    exact_truth,
     fit_rate,
     invariant_measure_check,
     uniform_sweep,
     weak_error_curve,
 )
-from .integrators import RunConfig, SchemeKind, Transition, trajectory
+from .integrators import RunConfig, SchemeKind, trajectory
 from .nonlinearity import (
     GridTransform,
     LinearInY,
-    PointwiseGeneral,
     PointwiseSquare,
     saturating_square,
 )
-from .spectral import SpectrumSpec, dirichlet_spectrum, quadratic_spectrum
+from .spectral import ArgumentError, SpectrumSpec, dirichlet_spectrum, quadratic_spectrum
 
 __all__ = ["run_cli", "main", "load_config"]
 
@@ -152,8 +146,9 @@ def _field_keys(name: str, preset: str, commands: tuple) -> list:
 # it); defaults are already cast, and a key with a default per subcommand has
 # a row per default.  A subcommand casts each of its keys that the config
 # gives, used by this run or not (spectrum.lambdas of a dirichlet spectrum); a
-# key only other subcommands read is ignored; any other key exits 2.  T, eps
-# and the ladders are cast to JSON types only: the library checks their range.
+# key only other subcommands read is ignored; any other key exits 2.  T, eps,
+# the ladders, spectrum.lambdas and collocation_points are cast to JSON types
+# only: their range is the library's to judge (see _ARGUMENT_KEYS).
 SCHEMA = (
     ("spectrum.kind", _one_of("dirichlet", "quadratic", "explicit"), "dirichlet", _ALL),
     ("spectrum.J", _at_least(1), 16, _ALL),
@@ -221,13 +216,12 @@ def _config_values(cfg: dict, command: str) -> dict:
     return values
 
 
-@contextmanager
-def _naming(key: str):
-    """Re-raise a constructor's ValueError as a ConfigError naming the config key."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from None
+# The library names the argument of a value it rejects in an `ArgumentError`.
+# Its config key is the name's key in this table, else the key of that name,
+# else, where the command reads no such key, an entry of the ladder
+# `<name>_list` (eps in ap-test and uniform-sweep, and dt everywhere).
+_ARGUMENT_KEYS = {"lambdas": "spectrum.lambdas", "M": "collocation_points",
+                  "nl": "nonlinearity.variant"}
 
 
 def _spectrum(v: dict) -> SpectrumSpec:
@@ -237,8 +231,7 @@ def _spectrum(v: dict) -> SpectrumSpec:
     if kind == "explicit":
         if v["spectrum.lambdas"] is None:
             raise ConfigError("config key 'spectrum.lambdas': the explicit spectrum needs it")
-        with _naming("spectrum.lambdas"):
-            return SpectrumSpec(J=J, lambdas=np.asarray(v["spectrum.lambdas"]))
+        return SpectrumSpec(J=J, lambdas=np.asarray(v["spectrum.lambdas"]))
     return dirichlet_spectrum(J)
 
 
@@ -268,9 +261,8 @@ def _setup(v: dict):
 
     A run field the subcommand does not read keeps a stand-in that its harness
     call replaces: N = T/dt per dt, eps from eps_list; ap-test and
-    uniform-sweep measure the coupled modified scheme.  A noise-free run
-    (uniform-sweep, or n_samples 0) needs a `harness.EXACT_TRUTHS` row for its
-    coupling and that scheme, checked here so the error names the key first.
+    uniform-sweep measure the coupled modified scheme.  Only the objects are
+    built here: whether the harness can run them is the harness's to say.
     """
     spec = _spectrum(v)
     nl = {"LINEAR_IN_Y": LinearInY, "POINTWISE_SQUARE": PointwiseSquare,
@@ -278,25 +270,13 @@ def _setup(v: dict):
               c=v["nonlinearity.params.c"])
     run = {"N": 1, "eps": 1.0, "scheme": SchemeKind.COUPLED_MODIFIED}
     run.update((name, v[name]) for name in ("N", "eps", "scheme") if name in v)
-    if "phi.kind" in v and v.get("n_samples", 0) == 0 and exact_truth(nl, run["scheme"])[0] is None:
-        raise ConfigError(f"config key 'nonlinearity.variant': no exact truth covers "
-                          f"{v['nonlinearity.variant']} under {run['scheme'].value}")
-    pointwise = isinstance(nl, (PointwiseSquare, PointwiseGeneral))
-    with _naming("collocation_points"):
-        gt = GridTransform(spec.J, M=v.get("collocation_points")) if pointwise else None
+    gt = None if isinstance(nl, LinearInY) else GridTransform(spec.J, M=v.get("collocation_points"))
     config = RunConfig(T=v["T"], x0=_field(v, "x0", spec.J), y0=_field(v, "y0", spec.J), **run)
-    with _naming("dt_list"):  # T fixes the whole step counts
-        if "dt_list" in v and len(_ladder(config, v["dt_list"])) < FIT_MIN_POINTS:
-            raise ValueError(f"a rate fit needs at least {FIT_MIN_POINTS} step sizes")
+    if len(v.get("dt_list", range(FIT_MIN_POINTS))) < FIT_MIN_POINTS:
+        raise ArgumentError("dt_list", f"a rate fit needs at least {FIT_MIN_POINTS} step sizes")
     kind = v.get("phi.kind")
     h = _field(v, "phi.h", spec.J) if kind == FunctionalKind.LINEAR else None
     phi = FunctionalSpec(kind=kind, h=h) if kind else None
-    coarsest = v.get("dt_list", [config.dt])[0]
-    with _naming("eps_list"):  # a finite modified step at the coarsest dt; in uniform-sweep
-        for eps in v.get("eps_list", ()):  # (it reads dt_list) also a finite continuous law
-            Transition(SchemeKind.COUPLED_MODIFIED, spec.lambdas, coarsest, eps)
-            if "dt_list" in v:
-                continuous_weak_value(replace(config, eps=eps), phi, spec, nl)
     return spec, nl, gt, config, phi
 
 
@@ -376,8 +356,7 @@ def _cmd_ap_test(v: dict):
 
 def _cmd_invariant_test(v: dict):
     spec = _spectrum(v)
-    with _naming("tau_list"):
-        report = invariant_measure_check(spec, v["tau_list"])
+    report = invariant_measure_check(spec, v["tau_list"])
     rows = []
     for i, tau in enumerate(v["tau_list"]):
         for j in range(spec.J):
@@ -461,7 +440,13 @@ def run_cli(argv=None) -> int:
         if args.master_seed is not None:
             cfg["master_seed"] = args.master_seed
         v = dict(_config_values(cfg, args.command), n_threads=n_threads)
-        files, results = _COMMANDS[args.command](v)
+        try:
+            files, results = _COMMANDS[args.command](v)
+        except ArgumentError as exc:
+            keys = [k for k in (_ARGUMENT_KEYS.get(exc.name, exc.name), exc.name + "_list") if k in v]
+            if not keys:  # the command reads no key of that name
+                raise
+            raise ConfigError(f"config key {keys[0]!r}: {exc}") from None
         # strict JSON: a non-finite value exits 2 instead of writing NaN or Infinity
         files["summary.json"] = json.dumps({"config": cfg, **results}, indent=2,
                                            sort_keys=True, allow_nan=False) + "\n"

@@ -36,7 +36,7 @@ from .integrators import (
 )
 from .moments import ModeMoments, continuous_second_moment, second_moment_recursions
 from .nonlinearity import GridTransform, LinearInY, Nonlinearity
-from .spectral import SpectrumSpec, check_field, check_positive
+from .spectral import ArgumentError, SpectrumSpec, check_field, check_positive
 
 __all__ = [
     "FunctionalKind",
@@ -322,8 +322,8 @@ def oracle_weak_values(
     for i, cfg in enumerate(configs):
         row_values = exact_truth(nl, cfg.scheme)[0]
         if row_values is None:
-            raise ValueError(f"the moment oracle needs the linear-in-y coupling under "
-                             f"{cfg.scheme.value}, got {type(nl).__name__}")
+            raise ArgumentError("nl", f"the moment oracle needs the linear-in-y coupling under "
+                                      f"{cfg.scheme.value}, got {type(nl).__name__}")
         groups.setdefault((row_values, cfg.N), []).append(i)
     values = {}
     for (row_values, _), members in groups.items():
@@ -365,7 +365,7 @@ def continuous_weak_value(
     """Exact E[phi(X(T))] of the continuous dynamics: the law of config's `EXACT_TRUTHS` row."""
     law = exact_truth(nl, config.scheme)[1]
     if law is None:
-        raise ValueError(f"no continuous law covers the {type(nl).__name__} coupling")
+        raise ArgumentError("nl", f"no continuous law covers the {type(nl).__name__} coupling")
     return law(config, phi, spec, nl)
 
 
@@ -420,7 +420,7 @@ def _ladder(config: RunConfig, dt_list: Sequence[float]) -> list:
     """(dt, config at dt) for each dt of a strictly decreasing ladder."""
     dts = list(dt_list)
     if any(d2 >= d1 for d1, d2 in zip(dts, dts[1:])):
-        raise ValueError("dt_list must be strictly decreasing")
+        raise ArgumentError("dt_list", "dt_list must be strictly decreasing")
     return [(dt, _config_at_dt(config, dt)) for dt in dts]
 
 
@@ -429,7 +429,8 @@ def _config_at_dt(config: RunConfig, dt: float) -> RunConfig:
     n_float = config.T / check_positive("dt", dt)
     N = int(round(n_float))
     if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, n_float):
-        raise ValueError(f"argument 'dt' = {dt!r} does not divide T = {config.T!r} into whole steps")
+        raise ArgumentError("dt", f"argument 'dt' = {dt!r} does not divide T = {config.T!r} "
+                                  "into whole steps")
     return replace(config, N=N)
 
 
@@ -443,9 +444,9 @@ def fit_rate(points) -> RateFit:
 
     points: iterable of at least `FIT_MIN_POINTS` (dt, error) pairs or
     WeakErrorPoint, whose dt are positive, finite and not all equal.  Zero or
-    negative errors are rejected: they signal a measurement at or below the
-    noise floor, which a log fit cannot represent.  So is a Monte Carlo point
-    whose error is below twice its stderr.
+    negative errors are rejected: a log fit cannot represent them, and unless
+    each is an exact point's (stderr 0) they signal the noise floor.  So is a
+    Monte Carlo point whose error is below twice its stderr.
     """
     points = list(points)
     pts = [(p.dt, p.error) if isinstance(p, WeakErrorPoint) else (float(p[0]), float(p[1]))
@@ -461,7 +462,10 @@ def fit_rate(points) -> RateFit:
     if noisy:
         raise ValueError(f"errors below 2 stderr (the Monte Carlo noise floor) at dt = {noisy}; "
                          "take more samples or drop those step sizes")
-    if np.any(errs <= 0.0):
+    bad = [p for p, err in zip(points, errs) if err <= 0.0]
+    if bad and all(isinstance(p, WeakErrorPoint) and p.stderr == 0.0 for p in bad):
+        raise ValueError(f"the exact error is 0 at dt = {[p.dt for p in bad]}; a log fit needs > 0")
+    if bad:
         raise ValueError("errors must be positive for a log-log fit (below noise floor?)")
     x = np.log(dts)
     y = np.log(errs)
@@ -496,6 +500,8 @@ def ap_diagram(
     """
     configs = [replace(config, scheme=SchemeKind.LIMITING)]
     configs += [replace(config, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED) for eps in eps_list]
+    for cfg in configs:  # every leg's step, so that a bad eps fails before any leg is sampled
+        Transition(cfg.scheme, spec.lambdas, cfg.dt, cfg.eps)
     values = _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads)
     lim = next(values)
     return [(float(eps), *_gap(vals, lim)) for eps, vals in zip(eps_list, values)]
@@ -558,7 +564,8 @@ def invariant_measure_check(spec: SpectrumSpec, tau_list: Sequence[float]) -> In
     lam = spec.lambdas
     taus = check_positive("tau_list", [float(t) for t in tau_list])
     if not math.isfinite(max(taus) * float(np.max(lam))):
-        raise ValueError(f"tau*lam = {max(taus)!r} * {float(np.max(lam))!r} is not finite")
+        raise ArgumentError("tau_list", f"tau*lam = {max(taus)!r} * {float(np.max(lam))!r} "
+                                        "is not finite")
     res_mod = np.empty((len(taus), spec.J))
     res_std = np.empty((len(taus), spec.J))
     for i, tau in enumerate(taus):
@@ -602,10 +609,10 @@ def uniform_sweep(
     dts = list(dt_list)
     cells = [replace(cfg, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED)
              for _, cfg in _ladder(config, dts) for eps in epss]
+    truth = np.array([continuous_weak_value(replace(config, eps=eps), phi, spec, nl)
+                      for eps in epss])  # first: a bad eps or coupling fails before any cell
     values = oracle_weak_values(
         cells + [_reference_config(cfg, SWEEP_REFINEMENT) for cfg in cells], phi, spec, nl)
-    truth = np.array([continuous_weak_value(replace(config, eps=eps), phi, spec, nl)
-                      for eps in epss])
     est, ref = np.reshape(values, (2, len(dts), len(epss)))
     errors = np.abs(est - ref)
     max_errors = errors.max(axis=1)

@@ -39,7 +39,7 @@ from .noise import sample_cylindrical_batch
 from .nonlinearity import (
     GridTransform, LinearInY, Nonlinearity, PointwiseSquare, averaged_force, eval_F,
 )
-from .spectral import SpectrumSpec, check_field, check_positive
+from .spectral import ArgumentError, SpectrumSpec, check_field, check_positive
 
 __all__ = [
     "SchemeKind",
@@ -121,8 +121,8 @@ class Transition:
             with np.errstate(over="ignore"):
                 z = tau * lam
             if not np.all(np.isfinite(z)):
-                raise ValueError(f"argument 'eps' = {eps!r} is too small: tau*lam = dt*lam/eps "
-                                 "is not finite")
+                raise ArgumentError("eps", f"argument 'eps' = {eps!r} is too small: "
+                                    "tau*lam = dt*lam/eps is not finite")
             self.a = 1.0 / (1.0 + z)
             self.s2 = tau * self.a * (1.0 + self.a)
         elif scheme == SchemeKind.COUPLED_EXPO:

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.special import exprel
 
 from .integrators import SchemeKind, Transition
+from .spectral import ArgumentError
 
 __all__ = [
     "ModeMoments",
@@ -249,7 +250,7 @@ def continuous_second_moment(
     with np.errstate(over="ignore"):
         fast = lam / eps
     if not np.all(np.isfinite(fast)):
-        raise ValueError(f"argument 'eps' = {eps!r} is too small: lam/eps is not finite")
+        raise ArgumentError("eps", f"argument 'eps' = {eps!r} is too small: lam/eps is not finite")
     ones = np.ones_like(lam)
     mx = continuous_mean(lam, c, eps, T, start.mean_x, start.mean_y)
     vx0, cv0, vy0 = (np.asarray(v, float) * ones for v in (start.var_x, start.cov_xy, start.var_y))

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .spectral import SpectrumSpec
+from .spectral import ArgumentError, SpectrumSpec
 
 __all__ = [
     "GridTransform",
@@ -78,7 +78,7 @@ class GridTransform:
         if M is None:
             M = 4 * J
         if M < 4 * J:
-            raise ValueError(f"need M >= 4*J = {4 * J} collocation points, got {M}")
+            raise ArgumentError("M", f"need M >= 4*J = {4 * J} collocation points, got {M}")
         self.J = J
         self.M = M
         self.nodes = np.arange(1, M + 1, dtype=float) / (M + 1)

@@ -17,6 +17,7 @@ __all__ = [
     "dirichlet_spectrum",
     "quadratic_spectrum",
     "check_field",
+    "ArgumentError",
     "check_positive",
     "EigenvalueBoundReport",
     "eigenvalue_error_bounds",
@@ -38,10 +39,10 @@ class SpectrumSpec:
             raise ValueError(f"truncation level must be >= 1, got J={self.J}")
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.shape != (self.J,):
-            raise ValueError(f"expected {self.J} eigenvalues, got shape {lam.shape}")
+            raise ArgumentError("lambdas", f"expected {self.J} eigenvalues, got shape {lam.shape}")
         check_positive("lambdas", lam)
         if np.any(np.diff(lam) < 0.0):
-            raise ValueError("eigenvalues must be non-decreasing")
+            raise ArgumentError("lambdas", "eigenvalues must be non-decreasing")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
 
@@ -73,9 +74,17 @@ def check_field(spec: SpectrumSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
+class ArgumentError(ValueError):
+    """A ValueError about the argument `name`, for a caller to map to its own input."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 def check_positive(name: str, value, allow_zero: bool = False):
     """value, if it holds at least one number and each is finite and positive
-    (nonnegative with allow_zero), else a ValueError naming the argument; NaN fails.
+    (nonnegative with allow_zero), else an ArgumentError naming the argument; NaN fails.
     A scalar is compared as it is, with no array: configs and steps check theirs
     on every construction."""
     if isinstance(value, (int, float)):
@@ -84,7 +93,7 @@ def check_positive(name: str, value, allow_zero: bool = False):
         x = np.asarray(value, dtype=float)
         ok = x.size > 0 and bool(np.all(((x >= 0.0) if allow_zero else (x > 0.0)) & (x < np.inf)))
     if not ok:
-        raise ValueError(f"argument {name!r} = {value!r} must be "
+        raise ArgumentError(name, f"argument {name!r} = {value!r} must be "
                          f"{'nonnegative' if allow_zero else 'positive'} and finite")
     return value
 

@@ -24,7 +24,7 @@ from slowfast import (
     saturating_square,
     trajectory,
 )
-from slowfast import cli, harness
+from slowfast import cli, continuous_second_moment, harness
 from slowfast.cli import SCHEMA
 
 COMMANDS = ("simulate", "weak-error", "ap-test", "invariant-test", "uniform-sweep")
@@ -304,6 +304,17 @@ class TestWeakError:
         assert f"dt = [{2.0**-8!r}]" in err
         assert not out.exists()
 
+    def test_exact_zero_error_is_not_blamed_on_a_noise_floor(self, tmp_path, capsys):
+        # at eps = dt = 1e-300 the noise-free scheme meets the continuous law to
+        # the last bit: the error is exactly 0 there, and no sampling is involved
+        cfg = write_config(tmp_path, "c.json", {"eps": 1e-300, "dt_list": [0.5, 0.25, 1e-300]})
+        out = tmp_path / "o"
+        assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dt = [1e-300]" in err
+        assert "noise floor" not in err
+        assert not out.exists()
+
     def test_limiting_scheme_is_first_order_against_the_averaged_limit(self, tmp_path):
         # the limiting scheme has no fast state; its truth is the averaged
         # equation, not the slow-fast law at the config's eps
@@ -455,6 +466,28 @@ class TestApAndSweep:
         assert (out / "max_curve.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert "slope" in summary and summary["refinement"] == 512
+
+    def test_default_sweep_computes_each_continuous_law_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return continuous_second_moment(*args)
+
+        monkeypatch.setattr(harness, "continuous_second_moment", counted)
+        assert run_cli(["uniform-sweep", "--output-dir", str(tmp_path / "o")]) == 0
+        assert len(calls) == 7  # one per entry of the default eps_list
+
+    def test_bad_eps_fails_before_any_trajectory(self, tmp_path, capsys, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("a trajectory was sampled")
+
+        monkeypatch.setattr(harness, "run_trajectory_batch", sampled)
+        cfg = write_config(tmp_path, "c.json", {"eps_list": [1.0, 1e-320], "n_samples": 200})
+        out = tmp_path / "o"
+        assert run_cli(["ap-test", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config key 'eps_list': ")
+        assert not out.exists()
 
 
 VARIANTS = ("LINEAR_IN_Y", "POINTWISE_SQUARE", "SATURATING_SQUARE")
@@ -875,6 +908,9 @@ class TestSchema:
                 assert read(tmp_path / "unread" / name) == content, name
         assert (parse_output(tmp_path / "unread" / "summary.json")
                 == parse_output(tmp_path / "default" / "summary.json"))
+
+    def test_argument_keys_are_config_keys(self):
+        assert set(cli._ARGUMENT_KEYS.values()) <= {row[0] for row in SCHEMA}
 
     def test_readme_table_matches_schema(self):
         lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()

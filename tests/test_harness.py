@@ -20,8 +20,10 @@ from slowfast import (
     RunConfig,
     SchemeKind,
     SpectrumSpec,
+    Transition,
     ap_diagram,
     averaging_curve,
+    continuous_second_moment,
     continuous_weak_value,
     dirichlet_spectrum,
     evaluate_functional,
@@ -43,6 +45,7 @@ from slowfast import harness
 from slowfast.harness import (
     AVERAGING_STEPS, SWEEP_REFINEMENT, WeakErrorPoint, _gap, _phi_samples, _replay,
 )
+from slowfast.spectral import ArgumentError, check_positive
 
 rng = np.random.default_rng(5150)
 
@@ -467,6 +470,16 @@ class TestApDiagram:
         for (_, gap, se), (_, exact_gap, _) in zip(rows, exact):
             assert abs(gap - exact_gap) <= 4.0 * se
 
+    def test_bad_eps_fails_before_any_leg_is_sampled(self, monkeypatch):
+        # every leg's step is built first: at eps = 1e-320 tau*lam overflows,
+        # and neither of the legs before it is sampled
+        calls = []
+        monkeypatch.setattr(harness, "run_trajectory_batch",
+                            lambda *args: calls.append(args) or run_trajectory_batch(*args))
+        with pytest.raises(ArgumentError, match="too small") as info:
+            ap_diagram(coupled_config(), [1.0, 1e-320], PHI_EXP, SPEC, NL, n_samples=200)
+        assert info.value.name == "eps" and calls == []
+
     def test_stiff_limit_fast_variance(self):
         # one-step fast variance at tau = dt/eps with eps = 1e-8 sits at
         # 1/lambda to within 1e-6 relative
@@ -699,3 +712,34 @@ class TestArgumentRule:
     def test_rejects_by_name(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    # one case per raise site of an ArgumentError, with the argument it names and its message
+    @pytest.mark.parametrize("call, name, message", [
+        (lambda: check_positive("tau", -1.0), "tau", r"^argument 'tau' = -1\.0 must be positive"),
+        (lambda: SpectrumSpec(J=2, lambdas=np.array([1.0])), "lambdas",
+         r"^expected 2 eigenvalues, got shape \(1,\)$"),
+        (lambda: SpectrumSpec(J=2, lambdas=np.array([2.0, 1.0])), "lambdas",
+         r"^eigenvalues must be non-decreasing$"),
+        (lambda: GridTransform(2, M=7), "M", r"^need M >= 4\*J = 8 collocation points, got 7$"),
+        (lambda: Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 0.5, 1e-320), "eps",
+         r"^argument 'eps' = 1e-320 is too small: tau\*lam = dt\*lam/eps is not finite$"),
+        (lambda: continuous_second_moment(SPEC.lambdas, 1.0, 1e-320, 1.0, ModeMoments()), "eps",
+         r"^argument 'eps' = 1e-320 is too small: lam/eps is not finite$"),
+        (lambda: harness._ladder(coupled_config(T=1.0), [0.25, 0.5]), "dt_list",
+         r"^dt_list must be strictly decreasing$"),
+        (lambda: harness._config_at_dt(coupled_config(T=1.0), 0.3), "dt",
+         r"^argument 'dt' = 0\.3 does not divide T = 1\.0 into whole steps$"),
+        (lambda: invariant_measure_check(SPEC, [1e308]), "tau_list", r"^tau\*lam = 1e\+308 \* "),
+        (lambda: oracle_weak_values([coupled_config()], PHI_NORM, SPEC, PointwiseSquare(1.0),
+                                    GridTransform(16)), "nl",
+         r"^the moment oracle needs the linear-in-y coupling under COUPLED_MODIFIED, "
+         r"got PointwiseSquare$"),
+        (lambda: continuous_weak_value(coupled_config(), PHI_NORM, SPEC, PointwiseSquare(1.0)),
+         "nl", r"^no continuous law covers the PointwiseSquare coupling$"),
+    ], ids=["check_positive", "spectrum_shape", "spectrum_order", "collocation_points",
+            "transition_eps", "continuous_law_eps", "ladder_order", "dt_divides_T",
+            "tau_lambda_overflow", "moment_oracle_coupling", "continuous_law_coupling"])
+    def test_error_names_its_argument(self, call, name, message):
+        with pytest.raises(ArgumentError, match=message) as info:
+            call()
+        assert isinstance(info.value, ValueError) and info.value.name == name
