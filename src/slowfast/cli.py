@@ -76,13 +76,10 @@ def _numbers(value) -> list:
 
 
 def _real(value) -> float:
-    """A finite JSON number; true, "0.5", NaN and Infinity are not."""
+    """A JSON number; true and "0.5" are not (`_leaves` turns NaN and Infinity away)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("expected a finite number")
-    return value
+    return float(value)
 
 
 def _integer(value) -> int:
@@ -102,14 +99,6 @@ def _at_least(low: int):
             raise ValueError(f"expected an integer in [{low}, 2**63)")
         return n
     return cast
-
-
-def _sample_count(value) -> int:
-    """0 (every expectation from the moment oracle) or a Monte Carlo size of at least 2."""
-    n = _at_least(0)(value)
-    if n == 1:
-        raise ValueError("expected 0 (the moment oracle) or at least 2 samples")
-    return n
 
 
 def _uint64(value) -> int:
@@ -148,7 +137,7 @@ def _field_keys(name: str, preset: str, commands: tuple) -> list:
 # gives, used by this run or not (spectrum.lambdas of a dirichlet spectrum); a
 # key only other subcommands read is ignored; any other key exits 2.  T, eps,
 # the ladders, spectrum.lambdas and collocation_points are cast to JSON types
-# only: their range is the library's to judge (see _ARGUMENT_KEYS).
+# only, n_samples to a count: the library judges the rest (see _ARGUMENT_KEYS).
 SCHEMA = (
     ("spectrum.kind", _one_of("dirichlet", "quadratic", "explicit"), "dirichlet", _ALL),
     ("spectrum.J", _at_least(1), 16, _ALL),
@@ -169,7 +158,7 @@ SCHEMA = (
     ("dt_list", _numbers, tuple(2.0**-k for k in range(4, 11)), ("uniform-sweep",)),
     ("eps_list", _numbers, tuple(4.0**-k for k in range(0, 7)), ("ap-test", "uniform-sweep")),
     ("tau_list", _numbers, (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
-    ("n_samples", _sample_count, 0, ("weak-error", "ap-test")),
+    ("n_samples", _at_least(0), 0, ("weak-error", "ap-test")),
     ("master_seed", _uint64, 0, ("simulate", "weak-error", "ap-test")),
     ("sample_index", _uint64, 0, ("simulate",)),
 )

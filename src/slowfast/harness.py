@@ -103,6 +103,8 @@ class FunctionalSpec:
     h: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, FunctionalKind):  # a "LINEAR" string would read as BOUNDED_EXP
+            raise ArgumentError("kind", f"argument 'kind' = {self.kind!r} is not a FunctionalKind")
         if self.kind == FunctionalKind.LINEAR:
             if self.h is None:
                 raise ValueError("LINEAR functional needs a weight field h")
@@ -335,6 +337,9 @@ def _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads):
     """An iterator over the configs' phi values: the exact E[phi(X_N)] as one value each
     when n_samples == 0 or no config draws noise (all AVERAGED), all from one
     `oracle_weak_values` call; else every sample's phi, each config sampled when drawn."""
+    if n_samples < 0 or n_samples == 1:
+        raise ArgumentError("n_samples", f"argument 'n_samples' = {n_samples!r} must be 0 "
+                                         "(exact) or at least 2 (Monte Carlo)")
     if n_samples == 0 or all(cfg.scheme == SchemeKind.AVERAGED for cfg in configs):
         return (np.array([v]) for v in oracle_weak_values(configs, phi, spec, nl, gt))
     return (_phi_samples(cfg, phi, n_samples, master_seed, spec, nl, gt, n_threads)
@@ -546,9 +551,13 @@ class InvariantCheckReport:
     standard_at_unit: np.ndarray
 
 
-def _variance_map_residual(a: np.ndarray, s2: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    v = 1.0 / lam
-    return np.abs((a * a * v + s2) * lam - 1.0)
+def _variance_map_residuals(tau, lam: np.ndarray) -> tuple:
+    """|map(1/lam)*lam - 1| of the variance map v -> a^2 v + s2 of the modified `Transition`
+    at tau (broadcast against lam), then of the plain semi-implicit update: the same a, and
+    one undamped sqrt(2 tau) increment through the same resolvent, s2 = 2 tau a^2."""
+    tr = Transition(SchemeKind.COUPLED_MODIFIED, lam, tau, 1.0)
+    return tuple(np.abs((tr.a * tr.a * (1.0 / lam) + s2) * lam - 1.0)
+                 for s2 in (tr.s2, 2.0 * tau * tr.a * tr.a))
 
 
 def invariant_measure_check(spec: SpectrumSpec, tau_list: Sequence[float]) -> InvariantCheckReport:
@@ -557,25 +566,19 @@ def invariant_measure_check(spec: SpectrumSpec, tau_list: Sequence[float]) -> In
     The modified update has noise variance s2 = tau*(2+tau*lam)/(1+tau*lam)^2
     per step and satisfies the fixed point identically; the standard
     semi-implicit update (s2 = 2*tau/(1+tau*lam)^2) does not, which the
-    standard_* fields document.  The sampler runs the same modified update
-    (`Transition`), so its fast variance n steps from y0 = 0 is
-    (1 - a^(2n))/lam.
+    standard_* fields document.  Both are read off one `Transition` for the
+    ladder, tau a (K, 1) column, and standard_at_unit off one at tau_j = 1/lam_j.
+    The sampler runs the same modified update, so its fast variance n steps
+    from y0 = 0 is (1 - a^(2n))/lam.
     """
     lam = spec.lambdas
     taus = check_positive("tau_list", [float(t) for t in tau_list])
     if not math.isfinite(max(taus) * float(np.max(lam))):
         raise ArgumentError("tau_list", f"tau*lam = {max(taus)!r} * {float(np.max(lam))!r} "
                                         "is not finite")
-    res_mod = np.empty((len(taus), spec.J))
-    res_std = np.empty((len(taus), spec.J))
-    for i, tau in enumerate(taus):
-        tr = Transition(SchemeKind.COUPLED_MODIFIED, lam, tau, 1.0)
-        res_mod[i] = _variance_map_residual(tr.a, tr.s2, lam)
-        res_std[i] = _variance_map_residual(tr.a, 2.0 * tau * tr.a * tr.a, lam)
-    a1 = np.full(spec.J, 0.5)  # a at tau*lam = 1
-    std_unit = _variance_map_residual(a1, (2.0 / lam) * a1 * a1, lam)
+    res_mod, res_std = _variance_map_residuals(np.array(taus)[:, None], lam)
     return InvariantCheckReport(residual_modified=res_mod, residual_standard=res_std,
-                                standard_at_unit=std_unit)
+                                standard_at_unit=_variance_map_residuals(1.0 / lam, lam)[1])
 
 
 @dataclass(frozen=True)

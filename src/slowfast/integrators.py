@@ -66,7 +66,8 @@ class SchemeKind(Enum):
 @dataclass(frozen=True)
 class RunConfig:
     """One time-integration setup: T and eps positive and finite whatever the scheme
-    (only the coupled ones read eps), N >= 1; dt is derived as T/N, never stored."""
+    (only the coupled ones read eps), N an integer >= 1 (2.0 is not one); dt is derived
+    as T/N, never stored."""
 
     T: float
     N: int
@@ -77,8 +78,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_positive("T", self.T)
-        if self.N < 1:
-            raise ValueError("N must be a positive integer")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ArgumentError("N", f"argument 'N' = {self.N!r} must be an integer >= 1")
         check_positive("eps", self.eps)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "y0", np.asarray(self.y0, dtype=float))
@@ -96,7 +97,8 @@ class Transition:
     field every scheme that draws takes.  The slow update is
     x' = (x + dt*F(x, y'))/one_plus with one_plus = 1 + dt*lam.  The moment
     recursions read (a, s2, one_plus); the sampler calls `step`.  Both coupled
-    schemes draw xi = sd*g, sd = sqrt(s2).
+    schemes draw xi = sd*g, sd = sqrt(s2).  For the algebra dt may be an array that
+    broadcasts against lam; the sampler and the moment map take a scalar dt.
 
     COUPLED_MODIFIED  a = 1/(1 + tau*lam), tau = dt/eps; the paper's increment
                       sqrt(2 tau) (B1 Gamma1 + B2 Gamma2), B1 = a/sqrt(2) and
@@ -108,7 +110,7 @@ class Transition:
     AVERAGED          no fast variable, a = s2 = 0; F is replaced by Fbar
     """
 
-    def __init__(self, scheme: SchemeKind, lam, dt: float, eps: float):
+    def __init__(self, scheme: SchemeKind, lam, dt, eps: float):
         lam = np.asarray(lam, dtype=float)
         check_positive("dt", dt)
         if scheme.coupled:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import exprel
 
 from .integrators import SchemeKind, Transition
-from .spectral import ArgumentError
+from .spectral import ArgumentError, check_positive
 
 __all__ = [
     "ModeMoments",
@@ -75,13 +75,6 @@ class ModeMoments:
             raise ValueError("cov_xy^2 may not exceed var_x*var_y")
 
 
-def _check_eps_T(eps: float, T: float):
-    """The continuous law's eps and T: both finite, eps > 0 and T >= 0 (NaN fails)."""
-    if not (0 < eps < np.inf and 0 <= T < np.inf):
-        raise ValueError(f"need eps > 0 and T >= 0, both finite: got arguments 'eps' = {eps!r} "
-                         f"and 'T' = {T!r}")
-
-
 def continuous_mean(
     lam: ArrayLike, c: float, eps: float, T: float, x0: ArrayLike, y0: ArrayLike
 ) -> np.ndarray:
@@ -95,7 +88,8 @@ def continuous_mean(
     nor loses the eps = 1 limit c y0 T e^(-lam T).
     """
     lam = np.asarray(lam, dtype=float)
-    _check_eps_T(eps, T)
+    check_positive("eps", eps)
+    check_positive("T", T, allow_zero=True)
     with np.errstate(over="ignore", under="ignore"):
         fast = lam / eps
         forcing = T * np.exp(-np.minimum(lam, fast) * T) * exprel(-np.abs(lam - fast) * T)
@@ -246,7 +240,8 @@ def continuous_second_moment(
     depend on the other modes in the call.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    _check_eps_T(eps, T)
+    check_positive("eps", eps)
+    check_positive("T", T, allow_zero=True)
     with np.errstate(over="ignore"):
         fast = lam / eps
     if not np.all(np.isfinite(fast)):

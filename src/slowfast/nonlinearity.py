@@ -161,16 +161,15 @@ def saturating_square(c: float) -> PointwiseGeneral:
 
 
 def pointwise_variance(spec: SpectrumSpec, gt: GridTransform) -> np.ndarray:
-    """Grid values of sigma^2(xi) = sum_{j<=J} 2 sin(j pi xi)^2 / lambda_j.
+    """Grid values of sigma^2(xi) = sum_{j<=J} e_j(xi)^2 / lambda_j = (S o S)^T (1/lambda), S
+    the grid's synthesis matrix; the pointwise square's Fbar is then c*A sigma^2.
 
     This is the pointwise variance of a draw from N(0, Lambda^-1) truncated
     to J modes; as J grows it approaches xi*(1 - xi).
     """
     if gt.J != spec.J:
         raise ValueError("grid transform and spectrum disagree on J")
-    j = np.arange(1, spec.J + 1, dtype=float)
-    s = np.sin(np.outer(gt.nodes, j) * np.pi)
-    return (2.0 * s * s / spec.lambdas).sum(axis=1)
+    return (gt._synth**2 / spec.lambdas[:, None]).sum(axis=0)
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray, J: int):

@@ -159,14 +159,12 @@ def eigenvalue_error_bounds(spec: SpectrumSpec, tau: float, alpha: float) -> Eig
     maximized constant).
     """
     check_positive("tau", tau)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    c_alpha = float(log_ratio_constant(alpha)[0])  # which checks alpha, before any work
     lam = spec.lambdas
     z = tau * lam
     eta = _log_ratio_defect(z)
     lam_gap = lam * eta
     q_gap = eta
-    c_alpha = float(log_ratio_constant(alpha)[0])
     slack = 1.0 + 1e-9
     lam_bound = c_alpha * tau**alpha * lam ** (1.0 + alpha)
     q_bound = c_alpha * tau**alpha * lam**alpha

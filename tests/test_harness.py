@@ -523,6 +523,18 @@ class TestInvariantCheck:
         rep = invariant_measure_check(SPEC, [1.0])
         assert np.all(np.abs(rep.standard_at_unit - 0.25) < 1e-13)
 
+    def test_standard_at_unit_reads_the_transition(self, monkeypatch):
+        # the residual 3a^2 - 1 at tau*lam = 1 comes from the step's a, not a constant:
+        # a = 0.5 (1 + 1e-3) moves it from 0.25 to 0.2485
+        class Perturbed(Transition):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.a = self.a * (1.0 + 1e-3)
+
+        monkeypatch.setattr(harness, "Transition", Perturbed)
+        rep = invariant_measure_check(SPEC, [1.0])
+        assert np.allclose(rep.standard_at_unit, 1.0 - 3.0 * (0.5 * (1.0 + 1e-3)) ** 2, rtol=1e-12)
+
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             invariant_measure_check(SPEC, [1.0, -1.0])
@@ -714,6 +726,7 @@ class TestArgumentRule:
             call()
 
     # one case per raise site of an ArgumentError, with the argument it names and its message
+    # (the sample count's is test_sample_count_fails_before_any_run)
     @pytest.mark.parametrize("call, name, message", [
         (lambda: check_positive("tau", -1.0), "tau", r"^argument 'tau' = -1\.0 must be positive"),
         (lambda: SpectrumSpec(J=2, lambdas=np.array([1.0])), "lambdas",
@@ -736,10 +749,32 @@ class TestArgumentRule:
          r"got PointwiseSquare$"),
         (lambda: continuous_weak_value(coupled_config(), PHI_NORM, SPEC, PointwiseSquare(1.0)),
          "nl", r"^no continuous law covers the PointwiseSquare coupling$"),
+        (lambda: coupled_config(N=2.5), "N", r"^argument 'N' = 2\.5 must be an integer >= 1$"),
+        # a string kind used to pass: "LINEAR" without its h, evaluated as BOUNDED_EXP
+        (lambda: FunctionalSpec(kind="LINEAR"), "kind",
+         r"^argument 'kind' = 'LINEAR' is not a FunctionalKind$"),
     ], ids=["check_positive", "spectrum_shape", "spectrum_order", "collocation_points",
             "transition_eps", "continuous_law_eps", "ladder_order", "dt_divides_T",
-            "tau_lambda_overflow", "moment_oracle_coupling", "continuous_law_coupling"])
+            "tau_lambda_overflow", "moment_oracle_coupling", "continuous_law_coupling",
+            "run_step_count", "functional_kind"])
     def test_error_names_its_argument(self, call, name, message):
         with pytest.raises(ArgumentError, match=message) as info:
             call()
         assert isinstance(info.value, ValueError) and info.value.name == name
+
+    @pytest.mark.parametrize("call", [
+        lambda n: weak_error_curve(coupled_config(T=1.0, scheme=SchemeKind.AVERAGED),
+                                   [0.5, 0.25, 0.125], PHI_NORM, SPEC, NL, n_samples=n),
+        lambda n: ap_diagram(coupled_config(), [1.0, 0.1], PHI_EXP, SPEC, NL, n_samples=n),
+    ], ids=["averaged_weak_error_curve", "ap_diagram"])
+    @pytest.mark.parametrize("n_samples", [1, -2])
+    def test_sample_count_fails_before_any_run(self, monkeypatch, call, n_samples):
+        # 0 is exact and at least 2 is Monte Carlo; the noise-free AVERAGED curve used
+        # to take n_samples = 1 as exact, and ap_diagram failed naming no argument
+        calls = []
+        monkeypatch.setattr(harness, "run_trajectory_batch",
+                            lambda *args: calls.append(args) or run_trajectory_batch(*args))
+        message = rf"^argument 'n_samples' = {n_samples} must be 0 \(exact\) or at least 2 "
+        with pytest.raises(ArgumentError, match=message) as info:
+            call(n_samples)
+        assert info.value.name == "n_samples" and calls == []

@@ -30,6 +30,7 @@ from slowfast import (
     solve_averaged_reference,
     trajectory,
 )
+from slowfast.spectral import ArgumentError
 
 rng = np.random.default_rng(31415)
 
@@ -308,6 +309,20 @@ class TestRunTrajectory:
             RunConfig(T=T, N=4, eps=eps, scheme=SchemeKind.COUPLED_MODIFIED, x0=np.ones(8),
                       y0=np.ones(8))
 
+    @pytest.mark.parametrize("N", [2.5, np.nan, 0, 4.0])
+    def test_step_count_must_be_an_integer(self, N):
+        # 2.5 and NaN used to construct and fail later in the moment oracle or the sampler,
+        # with a TypeError that named no argument
+        with pytest.raises(ArgumentError, match=r"^argument 'N' = .* must be an integer >= 1$") as info:
+            RunConfig(T=1.0, N=N, eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED, x0=np.ones(8),
+                      y0=np.ones(8))
+        assert info.value.name == "N"
+
+    def test_numpy_integer_step_count(self):
+        cfg = RunConfig(T=1.0, N=np.int64(4), eps=1.0, scheme=SchemeKind.COUPLED_MODIFIED,
+                        x0=np.ones(8), y0=np.ones(8))
+        assert cfg.dt == 0.25
+
 
 # Couplings evaluated without collocation, which keep the contract for any
 # partition.
@@ -494,3 +509,46 @@ class TestInPlaceSampler:
             assert y is None or np.array_equal(y, ey)
         assert np.array_equal(run_trajectory_batch(cfg, spec, nl, gt, seed, first, count),
                               expected[-1][0])
+
+
+class TestFixedPointPayoff:
+    """What the modified update's fixed point buys, on the fast component alone.
+
+    From y0 = 0, N steps of y' = a y + xi leave mode j with variance
+    s2_j (1 - a_j^(2N))/(1 - a_j^2), and E|y_N|^2 sums that over the modes; the
+    exact E|Y(T)|^2 sums (1 - e^(-2 lam_j T/eps))/lam_j.  Here lam_j = (j pi)^2,
+    T = eps = 1.  The plain semi-implicit update (the modified a, s2 = 2 tau a^2)
+    misses the equilibrium of every mode with tau*lam of order 1 or more, so
+    its error keeps order 1/2, the rate of a plain scheme for the SPDE, however
+    many modes it carries.  The modified update keeps 1/lam_j at every step
+    size, so only mode 1's transient is left, and at the same size for any J.
+    """
+
+    DTS = np.array([2.0**-k for k in range(4, 11)])
+
+    def errors(self, kind, J, standard=False):
+        """|E|y_N|^2 - E|Y(T)|^2| at each dt, and E|Y(T)|^2."""
+        lam = dirichlet_spectrum(J).lambdas
+        dt = self.DTS[:, None]
+        tr = Transition(kind, lam, dt, 1.0)
+        s2 = 2.0 * dt * tr.a * tr.a if standard else tr.s2
+        # by power, not through log(a): the exponential update's a underflows to 0 at large J
+        with np.errstate(under="ignore"):
+            var = s2 * (1.0 - tr.a ** (2.0 / dt)) / (1.0 - tr.a * tr.a)
+        exact = -np.expm1(-2.0 * lam) / lam
+        return np.abs(np.sum(var - exact, axis=1)), np.sum(exact)
+
+    def test_standard_update_keeps_order_one_half(self):
+        err, _ = self.errors(SchemeKind.COUPLED_MODIFIED, 4096, standard=True)
+        assert np.polyfit(np.log(self.DTS), np.log(err), 1)[0] <= 0.6  # measured 0.461
+        modified, _ = self.errors(SchemeKind.COUPLED_MODIFIED, 4096)
+        assert modified[-1] <= 1e-6 * err[-1]  # measured 2.7e-11 against 1.1e-2
+
+    def test_modified_error_does_not_depend_on_J(self):
+        few, _ = self.errors(SchemeKind.COUPLED_MODIFIED, 16)
+        many, _ = self.errors(SchemeKind.COUPLED_MODIFIED, 4096)
+        assert np.allclose(many, few, rtol=1e-2, atol=0.0)
+
+    def test_exponential_update_is_exact(self):
+        err, exact = self.errors(SchemeKind.COUPLED_EXPO, 4096)
+        assert np.all(err <= 1e-12 * exact)
