@@ -53,10 +53,6 @@ from .spectral import ArgumentError, SpectrumSpec, dirichlet_spectrum, quadratic
 __all__ = ["run_cli", "main", "load_config"]
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
 class ConfigError(ValueError):
     pass
 
@@ -285,10 +281,9 @@ def _write_outputs(output_dir: str, files: dict):
 
 
 def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    """header, then each row of numbers at 17 significant digits."""
+    line = ",".join(["%.17g"] * len(header))
+    return "\n".join([",".join(header), *(line % tuple(row) for row in rows)]) + "\n"
 
 
 # a rate fit with r2 below this is reported with a warning on stderr: its

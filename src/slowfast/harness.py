@@ -208,8 +208,10 @@ def mc_estimate(
 
 def _phi_samples(config, phi, n_samples, master_seed, spec, nl, gt, n_threads, batch=MC_SPAN):
     """phi of every sample's final state, in sample order; see `mc_estimate`."""
-    if n_samples < 2 or batch < 1:
-        raise ValueError(f"need n_samples >= 2 and batch >= 1, got {n_samples} and {batch}")
+    if n_samples < 2:
+        raise ArgumentError("n_samples", f"need n_samples >= 2 for Monte Carlo, got {n_samples}")
+    if batch < 1:
+        raise ArgumentError("batch", f"need batch >= 1, got {batch}")
     vals = np.empty(n_samples)
     spans = [(a, min(a + batch, n_samples)) for a in range(0, n_samples, batch)]
 

@@ -20,7 +20,8 @@ constants of the average precomputed.  Both take coefficient arrays of shape
 (J,) or (n, J) and return the same shape.  The Gauss-Hermite average makes one
 f call on all 12 nodes at once, the nodes stacked on a leading axis, and sums
 the weighted values over that axis in node order, which gives the bits of a
-per-node loop.
+per-node loop.  When f does not read u, Fbar is one constant field, and the
+average is computed once per input shape and copied out on later calls.
 """
 
 from __future__ import annotations
@@ -141,7 +142,10 @@ class PointwiseGeneral:
     derivatives up to order 3 for the theory to apply; the 12-point rule
     integrates polynomial v-dependence exactly up to degree 23.  The average
     calls f once with u and v that broadcast against each other, v holding
-    the nodes on a leading axis, so f must act elementwise.
+    the nodes on a leading axis, so f must act elementwise.  The average also
+    probes f once with a u of shape (2, 1, 1) to learn whether f reads u: an
+    elementwise f that does returns u's axes, one that does not is averaged
+    once per input shape.  The probe relies on f being elementwise.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -215,6 +219,13 @@ def averaged_force(
     node order, so the result equals a per-node loop's `acc += w_k*f_k` bit
     for bit.  A tensordot, einsum or BLAS product in place of the sum orders
     the additions differently and moves the last bit.
+
+    Whether f reads u is decided here, from one call of f on u = zeros((2, 1, 1))
+    against the (K, M) nodes, floating-point warnings ignored.  When it does
+    not, Fbar(x) depends only on x's shape: the average is computed on the
+    first x of each shape, kept, and returned as a copy, which the caller may
+    overwrite.  The kept value is the one a fresh call computes, so the bits
+    are the same.
     """
     if isinstance(nl, LinearInY):
         return np.zeros_like
@@ -235,6 +246,18 @@ def averaged_force(
             fk = np.broadcast_to(nl.f(gx[None], v), (K,) + gx.shape)
             return (w[:, None] * fk.reshape(K, -1)).sum(axis=0).reshape(gx.shape) / np.sqrt(np.pi)
 
-        return lambda x: gt.pointwise(average, x)
+        # an elementwise f that reads u returns u's three axes
+        with np.errstate(all="ignore"):
+            reads_u = np.ndim(nl.f(np.zeros((2, 1, 1)), nodes)) > 2
+        if reads_u:
+            return lambda x: gt.pointwise(average, x)
+        by_shape = {}
+
+        def fbar(x):
+            if x.shape not in by_shape:
+                by_shape[x.shape] = gt.pointwise(average, x)
+            return by_shape[x.shape].copy()
+
+        return fbar
     raise TypeError(f"unknown nonlinearity {nl!r}")
 

@@ -28,7 +28,8 @@ __all__ = [
 class SpectrumSpec:
     """Galerkin truncation level and the eigenvalues of the linear operator.
 
-    The eigenvalues must be strictly positive and non-decreasing.
+    The eigenvalues must be strictly positive and non-decreasing, with finite
+    reciprocals (so none below about 5.6e-309).
     """
 
     J: int
@@ -41,6 +42,10 @@ class SpectrumSpec:
         if lam.shape != (self.J,):
             raise ArgumentError("lambdas", f"expected {self.J} eigenvalues, got shape {lam.shape}")
         check_positive("lambdas", lam)
+        with np.errstate(over="ignore"):
+            if not np.all(1.0 / lam < np.inf):
+                raise ArgumentError("lambdas", f"eigenvalues must have a finite reciprocal, "
+                                    f"got {float(lam.min())!r}")
         if np.any(np.diff(lam) < 0.0):
             raise ArgumentError("lambdas", "eigenvalues must be non-decreasing")
         lam.setflags(write=False)

@@ -625,6 +625,8 @@ class TestFailureModes:
          "spectrum.lambdas"),
         ("invariant-test", {"spectrum": {"kind": "explicit", "J": 2, "lambdas": [-1.0, 1.0]}},
          "spectrum.lambdas"),
+        ("invariant-test", {"spectrum": {"kind": "explicit", "J": 2, "lambdas": [1e-310, 1.0]}},
+         "spectrum.lambdas"),
         ("simulate", {"spectrum": {"kind": "quadratic", "scale": -1.0}}, "spectrum.scale"),
         ("simulate", {"spectrum": {"kind": "quadratic", "scale": 2.0}}, "spectrum.scale"),
         ("simulate", {"nonlinearity": {"params": {"c_x": 1.0}}}, "nonlinearity.params.c_x"),
@@ -670,7 +672,7 @@ class TestFailureModes:
             "unknown_spectrum_kind", "unknown_variant", "scalar_params", "zero_threads",
             "negative_threads", "nan_in_ignored_key", "infinity_in_ignored_list",
             "infinity_in_ignored_field", "too_few_collocation_points", "decreasing_lambdas",
-            "negative_lambda", "removed_scale_negative", "removed_scale",
+            "negative_lambda", "lambda_with_infinite_reciprocal", "removed_scale_negative", "removed_scale",
             "removed_affine_params", "removed_affine_variant", "negative_T", "negative_eps",
             "zero_eps_limiting", "zero_in_eps_list", "subnormal_in_eps_list_ap_test",
             "subnormal_in_eps_list_sweep", "infinite_lam_over_eps_in_sweep", "negative_in_tau_list",

@@ -726,13 +726,16 @@ class TestArgumentRule:
             call()
 
     # one case per raise site of an ArgumentError, with the argument it names and its message
-    # (the sample count's is test_sample_count_fails_before_any_run)
+    # (the exact-or-Monte-Carlo sample count's is test_sample_count_fails_before_any_run)
     @pytest.mark.parametrize("call, name, message", [
         (lambda: check_positive("tau", -1.0), "tau", r"^argument 'tau' = -1\.0 must be positive"),
         (lambda: SpectrumSpec(J=2, lambdas=np.array([1.0])), "lambdas",
          r"^expected 2 eigenvalues, got shape \(1,\)$"),
         (lambda: SpectrumSpec(J=2, lambdas=np.array([2.0, 1.0])), "lambdas",
          r"^eigenvalues must be non-decreasing$"),
+        # 1/1e-310 overflows: the variance 1/lambda of the slowest mode would be inf
+        (lambda: SpectrumSpec(J=2, lambdas=np.array([1e-310, 1.0])), "lambdas",
+         r"^eigenvalues must have a finite reciprocal, got 1e-310$"),
         (lambda: GridTransform(2, M=7), "M", r"^need M >= 4\*J = 8 collocation points, got 7$"),
         (lambda: Transition(SchemeKind.COUPLED_MODIFIED, SPEC.lambdas, 0.5, 1e-320), "eps",
          r"^argument 'eps' = 1e-320 is too small: tau\*lam = dt\*lam/eps is not finite$"),
@@ -750,13 +753,18 @@ class TestArgumentRule:
         (lambda: continuous_weak_value(coupled_config(), PHI_NORM, SPEC, PointwiseSquare(1.0)),
          "nl", r"^no continuous law covers the PointwiseSquare coupling$"),
         (lambda: coupled_config(N=2.5), "N", r"^argument 'N' = 2\.5 must be an integer >= 1$"),
+        (lambda: mc_estimate(coupled_config(), PHI_NORM, 1, 0, SPEC, NL), "n_samples",
+         r"^need n_samples >= 2 for Monte Carlo, got 1$"),
+        (lambda: mc_estimate(coupled_config(), PHI_NORM, 10, 0, SPEC, NL, batch=0), "batch",
+         r"^need batch >= 1, got 0$"),
         # a string kind used to pass: "LINEAR" without its h, evaluated as BOUNDED_EXP
         (lambda: FunctionalSpec(kind="LINEAR"), "kind",
          r"^argument 'kind' = 'LINEAR' is not a FunctionalKind$"),
-    ], ids=["check_positive", "spectrum_shape", "spectrum_order", "collocation_points",
+    ], ids=["check_positive", "spectrum_shape", "spectrum_order", "spectrum_reciprocal",
+            "collocation_points",
             "transition_eps", "continuous_law_eps", "ladder_order", "dt_divides_T",
             "tau_lambda_overflow", "moment_oracle_coupling", "continuous_law_coupling",
-            "run_step_count", "functional_kind"])
+            "run_step_count", "mc_sample_count", "mc_batch", "functional_kind"])
     def test_error_names_its_argument(self, call, name, message):
         with pytest.raises(ArgumentError, match=message) as info:
             call()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from average_loop import loop_average
@@ -10,12 +12,16 @@ from slowfast import (
     LinearInY,
     PointwiseGeneral,
     PointwiseSquare,
+    RunConfig,
+    SchemeKind,
     averaged_force,
     dirichlet_spectrum,
     eval_F,
     pointwise_variance,
+    run_trajectory_batch,
     sample_cylindrical_batch,
     saturating_square,
+    solve_averaged_reference,
 )
 
 rng = np.random.default_rng(7771)
@@ -233,6 +239,66 @@ class TestAveragedForceAgainstLoop:
             got = stacked(x)
             assert got.shape == shape
             assert np.array_equal(got, loop(x))
+
+
+U_FREE = ["ignores_u", "saturating", "scalar"]  # couplings whose f does not read u
+
+
+def counted(nl):
+    """nl with its f wrapped, and the list that f appends one entry to per call."""
+    calls = []
+
+    def f(u, v):
+        calls.append(np.shape(u))
+        return nl.f(u, v)
+
+    return PointwiseGeneral(f=f), calls
+
+
+class TestAveragedForceOncePerShape:
+    """A coupling whose f does not read u is averaged once per input shape."""
+
+    @pytest.mark.parametrize("coupling", sorted(ORACLE_COUPLINGS))
+    def test_calls_over_an_averaged_run(self, coupling):
+        nl, calls = counted(ORACLE_COUPLINGS[coupling](1.5))
+        cfg = RunConfig(T=1.0, N=64, eps=1.0, scheme=SchemeKind.AVERAGED, x0=np.ones(16),
+                        y0=np.zeros(16))
+        run_trajectory_batch(cfg, SPEC, nl, GT, 0, 0, 1)
+        if coupling in U_FREE:
+            assert len(calls) <= 2  # the probe, then the one shape (1, 16)
+        else:
+            assert len(calls) == 1 + cfg.N  # the probe, then one call per step
+
+    @pytest.mark.parametrize("coupling", sorted(ORACLE_COUPLINGS))
+    def test_calls_over_the_averaged_reference(self, coupling):
+        nl, calls = counted(ORACLE_COUPLINGS[coupling](1.5))
+        solve_averaged_reference(SPEC, nl, np.ones(16), 1.0, GT)
+        if coupling in U_FREE:
+            assert len(calls) <= 2
+        else:
+            assert len(calls) > 2  # one per right-hand side LSODA evaluates
+
+    @pytest.mark.parametrize("coupling", sorted(ORACLE_COUPLINGS))
+    @pytest.mark.parametrize("shape", [(16,), (3, 16), (GT.rows_per_block + 1, 16)])
+    def test_every_call_equals_the_loop(self, coupling, shape):
+        # two different x of one shape: a value kept across calls must be x's own, and
+        # overwriting a returned value, as Transition.step does, must not reach the next one
+        nl = ORACLE_COUPLINGS[coupling](0.7)
+        fbar, loop = averaged_force(nl, GT, SPEC), loop_average(nl, GT, SPEC)
+        for scale in (0.5, 3.0):
+            x = scale * rng.standard_normal(shape)
+            got = fbar(x)
+            assert np.array_equal(got, loop(x))
+            got[...] = np.nan
+
+    def test_probe_of_f_raises_no_warning(self):
+        # the probe's u is zero, so v/u divides by zero there: the build must stay quiet
+        nl = PointwiseGeneral(f=lambda u, v: v / u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fbar = averaged_force(nl, GT, SPEC)
+            x = 1.0 + rng.random(16)
+            assert np.array_equal(fbar(x), loop_average(nl, GT, SPEC)(x))
 
 
 class TestPointwiseVariance:
