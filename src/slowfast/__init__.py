@@ -22,6 +22,7 @@ from .nonlinearity import (
     GridTransform,
     LinearInY,
     PointwiseSquare,
+    SaturatingSquare,
     PointwiseGeneral,
     saturating_square,
     pointwise_variance,

@@ -46,7 +46,7 @@ from .nonlinearity import (
     GridTransform,
     LinearInY,
     PointwiseSquare,
-    saturating_square,
+    SaturatingSquare,
 )
 from .spectral import ArgumentError, SpectrumSpec, dirichlet_spectrum, quadratic_spectrum
 
@@ -251,7 +251,7 @@ def _setup(v: dict):
     """
     spec = _spectrum(v)
     nl = {"LINEAR_IN_Y": LinearInY, "POINTWISE_SQUARE": PointwiseSquare,
-          "SATURATING_SQUARE": saturating_square}[v["nonlinearity.variant"]](
+          "SATURATING_SQUARE": SaturatingSquare}[v["nonlinearity.variant"]](
               c=v["nonlinearity.params.c"])
     run = {"N": 1, "eps": 1.0, "scheme": SchemeKind.COUPLED_MODIFIED}
     run.update((name, v[name]) for name in ("N", "eps", "scheme") if name in v)

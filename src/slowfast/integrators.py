@@ -37,7 +37,8 @@ import numpy as np
 
 from .noise import sample_cylindrical_batch
 from .nonlinearity import (
-    GridTransform, LinearInY, Nonlinearity, PointwiseSquare, averaged_force, eval_F,
+    GridTransform, LinearInY, Nonlinearity, PointwiseSquare, SaturatingSquare, averaged_force,
+    eval_F,
 )
 from .spectral import ArgumentError, SpectrumSpec, check_field, check_positive
 
@@ -231,15 +232,15 @@ def solve_averaged_reference(
     """Solution of the averaged evolution equation dx/dt = -Lambda x + Fbar(x) at time T.
 
     When Fbar is a constant field g, which holds for the linear-in-y coupling
-    (g = 0) and the pointwise square, variation of constants gives
-    x_j(T) = e^(-lam T) x0_j + (1 - e^(-lam T)) g_j / lam_j.  Anything else is
-    integrated by a stiff step-control solver (LSODA) at relative tolerance
+    (g = 0) and the two squares, variation of constants gives
+    x_j(T) = e^(-lam T) x0_j + (1 - e^(-lam T)) g_j / lam_j.  A `PointwiseGeneral`
+    is integrated by a stiff step-control solver (LSODA) at relative tolerance
     1e-12, with the constants of Fbar computed once.
     """
     x0 = check_field(spec, x0)
     check_positive("T", T, allow_zero=True)
     fbar = averaged_force(nl, gt, spec)
-    if isinstance(nl, (LinearInY, PointwiseSquare)):
+    if isinstance(nl, (LinearInY, PointwiseSquare, SaturatingSquare)):
         with np.errstate(under="ignore"):
             decay = np.exp(-T * spec.lambdas)
         return x0 * decay + (1.0 - decay) * fbar(np.zeros_like(x0)) / spec.lambdas

@@ -1,18 +1,20 @@
 """Catalog of coupling nonlinearities and their Gaussian averages.
 
-Three variants are provided:
+Four variants are provided:
 
-* ``LinearInY(c)``        F(x, y) = c*y            Fbar = 0
-* ``PointwiseSquare(c)``  f(u, v) = c*v^2 applied pointwise on a collocation
+* ``LinearInY(c)``         F(x, y) = c*y            Fbar = 0
+* ``PointwiseSquare(c)``   f(u, v) = c*v^2 applied pointwise on a collocation
   grid; Fbar is the deterministic field c*sigma^2(xi) where sigma^2 is the
   pointwise variance of the fast equilibrium.
+* ``SaturatingSquare(c)``  f(u, v) = c*v^2/(1 + v^2) applied pointwise, also
+  bound as ``saturating_square``; Fbar is a deterministic field in closed form.
 * ``PointwiseGeneral(f)``  arbitrary smooth f(u, v) applied pointwise; Fbar
   averages v over N(0, sigma^2(xi)) by 12-point Gauss-Hermite quadrature.
 
 PointwiseSquare is not globally Lipschitz and its growth is unbounded at
 large amplitude, so it sits outside the strict bounded-derivative class; it
 is kept because its average is in closed form, which makes it the natural
-test oracle.  Use ``saturating_square`` for a bounded stand-in with the same
+test oracle.  SaturatingSquare is a bounded stand-in with the same
 small-amplitude behavior.
 
 ``eval_F`` evaluates F; ``averaged_force`` builds x -> Fbar(x) once, with the
@@ -20,8 +22,7 @@ constants of the average precomputed.  Both take coefficient arrays of shape
 (J,) or (n, J) and return the same shape.  The Gauss-Hermite average makes one
 f call on all 12 nodes at once, the nodes stacked on a leading axis, and sums
 the weighted values over that axis in node order, which gives the bits of a
-per-node loop.  When f does not read u, Fbar is one constant field, and the
-average is computed once per input shape and copied out on later calls.
+per-node loop.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.special import erfcx
 
 from .spectral import ArgumentError, SpectrumSpec
 
@@ -37,6 +39,7 @@ __all__ = [
     "GridTransform",
     "LinearInY",
     "PointwiseSquare",
+    "SaturatingSquare",
     "PointwiseGeneral",
     "Nonlinearity",
     "saturating_square",
@@ -135,6 +138,13 @@ class PointwiseSquare:
 
 
 @dataclass(frozen=True)
+class SaturatingSquare:
+    """Bounded variant of the pointwise square: f(u, v) = c*v^2/(1 + v^2)."""
+
+    c: float
+
+
+@dataclass(frozen=True)
 class PointwiseGeneral:
     """Pointwise nonlinearity f(u, v) with Gauss-Hermite averaged counterpart.
 
@@ -142,26 +152,15 @@ class PointwiseGeneral:
     derivatives up to order 3 for the theory to apply; the 12-point rule
     integrates polynomial v-dependence exactly up to degree 23.  The average
     calls f once with u and v that broadcast against each other, v holding
-    the nodes on a leading axis, so f must act elementwise.  The average also
-    probes f once with a u of shape (2, 1, 1) to learn whether f reads u: an
-    elementwise f that does returns u's axes, one that does not is averaged
-    once per input shape.  The probe relies on f being elementwise.
+    the nodes on a leading axis, so f must act elementwise.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-Nonlinearity = Union[LinearInY, PointwiseSquare, PointwiseGeneral]
+Nonlinearity = Union[LinearInY, PointwiseSquare, SaturatingSquare, PointwiseGeneral]
 
-
-def saturating_square(c: float) -> PointwiseGeneral:
-    """Bounded variant of the pointwise square: f(u, v) = c*v^2/(1 + v^2)."""
-
-    def f(u, v):
-        v2 = v * v
-        return c * v2 / (1.0 + v2)
-
-    return PointwiseGeneral(f=f)
+saturating_square = SaturatingSquare
 
 
 def pointwise_variance(spec: SpectrumSpec, gt: GridTransform) -> np.ndarray:
@@ -196,6 +195,12 @@ def eval_F(nl: Nonlinearity, gt: Optional[GridTransform], x: np.ndarray, y: np.n
     x, y = _check_pair(x, y, gt.J)
     if isinstance(nl, PointwiseSquare):
         return gt.pointwise(lambda gy: nl.c * gy * gy, y)
+    if isinstance(nl, SaturatingSquare):
+        def f(v):
+            v2 = v * v
+            return nl.c * v2 / (1.0 + v2)
+
+        return gt.pointwise(f, y)
     if isinstance(nl, PointwiseGeneral):
         return gt.pointwise(nl.f, x, y)
     raise TypeError(f"unknown nonlinearity {nl!r}")
@@ -208,9 +213,12 @@ def averaged_force(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """x -> Fbar(x) = E F(x, Y), Y ~ N(0, Lambda^-1), as coefficients.
 
-    The constants of the average (the pointwise variance of Y and the
-    Gauss-Hermite nodes) are computed here, once, so a time loop builds the
-    function once and calls it every step.
+    The constants of the average are computed here, once, so a time loop
+    builds the function once and calls it every step.  The two squares
+    average to a constant field c*E g(V), V ~ N(0, sigma^2) on the grid:
+    E V^2 = sigma^2, and E V^2/(1 + V^2) = 1 - sqrt(pi/2)/sigma
+    erfcx(1/(sigma sqrt 2)).  Each call returns it in a fresh array, which
+    the caller may overwrite.
 
     For `PointwiseGeneral` each call evaluates f once, on grid values of
     shape (K, *gx.shape): the K = 12 nodes v_k = sqrt(2)*sigma*t_k on a
@@ -219,26 +227,27 @@ def averaged_force(
     node order, so the result equals a per-node loop's `acc += w_k*f_k` bit
     for bit.  A tensordot, einsum or BLAS product in place of the sum orders
     the additions differently and moves the last bit.
-
-    Whether f reads u is decided here, from one call of f on u = zeros((2, 1, 1))
-    against the (K, M) nodes, floating-point warnings ignored.  When it does
-    not, Fbar(x) depends only on x's shape: the average is computed on the
-    first x of each shape, kept, and returned as a copy, which the caller may
-    overwrite.  The kept value is the one a fresh call computes, so the bits
-    are the same.
     """
     if isinstance(nl, LinearInY):
         return np.zeros_like
     if gt is None:
         raise ValueError("pointwise nonlinearities need a GridTransform")
     sig2 = pointwise_variance(spec, gt)
-    if isinstance(nl, PointwiseSquare):
-        coeffs = gt.to_coeffs(nl.c * sig2)
-        return lambda x: np.broadcast_to(coeffs, x.shape).copy()
+    sig = np.sqrt(sig2)
+    if isinstance(nl, (PointwiseSquare, SaturatingSquare)):
+        mean = sig2 if isinstance(nl, PointwiseSquare) else (
+            1.0 - np.sqrt(np.pi / 2.0) / sig * erfcx(1.0 / (_SQRT2 * sig)))
+        coeffs = gt.to_coeffs(nl.c * mean)
+
+        def constant(x):
+            out = np.empty(x.shape)
+            out[...] = coeffs
+            return out
+
+        return constant
     if isinstance(nl, PointwiseGeneral):
         t, w = np.polynomial.hermite.hermgauss(_QUADRATURE_ORDER)
-        # E f(u, V) for V ~ N(0, sig^2), on the (K, M) grid v_k = sqrt(2)*sig*t_k
-        nodes = np.outer(t, _SQRT2 * np.sqrt(sig2))
+        nodes = np.outer(t, _SQRT2 * sig)
         K = len(t)
 
         def average(gx):
@@ -246,18 +255,6 @@ def averaged_force(
             fk = np.broadcast_to(nl.f(gx[None], v), (K,) + gx.shape)
             return (w[:, None] * fk.reshape(K, -1)).sum(axis=0).reshape(gx.shape) / np.sqrt(np.pi)
 
-        # an elementwise f that reads u returns u's three axes
-        with np.errstate(all="ignore"):
-            reads_u = np.ndim(nl.f(np.zeros((2, 1, 1)), nodes)) > 2
-        if reads_u:
-            return lambda x: gt.pointwise(average, x)
-        by_shape = {}
-
-        def fbar(x):
-            if x.shape not in by_shape:
-                by_shape[x.shape] = gt.pointwise(average, x)
-            return by_shape[x.shape].copy()
-
-        return fbar
+        return lambda x: gt.pointwise(average, x)
     raise TypeError(f"unknown nonlinearity {nl!r}")
 

@@ -7,9 +7,19 @@ check it against this per-node loop bit for bit.
 
 import numpy as np
 
-from slowfast import pointwise_variance
+from slowfast import PointwiseGeneral, pointwise_variance
 
 ORDER = 12  # Gauss-Hermite nodes of PointwiseGeneral's average
+
+
+def rational_square(c):
+    """The saturating square c*v^2/(1 + v^2) as a general coupling: averaged by Gauss-Hermite."""
+
+    def f(u, v):
+        v2 = v * v
+        return c * v2 / (1.0 + v2)
+
+    return PointwiseGeneral(f=f)
 
 
 def loop_average(nl, gt, spec):

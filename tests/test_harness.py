@@ -139,6 +139,22 @@ class TestMcEstimate:
         exact = oracle_weak_value(cfg, PHI_NORM, SPEC, NL)
         assert abs(est.mean - exact) < 4 * est.stderr
 
+    def test_limiting_mean_is_the_averaged_state_for_the_saturating_square(self):
+        # the fresh equilibrium draw of every LIMITING step averages F to Fbar,
+        # a constant field here, so E x_N is the AVERAGED x_N; on the quadratic
+        # spectrum the grid variance reaches 2.4, where a 12-node Gauss-Hermite
+        # Fbar puts the AVERAGED value 33 standard errors off
+        J = 16
+        spec, gt, nl = quadratic_spectrum(J), GridTransform(J), saturating_square(1.0)
+        x0 = np.zeros(J)
+        x0[0] = 10.0
+        cfg = RunConfig(T=1.0, N=16, eps=1.0, scheme=SchemeKind.LIMITING, x0=x0,
+                        y0=np.zeros(J))
+        phi = FunctionalSpec(kind=FunctionalKind.LINEAR, h=np.eye(J)[0])
+        est = mc_estimate(cfg, phi, 10_000, 11, spec, nl, gt)
+        averaged = oracle_weak_value(replace(cfg, scheme=SchemeKind.AVERAGED), phi, spec, nl, gt)
+        assert abs(est.mean - averaged) <= 4 * est.stderr
+
     def test_thread_and_batch_invariance(self):
         cfg = coupled_config(N=4)
         a = mc_estimate(cfg, PHI_NORM, 3000, 7, SPEC, NL, n_threads=1, batch=3000)
@@ -343,8 +359,9 @@ class TestWeakErrorCurve:
             assert (p.error, p.stderr) == _gap(est, ref)
             assert p.oracle_bias == abs(np.mean(half) - np.mean(ref))
 
-    @pytest.mark.parametrize("nl", [saturating_square(1.0), PointwiseSquare(1.0)],
-                             ids=["saturating_square", "PointwiseSquare"])
+    @pytest.mark.parametrize("nl", [saturating_square(1.0), PointwiseSquare(1.0),
+                                    PointwiseGeneral(f=lambda u, v: np.tanh(u) * v * v)],
+                             ids=["saturating_square", "PointwiseSquare", "reads_u"])
     def test_averaged_scheme_is_exact_under_any_coupling(self, nl):
         # AVERAGED draws no noise, so at n_samples = 0 one run per step size is
         # exact; 600 identical samples span two collocation blocks, whose

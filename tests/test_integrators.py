@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from average_loop import rational_square
 from moment_loop import loop_moments
 from step_loop import loop_states
 
@@ -470,10 +471,10 @@ class TestAveragedReference:
             solve_averaged_reference(SPEC, LinearInY(1.0), np.ones(8), T)
 
     def test_general_solver_matches_variation_of_constants(self):
-        # f(u, v) = v^2/(1 + v^2) does not depend on u, so Fbar is the constant
-        # field g and the ODE solve must reproduce the closed form
+        # f(u, v) = v^2/(1 + v^2) as a general coupling does not depend on u, so
+        # Fbar is the constant field g and the ODE solve must reproduce the closed form
         gt = GridTransform(8)
-        nl = saturating_square(1.0)
+        nl = rational_square(1.0)
         g = averaged_force(nl, gt, SPEC)(np.zeros(8))
         x0 = 1.0 / SPEC.lambdas
         T = 0.5
