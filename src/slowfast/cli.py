@@ -87,22 +87,15 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _at_least(low: int):
-    """A count or size: an integer from `low` up to, not including, 2^63."""
+def _at_least(low: int, bits: int = 63):
+    """An integer from `low` up to, not including, 2^bits: 2^63 for a count or size,
+    2^64 for a noise address's seed and sample index."""
     def cast(value) -> int:
         n = _integer(value)
-        if not low <= n < 2**63:
-            raise ValueError(f"expected an integer in [{low}, 2**63)")
+        if not low <= n < 2**bits:
+            raise ValueError(f"expected an integer in [{low}, 2**{bits})")
         return n
     return cast
-
-
-def _uint64(value) -> int:
-    """An integer in [0, 2^64), the range of a noise address's seed and sample index."""
-    n = _integer(value)
-    if not 0 <= n < 2**64:
-        raise ValueError("expected an integer in [0, 2**64)")
-    return n
 
 
 def _one_of(*names: str):
@@ -155,8 +148,8 @@ SCHEMA = (
     ("eps_list", _numbers, tuple(4.0**-k for k in range(0, 7)), ("ap-test", "uniform-sweep")),
     ("tau_list", _numbers, (1e-4, 1e-2, 1.0, 1e2, 1e4), ("invariant-test",)),
     ("n_samples", _at_least(0), 0, ("weak-error", "ap-test")),
-    ("master_seed", _uint64, 0, ("simulate", "weak-error", "ap-test")),
-    ("sample_index", _uint64, 0, ("simulate",)),
+    ("master_seed", _at_least(0, 64), 0, ("simulate", "weak-error", "ap-test")),
+    ("sample_index", _at_least(0, 64), 0, ("simulate",)),
 )
 
 # key paths as tuples, so that a literal "spectrum.J" key names no row
@@ -291,10 +284,13 @@ def _csv(header, rows) -> str:
 WARN_R_SQUARED = 0.9
 
 
-def _warn_if_poor_fit(fit):
+def _fit_fields(fit) -> dict:
+    """The rate fit's result fields slope, intercept and r2, after a warning on
+    stderr if r2 is below WARN_R_SQUARED."""
     if fit.r_squared < WARN_R_SQUARED:
         print(f"warning: the log-log fit has r2 {fit.r_squared:.3g} < {WARN_R_SQUARED} "
               f"(slope {fit.slope:.3g}); the dt ladder may not be asymptotic", file=sys.stderr)
+    return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r_squared}
 
 
 # Each command takes its config values, plus "n_threads" from --threads, and
@@ -316,16 +312,10 @@ def _cmd_weak_error(v: dict):
     spec, nl, gt, config, phi = _setup(v)
     points = weak_error_curve(config, v["dt_list"], phi, spec, nl, gt, n_samples=v["n_samples"],
                               master_seed=v["master_seed"], n_threads=v["n_threads"])
-    fit = fit_rate(points)
-    _warn_if_poor_fit(fit)
+    fit = _fit_fields(fit_rate(points))
     files = {"curve.csv": _csv(("dt", "error", "stderr", "oracle_bias"),
                                [(p.dt, p.error, p.stderr, p.oracle_bias) for p in points])}
-    return files, {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r2": fit.r_squared,
-        "oracle_functional": phi.oracle_only,
-    }
+    return files, {**fit, "oracle_functional": phi.oracle_only}
 
 
 def _cmd_ap_test(v: dict):
@@ -356,7 +346,7 @@ def _cmd_invariant_test(v: dict):
 def _cmd_uniform_sweep(v: dict):
     spec, nl, _, config, phi = _setup(v)
     result = uniform_sweep(config, v["eps_list"], v["dt_list"], phi, spec, nl)
-    _warn_if_poor_fit(result.fit)
+    fit = _fit_fields(result.fit)
     grid_rows = []
     for i, dt in enumerate(v["dt_list"]):
         for k, eps in enumerate(v["eps_list"]):
@@ -366,9 +356,7 @@ def _cmd_uniform_sweep(v: dict):
         "max_curve.csv": _csv(("dt", "max_error"), list(zip(v["dt_list"], result.max_errors))),
     }
     return files, {
-        "slope": result.fit.slope,
-        "intercept": result.fit.intercept,
-        "r2": result.fit.r_squared,
+        **fit,
         "refinement": SWEEP_REFINEMENT,
         "max_reference_bias": float(result.reference_bias.max()),
         "oracle_functional": phi.oracle_only,

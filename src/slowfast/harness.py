@@ -349,10 +349,13 @@ def _phi_values(configs, phi, spec, nl, gt, n_samples, master_seed, n_threads):
 
 
 def _stderr(values: np.ndarray) -> float:
-    """Standard error of the mean of per-sample values; 0 for one oracle value."""
+    """Standard error of the mean of per-sample values; 0 for one oracle value.  The values
+    are scaled by an exact power of two, so np.std's squares cannot underflow to 0 (and
+    make noisy values look exact) below 1e-154; a stderr that did not underflow keeps its bits."""
     if values.size == 1:
         return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(values.size))
+    k = np.frexp(np.max(np.abs(values)))[1]
+    return float(np.ldexp(np.std(np.ldexp(values, -k), ddof=1), k) / math.sqrt(values.size))
 
 
 def _gap(values: np.ndarray, truth) -> tuple:

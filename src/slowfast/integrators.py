@@ -233,7 +233,8 @@ def solve_averaged_reference(
 
     When Fbar is a constant field g, which holds for the linear-in-y coupling
     (g = 0) and the two squares, variation of constants gives
-    x_j(T) = e^(-lam T) x0_j + (1 - e^(-lam T)) g_j / lam_j.  A `PointwiseGeneral`
+    x_j(T) = e^(-lam T) x0_j + (1 - e^(-lam T)) g_j / lam_j, with 1 - e^(-lam T)
+    taken as -expm1(-lam T): the difference would cancel at small lam T.  A `PointwiseGeneral`
     is integrated by a stiff step-control solver (LSODA) at relative tolerance
     1e-12, with the constants of Fbar computed once.
     """
@@ -243,7 +244,7 @@ def solve_averaged_reference(
     if isinstance(nl, (LinearInY, PointwiseSquare, SaturatingSquare)):
         with np.errstate(under="ignore"):
             decay = np.exp(-T * spec.lambdas)
-        return x0 * decay + (1.0 - decay) * fbar(np.zeros_like(x0)) / spec.lambdas
+        return x0 * decay - np.expm1(-T * spec.lambdas) * fbar(np.zeros_like(x0)) / spec.lambdas
     from scipy.integrate import solve_ivp  # imported here: only this branch needs it
 
     sol = solve_ivp(lambda t, x: fbar(x) - spec.lambdas * x, (0.0, T), x0,

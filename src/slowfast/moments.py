@@ -240,14 +240,12 @@ def continuous_second_moment(
     depend on the other modes in the call.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    check_positive("eps", eps)
-    check_positive("T", T, allow_zero=True)
+    mx = continuous_mean(lam, c, eps, T, start.mean_x, start.mean_y)  # checks eps and T
     with np.errstate(over="ignore"):
         fast = lam / eps
     if not np.all(np.isfinite(fast)):
         raise ArgumentError("eps", f"argument 'eps' = {eps!r} is too small: lam/eps is not finite")
     ones = np.ones_like(lam)
-    mx = continuous_mean(lam, c, eps, T, start.mean_x, start.mean_y)
     vx0, cv0, vy0 = (np.asarray(v, float) * ones for v in (start.var_x, start.cov_xy, start.var_y))
     with np.errstate(under="ignore"):
         my = np.exp(-lam * T / eps) * (np.asarray(start.mean_y, float) * ones)
@@ -274,5 +272,4 @@ def continuous_second_moment(
         vy = np.exp(z2) * vy0 + q * f0_z2
         cv = e_mid * cv0 + c * T * (f12 * vy0 + q * f0_z2_z1)
         vx = np.exp(z0) * vx0 + 2.0 * c * T * (f01 * cv0 + c * T * (f_trio * vy0 + q * f0_trio))
-    return ModeMoments(mean_x=mx, mean_y=my, var_x=np.maximum(vx, 0.0),
-                       var_y=np.maximum(vy, 0.0), cov_xy=cv)
+    return _moments(np.stack(np.broadcast_arrays(my, mx, vy, cv, vx), axis=-1))

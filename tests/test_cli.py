@@ -304,6 +304,20 @@ class TestWeakError:
         assert f"dt = [{2.0**-8!r}]" in err
         assert not out.exists()
 
+    def test_tiny_values_keep_their_noise_floor(self, tmp_path, capsys):
+        # phi values near 1e-173: the stderrs (about 1.2e-173) must not underflow
+        # to the 0 of an exact point, or the finest error, 1.6 stderr, passes the fit
+        cfg = write_config(tmp_path, "c.json", {
+            "spectrum": {"kind": "quadratic"}, "x0": {"preset": "mode", "amplitude": 20},
+            "phi": {"kind": "BOUNDED_EXP"}, "T": 0.01, "dt_list": [0.0025, 0.00125, 0.000625],
+            "n_samples": 200,
+        })
+        out = tmp_path / "o"
+        assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "noise floor" in err and "dt = [0.000625]" in err
+        assert not out.exists()
+
     def test_exact_zero_error_is_not_blamed_on_a_noise_floor(self, tmp_path, capsys):
         # at eps = dt = 1e-300 the noise-free scheme meets the continuous law to
         # the last bit: the error is exactly 0 there, and no sampling is involved
@@ -322,6 +336,17 @@ class TestWeakError:
         out = tmp_path / "o"
         assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["slope"] >= 0.85
+
+    def test_averaged_scheme_is_first_order_at_a_tiny_horizon(self, tmp_path):
+        # at T = 1e-9 the averaged equation's closed form must not cancel: with
+        # 1 - e^(-lam T) the fit read slope 0.54
+        cfg = write_config(tmp_path, "c.json", {
+            "scheme": "AVERAGED", "nonlinearity": {"variant": "POINTWISE_SQUARE"},
+            "phi": {"kind": "LINEAR"}, "T": 1e-9,
+            "dt_list": [2.5e-10, 1.25e-10, 6.25e-11, 3.125e-11]})
+        out = tmp_path / "o"
+        assert run_cli(["weak-error", "--config", cfg, "--output-dir", str(out)]) == 0
+        assert 0.95 <= json.loads((out / "summary.json").read_text())["slope"] <= 1.05
 
     def test_averaged_scheme_is_exact_at_any_sample_count(self, tmp_path, capsys):
         # AVERAGED draws no noise, so n_samples 2000 takes the exact path that

@@ -1,4 +1,4 @@
-"""The demo scripts run to completion against the package in src/."""
+"""The demo scripts run to completion against the package in src/, with every warning an error."""
 
 import os
 import subprocess
@@ -23,6 +23,6 @@ FAST_DEMOS = [
 @pytest.mark.parametrize("name", FAST_DEMOS)
 def test_demo_exits_0(name):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / f"{name}.py")],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr

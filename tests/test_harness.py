@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from covariance_ode import ode_moments
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -139,21 +139,33 @@ class TestMcEstimate:
         exact = oracle_weak_value(cfg, PHI_NORM, SPEC, NL)
         assert abs(est.mean - exact) < 4 * est.stderr
 
-    def test_limiting_mean_is_the_averaged_state_for_the_saturating_square(self):
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(square=st.sampled_from([PointwiseSquare, saturating_square]),
+           spectrum=st.sampled_from([dirichlet_spectrum, quadratic_spectrum]),
+           J=st.integers(1, 16), c=st.floats(-2.0, 2.0), amp=st.floats(-10.0, 10.0),
+           T=st.sampled_from([0.25, 0.5, 1.0]), N=st.integers(1, 16), mode=st.integers(1, 16))
+    # on the quadratic spectrum the grid variance reaches 2.4, where a 12-node
+    # Gauss-Hermite Fbar put the AVERAGED value 33 standard errors off
+    @example(square=saturating_square, spectrum=quadratic_spectrum, J=16, c=1.0, amp=10.0,
+             T=1.0, N=16, mode=1)
+    def test_limiting_mean_is_the_averaged_state(self, square, spectrum, J, c, amp, T, N, mode):
         # the fresh equilibrium draw of every LIMITING step averages F to Fbar,
-        # a constant field here, so E x_N is the AVERAGED x_N; on the quadratic
-        # spectrum the grid variance reaches 2.4, where a 12-node Gauss-Hermite
-        # Fbar puts the AVERAGED value 33 standard errors off
-        J = 16
-        spec, gt, nl = quadratic_spectrum(J), GridTransform(J), saturating_square(1.0)
-        x0 = np.zeros(J)
-        x0[0] = 10.0
-        cfg = RunConfig(T=1.0, N=16, eps=1.0, scheme=SchemeKind.LIMITING, x0=x0,
-                        y0=np.zeros(J))
-        phi = FunctionalSpec(kind=FunctionalKind.LINEAR, h=np.eye(J)[0])
+        # a constant field for either square, so E x_N is the AVERAGED x_N.  At
+        # c = 0 every sample is equal: the mean's rounding may exceed a stderr
+        # that is itself rounding, hence the relative term
+        spec, gt, nl = spectrum(J), GridTransform(J), square(c)
+        cfg = RunConfig(T=T, N=N, eps=1.0, scheme=SchemeKind.LIMITING,
+                        x0=amp / np.arange(1.0, J + 1), y0=np.zeros(J))
+        phi = FunctionalSpec(kind=FunctionalKind.LINEAR, h=np.eye(J)[min(mode, J) - 1])
         est = mc_estimate(cfg, phi, 10_000, 11, spec, nl, gt)
         averaged = oracle_weak_value(replace(cfg, scheme=SchemeKind.AVERAGED), phi, spec, nl, gt)
-        assert abs(est.mean - averaged) <= 4 * est.stderr
+        assert abs(est.mean - averaged) <= 4 * est.stderr + 1e-12 * abs(averaged)
+
+    def test_stderr_of_tiny_values_does_not_underflow(self):
+        # np.std's squares underflow below about 1e-154: scaled by 2^-600, a
+        # stderr must scale with the values instead of reading as an exact 0
+        v = np.array([1.0, 2.5, -0.75, 3.0])
+        assert harness._stderr(v * 2.0**-600) == harness._stderr(v) * 2.0**-600 > 0
 
     def test_thread_and_batch_invariance(self):
         cfg = coupled_config(N=4)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from slowfast import (
     dirichlet_spectrum,
     eval_F,
     mc_estimate,
+    quadratic_spectrum,
     run_trajectory_batch,
     sample_cylindrical_batch,
     saturating_square,
@@ -464,6 +466,19 @@ class TestAveragedReference:
         out = solve_averaged_reference(SPEC, nl, x0, T, gt)
         decay = np.exp(-T * SPEC.lambdas)
         assert np.allclose(out, decay * x0 + (1 - decay) * g / SPEC.lambdas, rtol=1e-13)
+
+    @pytest.mark.parametrize("square", [PointwiseSquare, saturating_square])
+    @pytest.mark.parametrize("T", [1e-12, 1e-9, 1e-6])
+    def test_closed_form_keeps_its_digits_at_small_horizons(self, square, T):
+        # from x0 = 0 the value is (1 - e^(-lam T)) g / lam, which 1 - e^(-lam T)
+        # got only to a relative 2.2e-5 at T = 1e-12
+        spec, gt, nl = quadratic_spectrum(16), GridTransform(16), square(1.0)
+        g = averaged_force(nl, gt, spec)(np.zeros(16))
+        out = solve_averaged_reference(spec, nl, np.zeros(16), T, gt)
+        with mp.workdps(40):
+            exact = [float(-mp.expm1(-mp.mpf(lam) * T) * g[j] / lam)
+                     for j, lam in enumerate(spec.lambdas)]
+        assert np.all(np.abs(out - exact) <= 1e-14 * np.abs(exact))
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
     def test_rejects_bad_horizon_by_name(self, T):
